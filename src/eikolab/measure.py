@@ -128,6 +128,7 @@ class SteadyStateReport:
     steady_tol: float = math.nan
     t_final: float = math.nan
     steps: int = 0
+    coarse_steps: int = 0  # half-grid warm-start steps, summed over levels
     corner_ratio: float = math.nan
 
     def as_dict(self, include_profile: bool = True) -> dict:
@@ -140,6 +141,7 @@ class SteadyStateReport:
             "steady_tol": self.steady_tol,
             "t_final": self.t_final,
             "steps": self.steps,
+            "coarse_steps": self.coarse_steps,
             "corner_ratio": self.corner_ratio,
         }
         if include_profile:
@@ -160,7 +162,7 @@ class SteadyStateReport:
 
 def build_report(phi: Field2D, *, omega_drift: float, steady_residual: float,
                  steady_tol: float, converged: bool, t_final: float, steps: int,
-                 corner_ratio: float,
+                 corner_ratio: float, coarse_steps: int = 0,
                  annulus: tuple[float, float] | None = None,
                  n_bins: int = 64) -> SteadyStateReport:
     if annulus is None:
@@ -175,6 +177,7 @@ def build_report(phi: Field2D, *, omega_drift: float, steady_residual: float,
         steady_tol=steady_tol,
         t_final=t_final,
         steps=steps,
+        coarse_steps=coarse_steps,
         corner_ratio=corner_ratio,
     )
 

@@ -6,14 +6,15 @@ ETDRK4 stages.  phi-function coefficient tables are evaluated by averaging the
 analytic formulas over a 32-point unit circle around each -|k|^2 dt (Taylor
 series below |z| = 1e-2), which sidesteps the cancellation instability near 0.
 The quadratic product is dealiased with the 2/3 rule; the forcing enters as an
-exact spectral constant.
+exact spectral constant.  run_to_steady warm-starts from the half grid's
+locked state where that grid resolves the defect core.
 """
 from __future__ import annotations
 
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,40 +110,40 @@ def _spectral_tools(grid: GridSpec2D):
     return ikx[:, None], iky[None, :], minus_ksq, mask
 
 
-def _phi_functions(z: np.ndarray, n_contour: int = 32):
-    """phi1, phi2, phi3 for real z <= 0 by contour averaging / Taylor near 0."""
+def _phi_functions(z: np.ndarray, n_contour: int = 32, count: int = 3):
+    """phi1..phi_count (count <= 3) for real z <= 0 by contour averaging / Taylor near 0."""
     z = np.asarray(z, dtype=float)
-    phi1 = np.empty_like(z)
-    phi2 = np.empty_like(z)
-    phi3 = np.empty_like(z)
+    phis = [np.empty_like(z) for _ in range(count)]
     small = np.abs(z) < 1e-2
     zs = z[small]
-    # Taylor: phi_j(z) = sum_{m>=0} z^m / (m + j)!
-    phi1[small] = (
-        1 + zs / 2 + zs**2 / 6 + zs**3 / 24 + zs**4 / 120 + zs**5 / 720 + zs**6 / 5040
-    )
-    phi2[small] = (
-        0.5 + zs / 6 + zs**2 / 24 + zs**3 / 120 + zs**4 / 720 + zs**5 / 5040 + zs**6 / 40320
-    )
-    phi3[small] = (
-        1 / 6 + zs / 24 + zs**2 / 120 + zs**3 / 720 + zs**4 / 5040 + zs**5 / 40320
-        + zs**6 / 362880
-    )
+    for j, phi in enumerate(phis, start=1):
+        # Taylor: phi_j(z) = sum_{m>=0} z^m / (m + j)!
+        phi[small] = sum(zs**m / math.factorial(m + j) for m in range(7))
     zl = z[~small]
     if zl.size:
-        s1 = np.zeros(zl.shape, dtype=complex)
-        s2 = np.zeros(zl.shape, dtype=complex)
-        s3 = np.zeros(zl.shape, dtype=complex)
-        for j in range(n_contour):
-            w = zl + np.exp(2j * np.pi * (j + 0.5) / n_contour)
-            ew = np.exp(w)
-            s1 += (ew - 1.0) / w
-            s2 += (ew - 1.0 - w) / w**2
-            s3 += (ew - 1.0 - w - 0.5 * w**2) / w**3
-        phi1[~small] = s1.real / n_contour
-        phi2[~small] = s2.real / n_contour
-        phi3[~small] = s3.real / n_contour
-    return phi1, phi2, phi3
+        sums = np.zeros((count,) + zl.shape, dtype=complex)
+        for i in range(n_contour):
+            w = zl + np.exp(2j * np.pi * (i + 0.5) / n_contour)
+            # phi_j(w) = (e^w - sum_{m<j} w^m / m!) / w^j
+            rem = np.exp(w) - 1.0
+            for j in range(1, count + 1):
+                wj = w**j
+                sums[j - 1] += rem / wj
+                if j < count:
+                    rem = rem - (1.0 / math.factorial(j)) * wj
+        for phi, s in zip(phis, sums):
+            phi[~small] = s.real / n_contour
+    return tuple(phis)
+
+
+def _mirror_kx(rows: np.ndarray) -> np.ndarray:
+    """Full rfft2-layout table from its rows 0..n/2 (kx >= 0).
+
+    Rows n/2+1..n-1 hold kx = -(n/2-1)..-1; fftfreq's negative frequencies are
+    exact negatives of the positive ones, so a table even in kx is mirrored
+    bitwise.
+    """
+    return np.concatenate((rows, rows[-2:0:-1]))
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,6 @@ class ETDRK4Plan:
     grid: GridSpec2D
     dt: float
     linear_symbol: np.ndarray  # -|k|^2
-    phi1: np.ndarray
-    phi2: np.ndarray
-    phi3: np.ndarray
     e_full: np.ndarray
     e_half: np.ndarray
     q_half: np.ndarray
@@ -170,9 +168,10 @@ def make_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
     if not dt > 0:
         raise ConfigError(f"dt must be > 0, got {dt}")
     ikx, iky, minus_ksq, mask = _spectral_tools(grid)
-    z = minus_ksq * dt
+    # every table is even in kx: evaluate rows kx >= 0 and mirror the rest
+    z = minus_ksq[: grid.n // 2 + 1] * dt
     phi1, phi2, phi3 = _phi_functions(z)
-    half1, _, _ = _phi_functions(0.5 * z)
+    (half1,) = _phi_functions(0.5 * z, count=1)
     e_full = np.exp(z)
     e_half = np.exp(0.5 * z)
     q_half = 0.5 * dt * half1
@@ -181,10 +180,8 @@ def make_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
     f1 = dt * (phi1 - 3.0 * phi2 + 4.0 * phi3)
     f2 = dt * (phi2 - 2.0 * phi3)
     f3 = dt * (4.0 * phi3 - phi2)
-    return ETDRK4Plan(
-        grid, dt, minus_ksq, phi1, phi2, phi3, e_full, e_half, q_half, f1, f2, f3,
-        ikx, iky, mask,
-    )
+    tables = [_mirror_kx(t) for t in (e_full, e_half, q_half, f1, f2, f3)]
+    return ETDRK4Plan(grid, dt, minus_ksq, *tables, ikx, iky, mask)
 
 
 def sample_defect(grid: GridSpec2D, defect: InhomogeneitySpec) -> Field2D:
@@ -259,8 +256,9 @@ def step_etdrk4(phi: Field2D, plan: ETDRK4Plan, b: float, eps: float,
     if plan.grid != phi.grid:
         raise ConfigError("plan was built for a different grid")
     ghat = None if g_field is None else np.fft.rfft2(g_field.values)
-    out_hat = _step_hat(phi.hat(), plan, b, eps, ghat)
-    out = np.fft.irfft2(out_hat, s=(phi.grid.n, phi.grid.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_hat = _step_hat(phi.hat(), plan, b, eps, ghat)
+        out = np.fft.irfft2(out_hat, s=(phi.grid.n, phi.grid.n))
     if not np.all(np.isfinite(out)):
         raise BlowUpError(f"non-finite field after step {step_index}", step_index)
     return Field2D(phi.grid, out, spectral=out_hat)
@@ -289,22 +287,100 @@ class SimulationConfig:
             raise ConfigError("check_interval must be >= 1")
 
 
-def run_to_steady(config: SimulationConfig):
-    """Advance phi = 0 until phi_t is spatially uniform on the measurement disk.
+# Nested iteration (the full-multigrid start): a grid that resolves the unit
+# defect core sits within discretisation error of the continuum's locked state,
+# so the half grid locks first and warm-starts the fine one.
+HALF_GRID_MIN_N = 64
+HALF_GRID_MAX_DX = 0.5
+
+
+def _relax(config: SimulationConfig, uhat: np.ndarray):
+    """Step the spectrum uhat on config.grid until phi_t is steady or t_max.
 
     Steadiness: max |phi_t - mean(phi_t)| over the centered disk of radius
     0.45 L below steady_tol, checked every check_interval steps with the exact
-    instantaneous right-hand side.  Returns (Field2D, SteadyStateReport); a
-    timeout is reported, not raised.
+    instantaneous right-hand side.  Returns (uhat, steps, converged, residual,
+    omega_drift); raises BlowUpError on a non-finite field.
+    """
+    grid = config.grid
+    plan = make_plan(grid, config.dt)
+    eps = config.defect.strength
+    ghat = np.fft.rfft2(sample_defect(grid, config.defect).values)
+    disk = grid.radius_grid() <= 0.45 * grid.l
+    n_steps_max = int(math.ceil(config.t_max / config.dt))
+
+    converged = False
+    residual = math.inf
+    omega_drift = 0.0
+    step = 0
+    # overflow on the way to a blow-up is reported by BlowUpError alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps_max + 1):
+            uhat = _step_hat(uhat, plan, config.b, eps, ghat)
+            if not np.isfinite(uhat[0, 0]):
+                raise BlowUpError(f"non-finite field after step {step}", step)
+            if step % config.check_interval == 0 or step == n_steps_max:
+                phi_t = np.fft.irfft2(
+                    full_rhs_hat(uhat, plan, config.b, eps, ghat), s=(grid.n, grid.n)
+                )
+                if not np.all(np.isfinite(phi_t)):
+                    raise BlowUpError(f"non-finite field after step {step}", step)
+                sel = phi_t[disk]
+                mean_t = float(np.mean(sel))
+                residual = float(np.max(np.abs(sel - mean_t)))
+                omega_drift = -mean_t
+                if residual < config.steady_tol:
+                    converged = True
+                    break
+    return uhat, step, converged, residual, omega_drift
+
+
+def _zero_pad(coarse_hat: np.ndarray, n: int) -> np.ndarray:
+    """An (n/2)-grid rfft2 spectrum on the n-grid layout.
+
+    numpy's transform is unnormalised, so the coefficients scale by 4; the
+    coarse Nyquist row and column have no signed counterpart and are dropped.
+    """
+    h = n // 4  # coarse Nyquist index
+    out = np.zeros((n, n // 2 + 1), dtype=complex)
+    out[:h, :h] = 4.0 * coarse_hat[:h, :h]
+    out[n - h + 1:, :h] = 4.0 * coarse_hat[h + 1:, :h]
+    return out
+
+
+def _half_grid_start(config: SimulationConfig) -> tuple[np.ndarray, int]:
+    """Initial spectrum for config.grid and the half-grid steps spent on it.
+
+    When the half grid (n/2 >= 64) still resolves the defect core, spacing
+    2L/n <= 0.5, the same config is locked there first, itself warm-started
+    the same way, and its spectrum is zero-padded onto config.grid.  The start
+    is zero when the half grid is too coarse or does not lock by t_max; the
+    steps are summed over all levels.  A half-grid blow-up raises BlowUpError.
+    """
+    grid = config.grid
+    half = grid.n // 2
+    zero = np.zeros((grid.n, half + 1), dtype=complex)
+    if half < HALF_GRID_MIN_N or grid.l / half > HALF_GRID_MAX_DX:
+        return zero, 0
+    coarse = replace(config, grid=GridSpec2D(half, grid.l, grid.dealias))
+    start, coarse_steps = _half_grid_start(coarse)
+    uhat, steps, converged, _, _ = _relax(coarse, start)
+    if not converged:
+        return zero, coarse_steps + steps
+    return _zero_pad(uhat, grid.n), coarse_steps + steps
+
+
+def run_to_steady(config: SimulationConfig):
+    """Advance phi from rest until phi_t is spatially uniform on the measurement disk.
+
+    The run starts from the half grid's locked state where that grid resolves
+    the defect core (see _half_grid_start), else from phi = 0; steadiness is
+    judged on config.grid alone (see _relax).  Returns (Field2D,
+    SteadyStateReport); a timeout is reported, not raised.
     """
     from .measure import build_report  # late import; measure depends on this module
 
     grid = config.grid
-    plan = make_plan(grid, config.dt)
-    eps = config.defect.strength
-    g_field = sample_defect(grid, config.defect)
-    ghat = np.fft.rfft2(g_field.values)
-
     corner_ratio = defect_corner_ratio(grid, config.defect)
     if corner_ratio > 1e-3:
         warnings.warn(
@@ -314,31 +390,8 @@ def run_to_steady(config: SimulationConfig):
             stacklevel=2,
         )
 
-    disk = grid.radius_grid() <= 0.45 * grid.l
-    n_steps_max = int(math.ceil(config.t_max / config.dt))
-    uhat = np.zeros((grid.n, grid.n // 2 + 1), dtype=complex)
-
-    converged = False
-    residual = math.inf
-    omega_drift = 0.0
-    step = 0
-    for step in range(1, n_steps_max + 1):
-        uhat = _step_hat(uhat, plan, config.b, eps, ghat)
-        if not np.isfinite(uhat[0, 0]):
-            raise BlowUpError(f"non-finite field after step {step}", step)
-        if step % config.check_interval == 0 or step == n_steps_max:
-            phi_t = np.fft.irfft2(
-                full_rhs_hat(uhat, plan, config.b, eps, ghat), s=(grid.n, grid.n)
-            )
-            if not np.all(np.isfinite(phi_t)):
-                raise BlowUpError(f"non-finite field after step {step}", step)
-            sel = phi_t[disk]
-            mean_t = float(np.mean(sel))
-            residual = float(np.max(np.abs(sel - mean_t)))
-            omega_drift = -mean_t
-            if residual < config.steady_tol:
-                converged = True
-                break
+    start, coarse_steps = _half_grid_start(config)
+    uhat, step, converged, residual, omega_drift = _relax(config, start)
 
     phi = Field2D(grid, np.fft.irfft2(uhat, s=(grid.n, grid.n)), spectral=uhat)
     report = build_report(
@@ -349,6 +402,7 @@ def run_to_steady(config: SimulationConfig):
         converged=converged,
         t_final=step * config.dt,
         steps=step,
+        coarse_steps=coarse_steps,
         corner_ratio=corner_ratio,
     )
     return phi, report

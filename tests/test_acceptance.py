@@ -14,14 +14,17 @@ profile forced to it breaks the tail law r^2(1 - rho^2) ~ 1 checked beside it).
 import json
 import math
 import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import eikolab
 from eikolab.cli import EXIT_OK, FIG1_A_VALUES, main
 from eikolab.radial import (
     RadialGrid,
@@ -43,15 +46,20 @@ JOBS = str(max(1, min(4, os.cpu_count() or 1)))
 @pytest.fixture(scope="module")
 def verdict(request):
     """One `criterion N: PASS|FAIL` line per test, visible without -s."""
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
+    plugins = request.config.pluginmanager
+    reporter = plugins.get_plugin("terminalreporter")
+    capman = plugins.get_plugin("capturemanager")
 
     def emit(num: int, ok: bool, detail: str) -> bool:
         line = f"[acceptance] criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}"
-        if reporter is not None:
+        if reporter is None or capman is None:
+            print(line, file=sys.stderr)
+            return ok
+        # the reporter writes to the process's stdout, which fd-level capture
+        # swallows while a test runs
+        with capman.global_and_fixture_disabled():
             reporter.ensure_newline()
             reporter.write_line(line)
-        else:
-            print(line, file=sys.stderr)
         return ok
 
     return emit
@@ -355,3 +363,18 @@ def test_criterion_8_hopf_cole_eigenfunction(verdict):
         f"K0({lam}*r) on the collar-free region z in [2, 8]: residual "
         f"{res:.2e} (<= 1e-6); {elapsed:.2f}s (< 1s)",
     )
+
+
+def test_verdict_line_reaches_plain_verbose_log():
+    # the gate must be readable off `pytest -v` with default capture
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(eikolab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
+         "-k", "criterion_1", str(Path(__file__).resolve())],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "[acceptance] criterion 1: PASS" in proc.stdout, proc.stdout[-2000:]

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,18 @@ def test_blow_up_exit_code(tmp_path, capsys):
                  "--t-max", "10", "--out", str(tmp_path / "boom")])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_blow_up_leaks_no_floating_point_warnings(tmp_path):
+    # BlowUpError is the only signal: no overflow / invalid-value warnings
+    # from the step loop (the heavy-tail corner warning is legitimate here)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--N", "64", "--L", "50", "--A", "1e300",
+                     "--out", str(tmp_path / "boom")])
+    assert code == EXIT_NUMERICAL
+    stray = [str(w.message) for w in caught if "corner/center" not in str(w.message)]
+    assert stray == []
 
 
 def test_unconverged_run_partial_exit(tmp_path):

@@ -6,11 +6,15 @@ import pytest
 
 from eikolab.errors import BlowUpError, ConfigError
 from eikolab.profiles import InhomogeneitySpec
+from eikolab.measure import measure_wavenumber
 from eikolab.spectral import (
     DEALIAS_NONE,
     Field2D,
     GridSpec2D,
     SimulationConfig,
+    _phi_functions,
+    _relax,
+    _spectral_tools,
     defect_corner_ratio,
     make_plan,
     read_field_snapshot,
@@ -66,6 +70,29 @@ def test_sample_defect_values_and_strength_separation():
     assert defect_corner_ratio(g, spec) == pytest.approx(
         (1.0 + 200.0) ** -0.8, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("n,l,dt,dealias", [(64, 10.0, 0.5, "two_thirds"),
+                                             (128, 2.0 * math.pi, 0.05, "none")])
+def test_plan_tables_match_full_grid_evaluation(n, l, dt, dealias):
+    # make_plan evaluates rows kx >= 0 and mirrors them; a full-grid
+    # evaluation must give the same tables bit for bit
+    grid = GridSpec2D(n, l, dealias)
+    plan = make_plan(grid, dt)
+    _, _, minus_ksq, _ = _spectral_tools(grid)
+    z = minus_ksq * dt
+    phi1, phi2, phi3 = _phi_functions(z)
+    half1, _, _ = _phi_functions(0.5 * z)
+    expect = {
+        "e_full": np.exp(z),
+        "e_half": np.exp(0.5 * z),
+        "q_half": 0.5 * dt * half1,
+        "f1": dt * (phi1 - 3.0 * phi2 + 4.0 * phi3),
+        "f2": dt * (phi2 - 2.0 * phi3),
+        "f3": dt * (4.0 * phi3 - phi2),
+    }
+    for name, table in expect.items():
+        assert np.array_equal(getattr(plan, name), table), name
 
 
 def test_linear_mode_decays_exactly():
@@ -201,3 +228,55 @@ def test_wraparound_warning():
                            t_max=1.0, steady_tol=1e-9, check_interval=1)
     with pytest.warns(RuntimeWarning, match="corner"):
         run_to_steady(cfg)
+
+
+# ------------------------------------------------- half-grid warm start
+
+
+def _locked_config(n, l, **kw):
+    kw.setdefault("t_max", 2000.0)
+    return SimulationConfig(GridSpec2D(n, l), dt=0.5, b=1.0,
+                            defect=InhomogeneitySpec(1.5, 1.5, strength=1.0), **kw)
+
+
+def _zero_start(cfg):
+    n = cfg.grid.n
+    return _relax(cfg, np.zeros((n, n // 2 + 1), dtype=complex))
+
+
+@pytest.mark.slow
+def test_half_grid_start_locks_the_same_state():
+    # N=128 L=25: the N=64 grid (dx 0.39) resolves the unit core, locks first,
+    # and the fine grid relaxes from its zero-padded spectrum
+    cfg = _locked_config(128, 25.0)
+    phi, report = run_to_steady(cfg)
+    uhat, steps, converged, _, omega = _zero_start(cfg)
+    k_cold = measure_wavenumber(Field2D(cfg.grid, np.fft.irfft2(uhat, s=(128, 128))))
+    assert converged and report.converged
+    assert report.coarse_steps > 0
+    assert report.steps < steps
+    assert report.t_final == report.steps * cfg.dt
+    assert report.k_measured == pytest.approx(k_cold, rel=2e-4)
+    assert report.omega_drift == pytest.approx(omega, rel=2e-4)
+    assert report.as_dict(include_profile=False)["coarse_steps"] == report.coarse_steps
+
+
+@pytest.mark.parametrize("n,l,t_max", [(64, 50.0, 2000.0), (256, 100.0, 10.0)])
+def test_unresolved_half_grid_keeps_the_cold_start(n, l, t_max):
+    # N=64: no half grid (32 < 64); N=256 L=100: its half grid has dx 0.78 > 0.5
+    cfg = _locked_config(n, l, t_max=t_max)
+    phi, report = run_to_steady(cfg)
+    uhat, steps, *_ = _zero_start(cfg)
+    assert report.coarse_steps == 0
+    assert report.steps == steps
+    assert np.array_equal(phi.values, np.fft.irfft2(uhat, s=(n, n)))
+
+
+def test_half_grid_that_cannot_lock_falls_back_to_zero_start():
+    cfg = _locked_config(128, 25.0, t_max=20.0, steady_tol=1e-12)
+    phi, report = run_to_steady(cfg)
+    uhat, steps, converged, *_ = _zero_start(cfg)
+    assert not converged and not report.converged
+    assert report.coarse_steps == 40  # the whole half-grid pass is spent
+    assert report.steps == steps
+    assert np.array_equal(phi.values, np.fft.irfft2(uhat, s=(128, 128)))
