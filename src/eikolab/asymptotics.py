@@ -21,7 +21,7 @@ from .errors import (
     OutOfRegimeError,
     StatisticsError,
 )
-from .profiles import InhomogeneitySpec, core_mass
+from .profiles import SUBCRITICAL_P, InhomogeneitySpec, core_mass
 from .specfun import EULER_GAMMA
 
 CONVENTION_THEOREM = "theorem"
@@ -143,7 +143,7 @@ def predict_k_for_family(amplitude: float, decay_exponent: float,
     integral out to convention_R otherwise; the branch taken is recorded.
     """
     p = decay_exponent
-    if not p > 0.5:
+    if not p > SUBCRITICAL_P:
         raise OutOfRegimeError(
             f"defect exponent p = {p} <= 1/2 produces no target pattern"
         )

@@ -30,7 +30,7 @@ from .errors import ConfigError, NumericalError
 from .measure import fit_k_law, fit_log_k_vs_inv_a, measure_wavenumber
 from .measure import radial_gradient_profile
 from .profiles import CutoffSpec, InhomogeneitySpec, core_mass, evaluate_g
-from .profiles import smooth_cutoff, split_defect
+from .profiles import SUBCRITICAL_P, smooth_cutoff, split_defect
 from .radial import RadialGrid, shoot_spiral_amplitude, solve_corrector_K
 from .specfun import bessel_eval
 from .spectral import (
@@ -46,7 +46,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
 
-SUBCRITICAL_P = 0.5
 PLATEAU_GROWTH_LIMIT = 0.20
 
 # recorded in every manifest so downstream tooling never has to guess signs

@@ -129,6 +129,8 @@ class SteadyStateReport:
     t_final: float = math.nan
     steps: int = 0
     coarse_steps: int = 0  # half-grid warm-start steps, summed over levels
+    start: str = "rest"  # "half_grid", "hopf_cole" or "rest"
+    start_omega: float | None = None  # lambda/b of the eigen solve, if one ran
     corner_ratio: float = math.nan
 
     def as_dict(self, include_profile: bool = True) -> dict:
@@ -142,6 +144,8 @@ class SteadyStateReport:
             "t_final": self.t_final,
             "steps": self.steps,
             "coarse_steps": self.coarse_steps,
+            "start": self.start,
+            "start_omega": self.start_omega,
             "corner_ratio": self.corner_ratio,
         }
         if include_profile:
@@ -163,6 +167,7 @@ class SteadyStateReport:
 def build_report(phi: Field2D, *, omega_drift: float, steady_residual: float,
                  steady_tol: float, converged: bool, t_final: float, steps: int,
                  corner_ratio: float, coarse_steps: int = 0,
+                 start: str = "rest", start_omega: float | None = None,
                  annulus: tuple[float, float] | None = None,
                  n_bins: int = 64) -> SteadyStateReport:
     if annulus is None:
@@ -178,6 +183,8 @@ def build_report(phi: Field2D, *, omega_drift: float, steady_residual: float,
         t_final=t_final,
         steps=steps,
         coarse_steps=coarse_steps,
+        start=start,
+        start_omega=start_omega,
         corner_ratio=corner_ratio,
     )
 

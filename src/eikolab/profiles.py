@@ -18,6 +18,10 @@ from scipy import integrate
 from .errors import ConfigError, DivergentMassError, ResolutionError
 from .radial import RadialGrid, RadialProfile
 
+# Tails g ~ r^-m with m = 2p <= 1 lie outside the paper's theorem (m in (1, 2]):
+# no target pattern is predicted, and runs are expected not to lock.
+SUBCRITICAL_P = 0.5
+
 
 @dataclass(frozen=True)
 class InhomogeneitySpec:

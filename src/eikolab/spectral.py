@@ -7,20 +7,23 @@ analytic formulas over a 32-point unit circle around each -|k|^2 dt (Taylor
 series below |z| = 1e-2), which sidesteps the cancellation instability near 0.
 The quadratic product is dealiased with the 2/3 rule; the forcing enters as an
 exact spectral constant.  run_to_steady warm-starts from the half grid's
-locked state where that grid resolves the defect core.
+locked state where that grid resolves the defect core, else from the
+Hopf-Cole eigenstate.
 """
 from __future__ import annotations
 
 import json
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import lobpcg
 
 from .errors import BlowUpError, ConfigError
-from .profiles import InhomogeneitySpec, evaluate_g
+from .profiles import SUBCRITICAL_P, InhomogeneitySpec, evaluate_g
 
 DEALIAS_TWO_THIRDS = "two_thirds"
 DEALIAS_NONE = "none"
@@ -298,9 +301,10 @@ def _relax(config: SimulationConfig, uhat: np.ndarray):
     """Step the spectrum uhat on config.grid until phi_t is steady or t_max.
 
     Steadiness: max |phi_t - mean(phi_t)| over the centered disk of radius
-    0.45 L below steady_tol, checked every check_interval steps with the exact
-    instantaneous right-hand side.  Returns (uhat, steps, converged, residual,
-    omega_drift); raises BlowUpError on a non-finite field.
+    0.45 L below steady_tol, checked after step 1 and every check_interval
+    steps with the exact instantaneous right-hand side.  Returns (uhat, steps,
+    converged, residual, omega_drift); raises BlowUpError on a non-finite
+    field.
     """
     grid = config.grid
     plan = make_plan(grid, config.dt)
@@ -319,7 +323,8 @@ def _relax(config: SimulationConfig, uhat: np.ndarray):
             uhat = _step_hat(uhat, plan, config.b, eps, ghat)
             if not np.isfinite(uhat[0, 0]):
                 raise BlowUpError(f"non-finite field after step {step}", step)
-            if step % config.check_interval == 0 or step == n_steps_max:
+            # step 1 too: a warm start is often locked after a single step
+            if step == 1 or step % config.check_interval == 0 or step == n_steps_max:
                 phi_t = np.fft.irfft2(
                     full_rhs_hat(uhat, plan, config.b, eps, ghat), s=(grid.n, grid.n)
                 )
@@ -348,35 +353,100 @@ def _zero_pad(coarse_hat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _half_grid_start(config: SimulationConfig) -> tuple[np.ndarray, int]:
-    """Initial spectrum for config.grid and the half-grid steps spent on it.
+# scipy's lobpcg reports a missed tolerance as a UserWarning, and silencing it
+# swaps the process-wide warning filters; one solve at a time keeps pool
+# threads from restoring each other's filters.
+_EIGEN_LOCK = threading.Lock()
+EIGEN_TOL = 1e-9
 
-    When the half grid (n/2 >= 64) still resolves the defect core, spacing
-    2L/n <= 0.5, the same config is locked there first, itself warm-started
-    the same way, and its spectrum is zero-padded onto config.grid.  The start
-    is zero when the half grid is too coarse or does not lock by t_max; the
-    steps are summed over all levels.  A half-grid blow-up raises BlowUpError.
+
+def _hopf_cole_start(config: SimulationConfig) -> tuple[np.ndarray, float | None]:
+    """Initial spectrum from the Hopf-Cole eigenstate and its Omega = lambda/b.
+
+    w = exp(-b phi) turns the PDE into w_t = Lap w + b eps g w, whose principal
+    eigenpair (lambda, w) is the locked state.  LOBPCG (block size 1, start
+    vector g) solves B = -Lap - b eps g with the spectral Laplacian and the
+    Fourier-diagonal preconditioner (-Lap + sigma)^-1, sigma = max(b eps g)/2.
+    w is scaled to max 1 and phi0 = -log(max(w, 0) + floor)/b, the floor set
+    above the eigenvector's noise.  The start stays at rest, (zero, None), for
+    p <= SUBCRITICAL_P (outside the theorem: such runs must not lock), a
+    non-finite operator, a failed or unconverged solve, or a w that is not
+    finite or nowhere positive.
+    """
+    grid, n = config.grid, config.grid.n
+    rest = np.zeros((n, n // 2 + 1), dtype=complex), None
+    pot = config.b * config.defect.strength * sample_defect(grid, config.defect).values
+    sigma = 0.5 * float(np.max(pot))
+    if config.defect.decay_exponent <= SUBCRITICAL_P or not 0.0 < sigma < math.inf:
+        return rest
+    _, _, minus_ksq, _ = _spectral_tools(grid)
+
+    def fourier(symbol):
+        # LOBPCG blocks are (n*n, k); the FFTs want the batch axis leading
+        def apply(x):
+            grids = np.fft.rfft2(x.T.reshape(-1, n, n))
+            return np.fft.irfft2(symbol * grids, s=(n, n)).reshape(-1, n * n).T
+        return apply
+
+    laplacian = fourier(minus_ksq)
+    column = pot.reshape(-1, 1)
+    with _EIGEN_LOCK, warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            lam, vec, history = lobpcg(
+                lambda x: -laplacian(x) - column * x, column.copy(),
+                M=fourier(1.0 / (sigma - minus_ksq)), tol=EIGEN_TOL,
+                maxiter=200, largest=False, retResidualNormsHistory=True,
+            )
+        except (ValueError, ArithmeticError):  # an overflowing operator lands here
+            return rest
+    if not (history[-1] <= EIGEN_TOL and np.all(np.isfinite(vec))):
+        return rest
+    w = vec.reshape(n, n) * np.sign(np.sum(vec))
+    peak = float(np.max(w))
+    if not peak > 0.0:
+        return rest
+    w = w / peak
+    floor = max(1e-7, 100.0 * max(0.0, -float(np.min(w))))
+    phi0 = -np.log(np.maximum(w, 0.0) + floor) / config.b
+    return np.fft.rfft2(phi0), float(-lam[0]) / config.b
+
+
+def _warm_start(config: SimulationConfig) -> tuple[np.ndarray, int, str, float | None]:
+    """Initial spectrum for config.grid: (uhat, coarse_steps, start, start_omega).
+
+    The half grid comes first: when it (n/2 >= 64) still resolves the defect
+    core, spacing 2L/n <= 0.5, the same config is locked there, itself
+    warm-started the same way, and its spectrum is zero-padded onto
+    config.grid ("half_grid"; coarse_steps sums the steps of all levels).  When
+    the half grid is too coarse or does not lock by t_max, the start is the
+    Hopf-Cole eigenstate ("hopf_cole"), else rest ("rest").  start_omega is
+    lambda/b of the eigen solve that seeded the run, None when none ran.  A
+    half-grid blow-up raises BlowUpError.
     """
     grid = config.grid
     half = grid.n // 2
-    zero = np.zeros((grid.n, half + 1), dtype=complex)
-    if half < HALF_GRID_MIN_N or grid.l / half > HALF_GRID_MAX_DX:
-        return zero, 0
-    coarse = replace(config, grid=GridSpec2D(half, grid.l, grid.dealias))
-    start, coarse_steps = _half_grid_start(coarse)
-    uhat, steps, converged, _, _ = _relax(coarse, start)
-    if not converged:
-        return zero, coarse_steps + steps
-    return _zero_pad(uhat, grid.n), coarse_steps + steps
+    coarse_steps = 0
+    if half >= HALF_GRID_MIN_N and grid.l / half <= HALF_GRID_MAX_DX:
+        coarse = replace(config, grid=GridSpec2D(half, grid.l, grid.dealias))
+        start, coarse_steps, _, start_omega = _warm_start(coarse)
+        uhat, steps, converged, _, _ = _relax(coarse, start)
+        coarse_steps += steps
+        if converged:
+            return _zero_pad(uhat, grid.n), coarse_steps, "half_grid", start_omega
+    uhat, start_omega = _hopf_cole_start(config)
+    start = "rest" if start_omega is None else "hopf_cole"
+    return uhat, coarse_steps, start, start_omega
 
 
 def run_to_steady(config: SimulationConfig):
     """Advance phi from rest until phi_t is spatially uniform on the measurement disk.
 
     The run starts from the half grid's locked state where that grid resolves
-    the defect core (see _half_grid_start), else from phi = 0; steadiness is
-    judged on config.grid alone (see _relax).  Returns (Field2D,
-    SteadyStateReport); a timeout is reported, not raised.
+    the defect core, else from the Hopf-Cole eigenstate, else from phi = 0
+    (see _warm_start); steadiness is judged on config.grid alone (see
+    _relax).  Returns (Field2D, SteadyStateReport); a timeout is reported,
+    not raised.
     """
     from .measure import build_report  # late import; measure depends on this module
 
@@ -390,7 +460,7 @@ def run_to_steady(config: SimulationConfig):
             stacklevel=2,
         )
 
-    start, coarse_steps = _half_grid_start(config)
+    start, coarse_steps, start_kind, start_omega = _warm_start(config)
     uhat, step, converged, residual, omega_drift = _relax(config, start)
 
     phi = Field2D(grid, np.fft.irfft2(uhat, s=(grid.n, grid.n)), spectral=uhat)
@@ -403,6 +473,8 @@ def run_to_steady(config: SimulationConfig):
         t_final=step * config.dt,
         steps=step,
         coarse_steps=coarse_steps,
+        start=start_kind,
+        start_omega=start_omega,
         corner_ratio=corner_ratio,
     )
     return phi, report

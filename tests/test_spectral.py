@@ -1,5 +1,6 @@
 """Periodic spectral stepper: exactness identities, convergence, round-trips."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from eikolab.spectral import (
     Field2D,
     GridSpec2D,
     SimulationConfig,
+    _hopf_cole_start,
     _phi_functions,
     _relax,
     _spectral_tools,
@@ -262,21 +264,65 @@ def test_half_grid_start_locks_the_same_state():
 
 
 @pytest.mark.parametrize("n,l,t_max", [(64, 50.0, 2000.0), (256, 100.0, 10.0)])
-def test_unresolved_half_grid_keeps_the_cold_start(n, l, t_max):
+def test_unresolved_half_grid_falls_back_to_the_eigen_start(n, l, t_max):
     # N=64: no half grid (32 < 64); N=256 L=100: its half grid has dx 0.78 > 0.5
     cfg = _locked_config(n, l, t_max=t_max)
     phi, report = run_to_steady(cfg)
-    uhat, steps, *_ = _zero_start(cfg)
+    start, omega = _hopf_cole_start(cfg)
+    uhat, steps, *_ = _relax(cfg, start)
     assert report.coarse_steps == 0
     assert report.steps == steps
     assert np.array_equal(phi.values, np.fft.irfft2(uhat, s=(n, n)))
+    assert (report.start, report.start_omega) == ("hopf_cole", omega)
 
 
-def test_half_grid_that_cannot_lock_falls_back_to_zero_start():
+def test_half_grid_that_cannot_lock_falls_back_to_the_eigen_start():
     cfg = _locked_config(128, 25.0, t_max=20.0, steady_tol=1e-12)
     phi, report = run_to_steady(cfg)
-    uhat, steps, converged, *_ = _zero_start(cfg)
+    uhat, steps, converged, *_ = _relax(cfg, _hopf_cole_start(cfg)[0])
     assert not converged and not report.converged
     assert report.coarse_steps == 40  # the whole half-grid pass is spent
     assert report.steps == steps
     assert np.array_equal(phi.values, np.fft.irfft2(uhat, s=(128, 128)))
+    assert report.start == "hopf_cole"
+
+
+# ------------------------------------------------- Hopf-Cole eigen start
+
+
+@pytest.mark.parametrize("n,l,p", [(128, 50.0, 0.8), (128, 25.0, 1.5)])
+def test_eigenvalue_matches_locked_omega(n, l, p):
+    # w = exp(-b phi): the principal eigenvalue of Lap + b eps g over b is the
+    # frequency the stepper locks to from rest
+    cfg = SimulationConfig(GridSpec2D(n, l), dt=0.5, b=1.0, t_max=2000.0,
+                           defect=InhomogeneitySpec(1.5, p, strength=1.0))
+    start, omega = _hopf_cole_start(cfg)
+    _, cold_steps, cold_locked, _, cold_omega = _zero_start(cfg)
+    _, warm_steps, warm_locked, _, warm_omega = _relax(cfg, start)
+    assert cold_locked and warm_locked
+    assert omega == pytest.approx(cold_omega, rel=1e-4)
+    assert warm_omega == pytest.approx(cold_omega, rel=1e-4)
+    assert warm_steps < cold_steps
+
+
+@pytest.mark.parametrize("amplitude,p", [(1.5, 0.5), (1.5, 0.3), (1e300, 1.5)])
+def test_eigen_start_stays_at_rest(amplitude, p):
+    # p <= 1/2 lies outside the theorem and must not be steered to lock;
+    # A = 1e300 overflows the operator
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(amplitude, p, strength=1.0))
+    start, omega = _hopf_cole_start(cfg)
+    assert omega is None
+    assert start.shape == (64, 33) and not np.any(start)
+
+
+@pytest.mark.parametrize("amplitude,at_rest", [(1.5, False), (1e150, True)])
+def test_eigen_solve_leaks_no_warning(amplitude, at_rest):
+    # A = 1e150 is finite but leaves lobpcg short of its tolerance, which it
+    # reports as a UserWarning; the start then stays at rest
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(amplitude, 0.8, strength=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, omega = _hopf_cole_start(cfg)
+    assert (omega is None) == at_rest
