@@ -3,7 +3,7 @@
 
 Runs the nine-point a-grid on a 512x512 box and writes the sweep CSV,
 per-run radial profiles, the exponential-law fit, and the manifest to
-results/figure1/. Expect roughly an hour on a laptop; pass --n 256 (or
+results/figure1/. Expect roughly an hour on a laptop; pass --N 256 (or
 lower) for a quick look, or --dry-run to only write the manifest.
 """
 import sys

@@ -27,8 +27,8 @@ from . import __version__
 from .asymptotics import make_prediction, predict_k_for_family
 from .asymptotics import compare_prediction_to_runs
 from .errors import ConfigError, NumericalError
-from .measure import fit_k_law, fit_log_k_vs_inv_a, measure_wavenumber
-from .measure import radial_gradient_profile
+from .measure import ANNULUS_FRACTIONS, fit_k_law, fit_log_k_vs_inv_a
+from .measure import measure_wavenumber, radial_gradient_profile
 from .profiles import CutoffSpec, InhomogeneitySpec, core_mass, evaluate_g
 from .profiles import SUBCRITICAL_P, smooth_cutoff, split_defect
 from .radial import RadialGrid, shoot_spiral_amplitude, solve_corrector_K
@@ -55,7 +55,7 @@ CONVENTIONS = {
     "wavenumber_law": "k = (2/b) exp(-euler_gamma) exp(-1/a_sim)",
     "frequency_route": "omega = lambda^2 / b",
     "truncation_radius": 3.0,
-    "annulus_fractions": [0.35, 0.45],
+    "annulus_fractions": list(ANNULUS_FRACTIONS),
     "dealias": "two_thirds",
     "transform": "y = 1/(log k - 1)",
 }
@@ -80,8 +80,13 @@ def write_csv(path: Path, header: Sequence[str], rows) -> Path:
     return path
 
 
-def write_json(path: Path, payload) -> Path:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_json(path: Path | None, payload) -> Path | None:
+    """Sorted, indented JSON to `path`, or to stdout when `path` is None."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.write_text(text)
     return path
 
 
@@ -187,10 +192,31 @@ def _floats(text) -> list[float]:
     return [float(tok) for tok in str(text).split(",") if tok.strip()]
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(cfg["out"])
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+_SIM_DEFAULTS = {
+    "N": 256, "L": 100.0, "dt": 0.5, "b": 1.0, "A": 1.0, "p": 0.8, "eps": 0.5,
+    "t_max": 5000.0, "steady_tol": 1e-5, "check_interval": 20,
+    "save_field": False, "dry_run": False,
+}
+_SWEEP_DEFAULTS = {**_SIM_DEFAULTS, "r_cut": 3.0, "jobs": 1}
+
+# Each table is the exact set of config keys (and flags) its command accepts.
+_DEFAULTS = {
+    "simulate": {**_SIM_DEFAULTS, "out": "sim_out", "save_field": True},
+    "sweep": {**_SWEEP_DEFAULTS, "out": "sweep_out", "a_values": None,
+              "eps_values": None, "p_values": None},
+    "figure1": {**_SWEEP_DEFAULTS, "out": "fig1", "N": 512, "a_values": None},
+    "figure2": {**_SWEEP_DEFAULTS, "out": "fig2", "N": 512, "A": 1.5, "eps": 1.0,
+                "p_grid": None},
+    "figure3": {"out": "fig3", "rmax": 20.0, "tol": 1e-8, "dry_run": False},
+}
+# figure1 sets eps through the target a; figure2 sweeps p
+del _DEFAULTS["figure1"]["eps"], _DEFAULTS["figure2"]["p"]
 
 
 # ----------------------------------------------------------- run primitives
@@ -273,6 +299,64 @@ def _run_members(cfg, members, out_dir: Path, save_field: bool, jobs: int):
     return [work(m) for m in members]
 
 
+def _sweep_members(cfg, axis: str, values) -> list:
+    """Members (eps, p, a_sim, dir name) along `axis` ("a", "eps" or "p").
+
+    The other two parameters come from cfg; a subcritical p gets a NaN a_sim.
+    """
+    b, amp, r_cut = float(cfg["b"]), float(cfg["A"]), float(cfg["r_cut"])
+    members = []
+    for i, v in enumerate(_floats(values)):
+        if axis == "a":
+            p = float(cfg["p"])
+            eps, a = _eps_for_target_a(v, amp, p, b, r_cut), v
+        elif axis == "eps":
+            p = float(cfg["p"])
+            eps, a = v, v * b * _branch_mass(amp, p, r_cut)
+        else:
+            eps, p = float(cfg["eps"]), v
+            a = eps * b * _branch_mass(amp, p, r_cut) if p > SUBCRITICAL_P else math.nan
+        members.append((eps, p, a, f"run_{i:02d}_{axis}{v:g}"))
+    return members
+
+
+def _sweep(command: str, cfg, axis: str, values, write_tables,
+           plan: bool = False) -> int:
+    """The sweep engine behind sweep, figure1 and figure2.
+
+    Runs the members along `axis`, writes runs.json and flags every unsteady
+    member in the manifest; only those with p > SUBCRITICAL_P fail the sweep.
+    `write_tables(cfg, out, members, results)` then writes the command's own
+    files.  A dry run writes the manifest, and plan.json when `plan` is set.
+    """
+    out = _out_dir(cfg["out"])
+    manifest = RunManifest(command, cfg)
+    if cfg["dry_run"]:
+        if plan:
+            write_json(out / "plan.json", [
+                {"eps": e, "p": p, "a_sim": a, "dir": name}
+                for e, p, a, name in _sweep_members(cfg, axis, values)
+            ])
+        manifest.finalize(out)
+        return EXIT_OK
+
+    members = _sweep_members(cfg, axis, values)
+    results = _run_members(cfg, members, out, bool(cfg["save_field"]), int(cfg["jobs"]))
+    write_json(out / "runs.json", [entry for entry, _ in results])
+    n_bad = 0
+    for (_eps, p, _a, name), (_entry, report) in zip(members, results):
+        if report.converged:
+            continue
+        if p > SUBCRITICAL_P:
+            n_bad += 1
+            manifest.flag_failure(f"{name} unsteady at t_max")
+        else:
+            manifest.flag_failure(f"{name} unsteady (expected: p <= {SUBCRITICAL_P})")
+    write_tables(cfg, out, members, results)
+    manifest.finalize(out)
+    return EXIT_PARTIAL if n_bad else EXIT_OK
+
+
 def _transform_y(k: float) -> float:
     if 0.0 < k < 1.0:
         return 1.0 / (math.log(k) - 1.0)
@@ -298,13 +382,8 @@ def _profile_growth(profile, l: float, r_core: float = 6.0) -> float:
 
 
 def cmd_simulate(args) -> int:
-    defaults = {
-        "out": "sim_out", "N": 256, "L": 100.0, "dt": 0.5, "b": 1.0,
-        "A": 1.0, "p": 0.8, "eps": 0.5, "t_max": 5000.0, "steady_tol": 1e-5,
-        "check_interval": 20, "save_field": True, "dry_run": False,
-    }
-    cfg = _merge_config(args, defaults)
-    out = _out_dir(cfg)
+    cfg = _merge_config(args, _DEFAULTS["simulate"])
+    out = _out_dir(cfg["out"])
     manifest = RunManifest("simulate", cfg)
     if cfg["dry_run"]:
         manifest.finalize(out)
@@ -323,66 +402,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    defaults = {
-        "out": "sweep_out", "N": 256, "L": 100.0, "dt": 0.5, "b": 1.0,
-        "A": 1.0, "p": 0.8, "eps": 0.5, "t_max": 5000.0, "steady_tol": 1e-5,
-        "check_interval": 20, "a_values": None, "eps_values": None,
-        "p_values": None, "r_cut": 3.0, "jobs": 1, "save_field": False,
-        "dry_run": False,
-    }
-    cfg = _merge_config(args, defaults)
+    cfg = _merge_config(args, _DEFAULTS["sweep"])
     chosen = [k for k in ("a_values", "eps_values", "p_values") if cfg[k]]
     if len(chosen) != 1:
         raise ConfigError("pass exactly one of --a-values, --eps-values, --p-values")
-    out = _out_dir(cfg)
-    manifest = RunManifest("sweep", cfg)
+    axis = chosen[0].removesuffix("_values")
+    return _sweep("sweep", cfg, axis, cfg[chosen[0]], _write_sweep_table, plan=True)
 
-    b, amp, r_cut = float(cfg["b"]), float(cfg["A"]), float(cfg["r_cut"])
-    members = []
-    if cfg["a_values"]:
-        for i, a in enumerate(_floats(cfg["a_values"])):
-            eps = _eps_for_target_a(a, amp, float(cfg["p"]), b, r_cut)
-            members.append((eps, float(cfg["p"]), a, f"run_{i:02d}_a{a:g}"))
-    elif cfg["eps_values"]:
-        mass = _branch_mass(amp, float(cfg["p"]), r_cut)
-        for i, eps in enumerate(_floats(cfg["eps_values"])):
-            members.append(
-                (eps, float(cfg["p"]), eps * b * mass, f"run_{i:02d}_eps{eps:g}")
-            )
-    else:
-        for i, p in enumerate(_floats(cfg["p_values"])):
-            a = (
-                float(cfg["eps"]) * b * _branch_mass(amp, p, r_cut)
-                if p > SUBCRITICAL_P
-                else math.nan
-            )
-            members.append((float(cfg["eps"]), p, a, f"run_{i:02d}_p{p:g}"))
 
-    if cfg["dry_run"]:
-        write_json(out / "plan.json", [
-            {"eps": e, "p": p, "a_sim": a, "dir": name}
-            for e, p, a, name in members
-        ])
-        manifest.finalize(out)
-        return EXIT_OK
-
-    results = _run_members(cfg, members, out, bool(cfg["save_field"]), int(cfg["jobs"]))
-    entries = [entry for entry, _ in results]
-    write_json(out / "runs.json", entries)
-    rows = []
-    n_bad = 0
-    for (eps, p, a_sim, name), (entry, report) in zip(members, results):
-        rows.append((a_sim, p, report.k_measured, report.omega_drift,
-                     _transform_y(report.k_measured)))
-        if not report.converged:
-            if p > SUBCRITICAL_P:
-                n_bad += 1
-                manifest.flag_failure(f"{name} unsteady at t_max")
-            else:
-                manifest.flag_failure(f"{name} unsteady (expected: p <= 0.5)")
-    write_csv(out / "sweep.csv", ["a", "p", "k", "omega", "y_transform"], rows)
-    manifest.finalize(out)
-    return EXIT_PARTIAL if n_bad else EXIT_OK
+def _write_sweep_table(cfg, out: Path, members, results):
+    write_csv(out / "sweep.csv", ["a", "p", "k", "omega", "y_transform"], [
+        (a_sim, p, report.k_measured, report.omega_drift,
+         _transform_y(report.k_measured))
+        for (_eps, p, a_sim, _name), (_entry, report) in zip(members, results)
+    ])
 
 
 def cmd_measure(args) -> int:
@@ -406,11 +439,7 @@ def cmd_measure(args) -> int:
             "dphidr": prof.values.tolist(),
         },
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    write_json(Path(args.out) if args.out else None, payload)
     return EXIT_OK
 
 
@@ -428,11 +457,7 @@ def cmd_predict(args) -> int:
         "k_shape": fam.k_shape,
         "branch": fam.branch,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    write_json(Path(args.out) if args.out else None, payload)
     return EXIT_OK
 
 
@@ -453,8 +478,7 @@ def _load_runs(path: str) -> list:
 def cmd_compare(args) -> int:
     sweep = _load_runs(args.runs)
     table = compare_prediction_to_runs(sweep, convention_R=float(args.R))
-    out = Path(args.out) if args.out else Path(args.runs)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out or args.runs)
     write_csv(
         out / "compare.csv",
         ["p", "a_sim", "k_measured", "k_shape", "log_residual", "steady", "branch"],
@@ -479,34 +503,39 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_shoot(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest("shoot", {"rmax": float(args.rmax), "tol": float(args.tol)})
-    sol = shoot_spiral_amplitude(r_max=float(args.rmax), tol=float(args.tol))
+def _write_shooting(out: Path, names, rmax: float, tol: float, **summary):
+    """Shoot the amplitude BVP; write its profile, tail diagnostic and summary."""
+    sol = shoot_spiral_amplitude(r_max=rmax, tol=tol)
     r = sol.profile.grid.nodes
     rho = sol.profile.values
-    write_csv(out / "amplitude_profile.csv", ["r", "rho"], zip(r, rho))
+    profile_csv, tail_csv, summary_json = names
+    write_csv(out / profile_csv, ["r", "rho"], zip(r, rho))
     sel = r > 0
     write_csv(
-        out / "tail_diagnostic.csv",
+        out / tail_csv,
         ["r", "r2_one_minus_rho_sq"],
         zip(r[sel], r[sel] ** 2 * (1.0 - rho[sel] ** 2)),
     )
-    write_json(out / "shoot.json", {
+    write_json(out / summary_json, {
         "slope_origin": sol.slope_origin,
         "tail_residual": sol.tail_residual,
         "bracket": list(sol.bracket),
         "bisections": sol.bisections,
-        "r_max": float(args.rmax),
+        **summary,
     })
+
+
+def cmd_shoot(args) -> int:
+    out = _out_dir(args.out)
+    manifest = RunManifest("shoot", {"rmax": float(args.rmax), "tol": float(args.tol)})
+    _write_shooting(out, ("amplitude_profile.csv", "tail_diagnostic.csv", "shoot.json"),
+                    float(args.rmax), float(args.tol), r_max=float(args.rmax))
     manifest.finalize(out)
     return EXIT_OK
 
 
 def cmd_corrector(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     manifest = RunManifest("corrector", {
         "A": float(args.A), "p": float(args.p), "eps": float(args.eps),
         "b": float(args.b), "rmax": float(args.rmax), "n": int(args.n),
@@ -531,8 +560,7 @@ def cmd_corrector(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     manifest = RunManifest("profile", {
         "A": float(args.A), "p": float(args.p), "eps": float(args.eps),
         "b": float(args.b), "rmax": float(args.rmax), "n": int(args.n),
@@ -581,51 +609,27 @@ FIG1_A_VALUES = [0.15 * m for m in range(3, 20, 2)]
 
 
 def cmd_figure1(args) -> int:
-    defaults = {
-        "out": "fig1", "N": 512, "L": 100.0, "dt": 0.5, "b": 1.0, "A": 1.0,
-        "p": 0.8, "t_max": 5000.0, "steady_tol": 1e-5, "check_interval": 20,
-        "a_values": None, "r_cut": 3.0, "jobs": 1, "save_field": False,
-        "dry_run": False,
-    }
-    cfg = _merge_config(args, defaults)
-    a_values = _floats(cfg["a_values"]) if cfg["a_values"] else list(FIG1_A_VALUES)
-    cfg["a_values"] = a_values
-    out = _out_dir(cfg)
-    manifest = RunManifest("figure1", cfg)
-    if cfg["dry_run"]:
-        manifest.finalize(out)
-        return EXIT_OK
+    cfg = _merge_config(args, _DEFAULTS["figure1"])
+    cfg["a_values"] = _floats(cfg["a_values"] or FIG1_A_VALUES)
+    return _sweep("figure1", cfg, "a", cfg["a_values"], _write_figure1)
 
-    b, amp, p, r_cut = (float(cfg["b"]), float(cfg["A"]), float(cfg["p"]),
-                        float(cfg["r_cut"]))
-    members = []
-    for i, a in enumerate(a_values):
-        eps = _eps_for_target_a(a, amp, p, b, r_cut)
-        members.append((eps, p, a, f"run_{i:02d}_a{a:g}"))
-    results = _run_members(cfg, members, out, bool(cfg["save_field"]), int(cfg["jobs"]))
-    write_json(out / "runs.json", [entry for entry, _ in results])
 
+def _write_figure1(cfg, out: Path, members, results):
     profile_rows = []
     point_rows = []
-    n_bad = 0
-    for (eps, _p, a, name), (entry, report) in zip(members, results):
+    steady_pts = []
+    for (eps, _p, a, _name), (_entry, report) in zip(members, results):
         prof = report.radial_profile
         for r, v in zip(prof.grid.nodes, prof.values):
             profile_rows.append((a, r, v))
         point_rows.append((a, eps, report.k_measured, report.omega_drift,
                            _transform_y(report.k_measured)))
-        if not report.converged:
-            n_bad += 1
-            manifest.flag_failure(f"{name} unsteady at t_max")
+        if report.converged:
+            steady_pts.append((a, report.k_measured))
     write_csv(out / "fig1a_profiles.csv", ["a", "r", "dphidr"], profile_rows)
     write_csv(out / "fig1b_points.csv", ["a", "eps", "k", "omega", "y_transform"],
               point_rows)
 
-    steady_pts = [
-        (a, report.k_measured)
-        for (eps, _p, a, name), (entry, report) in zip(members, results)
-        if report.converged
-    ]
     fits = {}
     if len(steady_pts) >= 4:
         f1 = fit_k_law(steady_pts)
@@ -637,8 +641,6 @@ def cmd_figure1(args) -> int:
                                "pearson_r": f2.pearson_r},
         }
     write_json(out / "fig1b_fit.json", fits)
-    manifest.finalize(out)
-    return EXIT_PARTIAL if n_bad else EXIT_OK
 
 
 FIG2_P_GRID = [0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0]
@@ -646,35 +648,18 @@ FIG2_PROFILE_PS = (0.3, 0.8, 1.5)
 
 
 def cmd_figure2(args) -> int:
-    defaults = {
-        "out": "fig2", "N": 512, "L": 100.0, "dt": 0.5, "b": 1.0, "A": 1.5,
-        "eps": 1.0, "t_max": 5000.0, "steady_tol": 1e-5, "check_interval": 20,
-        "p_grid": None, "r_cut": 3.0, "jobs": 1, "save_field": False,
-        "dry_run": False,
-    }
-    cfg = _merge_config(args, defaults)
-    p_grid = _floats(cfg["p_grid"]) if cfg["p_grid"] else list(FIG2_P_GRID)
-    cfg["p_grid"] = p_grid
-    out = _out_dir(cfg)
-    manifest = RunManifest("figure2", cfg)
-    if cfg["dry_run"]:
-        manifest.finalize(out)
-        return EXIT_OK
+    cfg = _merge_config(args, _DEFAULTS["figure2"])
+    cfg["p_grid"] = _floats(cfg["p_grid"] or FIG2_P_GRID)
+    return _sweep("figure2", cfg, "p", cfg["p_grid"], _write_figure2)
 
+
+def _write_figure2(cfg, out: Path, members, results):
     b, amp, eps, r_cut = (float(cfg["b"]), float(cfg["A"]), float(cfg["eps"]),
                           float(cfg["r_cut"]))
-    members = []
-    for i, p in enumerate(p_grid):
-        a = b * eps * _branch_mass(amp, p, r_cut) if p > SUBCRITICAL_P else math.nan
-        members.append((eps, p, a, f"run_{i:02d}_p{p:g}"))
-    results = _run_members(cfg, members, out, bool(cfg["save_field"]), int(cfg["jobs"]))
-    write_json(out / "runs.json", [entry for entry, _ in results])
-
     eff = amp * eps * b
     k_rows = []
     profile_rows = []
-    n_bad = 0
-    for (eps_i, p, a, name), (entry, report) in zip(members, results):
+    for (_eps, p, a, _name), (_entry, report) in zip(members, results):
         k_solid = (
             predict_k_for_family(eff, p, convention_R=r_cut).k_shape
             if p > 1.0 else math.nan
@@ -693,12 +678,6 @@ def cmd_figure2(args) -> int:
             prof = report.radial_profile
             for r, v in zip(prof.grid.nodes, prof.values):
                 profile_rows.append((p, r, v))
-        if not report.converged:
-            if p > SUBCRITICAL_P:
-                n_bad += 1
-                manifest.flag_failure(f"{name} unsteady at t_max")
-            else:
-                manifest.flag_failure(f"{name} unsteady (expected: p <= 0.5)")
     write_csv(
         out / "fig2a_k_vs_p.csv",
         ["p", "a_sim", "k_measured", "k_solid", "k_dashed", "converged",
@@ -709,7 +688,7 @@ def cmd_figure2(args) -> int:
 
     comparable = [
         (entry["params"], SimpleNamespace(**entry["report"]))
-        for (eps_i, p, a, name), (entry, report) in zip(members, results)
+        for (_eps, p, _a, _name), (entry, _report) in zip(members, results)
         if p > SUBCRITICAL_P
     ]
     summary = {"plateau": {f"{row[0]:g}": bool(row[6]) for row in k_rows}}
@@ -722,34 +701,17 @@ def cmd_figure2(args) -> int:
             fit = fit_log_k_vs_inv_a(steady_pts)
             summary["log_k_vs_inv_a_pearson"] = fit.pearson_r
     write_json(out / "fig2_summary.json", summary)
-    manifest.finalize(out)
-    return EXIT_PARTIAL if n_bad else EXIT_OK
 
 
 def cmd_figure3(args) -> int:
-    defaults = {"out": "fig3", "rmax": 20.0, "tol": 1e-8, "dry_run": False}
-    cfg = _merge_config(args, defaults)
-    out = _out_dir(cfg)
+    cfg = _merge_config(args, _DEFAULTS["figure3"])
+    out = _out_dir(cfg["out"])
     manifest = RunManifest("figure3", cfg)
     if cfg["dry_run"]:
         manifest.finalize(out)
         return EXIT_OK
-    sol = shoot_spiral_amplitude(r_max=float(cfg["rmax"]), tol=float(cfg["tol"]))
-    r = sol.profile.grid.nodes
-    rho = sol.profile.values
-    write_csv(out / "fig3_profile.csv", ["r", "rho"], zip(r, rho))
-    sel = r > 0
-    write_csv(
-        out / "fig3_tail.csv",
-        ["r", "r2_one_minus_rho_sq"],
-        zip(r[sel], r[sel] ** 2 * (1.0 - rho[sel] ** 2)),
-    )
-    write_json(out / "fig3.json", {
-        "slope_origin": sol.slope_origin,
-        "tail_residual": sol.tail_residual,
-        "bracket": list(sol.bracket),
-        "bisections": sol.bisections,
-    })
+    _write_shooting(out, ("fig3_profile.csv", "fig3_tail.csv", "fig3.json"),
+                    float(cfg["rmax"]), float(cfg["tol"]))
     manifest.finalize(out)
     return EXIT_OK
 
@@ -757,19 +719,30 @@ def cmd_figure3(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common_sim_flags(sp):
+# the flags of the config-file commands in --help order, with their types
+# (None keeps the text); a command gets each flag whose key is in its defaults
+_CONFIG_FLAGS = (
+    ("out", None), ("N", int), ("L", float), ("dt", float), ("b", float),
+    ("t_max", float), ("steady_tol", float), ("check_interval", int),
+    ("rmax", float), ("tol", float), ("save_field", bool), ("dry_run", bool),
+    ("A", float), ("p", float), ("eps", float), ("a_values", None),
+    ("eps_values", None), ("p_values", None), ("p_grid", None), ("r_cut", float),
+    ("jobs", int),
+)
+
+
+def _add_config_command(sub, name: str, help_text: str, func):
+    sp = sub.add_parser(name, help=help_text)
     sp.add_argument("--config", help="JSON or TOML file with flat config keys")
-    sp.add_argument("--out")
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--L", type=float)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--t-max", dest="t_max", type=float)
-    sp.add_argument("--steady-tol", dest="steady_tol", type=float)
-    sp.add_argument("--check-interval", dest="check_interval", type=int)
-    sp.add_argument("--save-field", dest="save_field", action="store_true",
-                    default=False)
-    sp.add_argument("--dry-run", dest="dry_run", action="store_true", default=False)
+    for key, kind in _CONFIG_FLAGS:
+        if key not in _DEFAULTS[name]:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            sp.add_argument(flag, dest=key, action="store_true", default=False)
+        else:
+            sp.add_argument(flag, dest=key, type=kind)
+    sp.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -780,24 +753,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("simulate", help="one steady run")
-    _add_common_sim_flags(sp)
-    sp.add_argument("--A", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("sweep", help="family sweep over a, eps, or p")
-    _add_common_sim_flags(sp)
-    sp.add_argument("--A", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--a-values", dest="a_values")
-    sp.add_argument("--eps-values", dest="eps_values")
-    sp.add_argument("--p-values", dest="p_values")
-    sp.add_argument("--r-cut", dest="r_cut", type=float)
-    sp.add_argument("--jobs", type=int)
-    sp.set_defaults(func=cmd_sweep)
+    _add_config_command(sub, "simulate", "one steady run", cmd_simulate)
+    _add_config_command(sub, "sweep", "family sweep over a, eps, or p", cmd_sweep)
 
     sp = sub.add_parser("measure", help="observables from a stored snapshot")
     sp.add_argument("--field", required=True)
@@ -857,31 +814,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_special)
 
-    sp = sub.add_parser("figure1", help="wavenumber-vs-a sweep reproduction")
-    _add_common_sim_flags(sp)
-    sp.add_argument("--A", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--a-values", dest="a_values")
-    sp.add_argument("--r-cut", dest="r_cut", type=float)
-    sp.add_argument("--jobs", type=int)
-    sp.set_defaults(func=cmd_figure1)
+    _add_config_command(sub, "figure1", "wavenumber-vs-a sweep reproduction",
+                        cmd_figure1)
+    _add_config_command(sub, "figure2", "wavenumber-vs-p sweep reproduction",
+                        cmd_figure2)
 
-    sp = sub.add_parser("figure2", help="wavenumber-vs-p sweep reproduction")
-    _add_common_sim_flags(sp)
-    sp.add_argument("--A", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--p-grid", dest="p_grid")
-    sp.add_argument("--r-cut", dest="r_cut", type=float)
-    sp.add_argument("--jobs", type=int)
-    sp.set_defaults(func=cmd_figure2)
-
-    sp = sub.add_parser("figure3", help="amplitude BVP reproduction")
-    sp.add_argument("--config", help="JSON or TOML file with flat config keys")
-    sp.add_argument("--out")
-    sp.add_argument("--rmax", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--dry-run", dest="dry_run", action="store_true", default=False)
-    sp.set_defaults(func=cmd_figure3)
+    _add_config_command(sub, "figure3", "amplitude BVP reproduction", cmd_figure3)
 
     return parser
 

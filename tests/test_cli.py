@@ -172,15 +172,32 @@ def test_grid_validation_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "g")]) == EXIT_CONFIG
 
 
-def test_sweep_dry_run_solves_eps_for_target_a(tmp_path):
+MASS_P08 = 2.5 * (10.0**0.2 - 1.0)  # truncated mass of the unit-amplitude p=0.8 defect
+
+
+def _close(x):
+    return pytest.approx(x, rel=1e-9, nan_ok=True)
+
+
+@pytest.mark.parametrize("axis_args, expected", [
+    # a_sim is kept as given and eps solved from a_sim = eps * b * mass
+    (["--a-values", "0.9,1.5", "--p", "0.8"],
+     [(_close(0.9 / MASS_P08), 0.8, 0.9, "run_00_a0.9"),
+      (_close(1.5 / MASS_P08), 0.8, 1.5, "run_01_a1.5")]),
+    (["--eps-values", "0.8,1.2", "--p", "0.8"],
+     [(0.8, 0.8, _close(0.8 * MASS_P08), "run_00_eps0.8"),
+      (1.2, 0.8, _close(1.2 * MASS_P08), "run_01_eps1.2")]),
+    # subcritical p has no mass; p > 1 takes the closed-form mass A/(2p - 2)
+    (["--p-values", "0.3,0.8,1.5", "--A", "1.5", "--eps", "0.5"],
+     [(0.5, 0.3, _close(math.nan), "run_00_p0.3"),
+      (0.5, 0.8, _close(0.5 * 1.5 * MASS_P08), "run_01_p0.8"),
+      (0.5, 1.5, _close(0.5 * 1.5 / 1.0), "run_02_p1.5")]),
+], ids=["a", "eps", "p"])
+def test_sweep_dry_run_solves_eps_for_target_a(tmp_path, axis_args, expected):
     out = tmp_path / "plan"
-    assert main(["sweep", "--a-values", "0.9,1.5", "--A", "1.0", "--p", "0.8",
-                 "--dry-run", "--out", str(out)]) == EXIT_OK
+    assert main(["sweep", *axis_args, "--dry-run", "--out", str(out)]) == EXIT_OK
     plan = json.loads((out / "plan.json").read_text())
-    mass = 2.5 * (10.0**0.2 - 1.0)  # truncated mass of the unit-amplitude defect
-    assert plan[0]["eps"] == pytest.approx(0.9 / mass, rel=1e-9)
-    assert plan[1]["eps"] == pytest.approx(1.5 / mass, rel=1e-9)
-    assert plan[0]["a_sim"] == 0.9
+    assert [(m["eps"], m["p"], m["a_sim"], m["dir"]) for m in plan] == expected
 
 
 def test_blow_up_exit_code(tmp_path, capsys):
@@ -306,6 +323,20 @@ def test_figure2_small_grid(tmp_path):
     assert ks[0] > ks[1] > ks[2]  # selected wavenumber falls as the tail steepens
     prof_ps = {r["p"] for r in read_csv(out / "fig2b_profiles.csv")}
     assert len(prof_ps) == 3
+
+
+def test_figure1_subcritical_members_do_not_fail(tmp_path):
+    # the same p <= SUBCRITICAL_P rule as sweep and figure2: flagged, not failed
+    out = tmp_path / "fig1sub"
+    code = main(["figure1", "--p", "0.5", "--a-values", "0.75,0.9", "--N", "64",
+                 "--L", "50", "--t-max", "20", "--out", str(out)])
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == [
+        "run_00_a0.75 unsteady (expected: p <= 0.5)",
+        "run_01_a0.9 unsteady (expected: p <= 0.5)",
+    ]
+    assert len(read_csv(out / "fig1b_points.csv")) == 2
 
 
 def test_figure_dry_runs(tmp_path):
