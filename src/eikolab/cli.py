@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import make_prediction, predict_k_for_family
 from .asymptotics import compare_prediction_to_runs
-from .errors import ConfigError, NumericalError
+from .errors import BlowUpError, ConfigError, NumericalError
 from .measure import ANNULUS_FRACTIONS, fit_k_law, fit_log_k_vs_inv_a
 from .measure import measure_wavenumber, radial_gradient_profile
 from .profiles import CutoffSpec, InhomogeneitySpec, core_mass, evaluate_g
@@ -299,10 +299,19 @@ def _run_members(cfg, members, out_dir: Path, save_field: bool, jobs: int):
     return [work(m) for m in members]
 
 
+def _member_a_sim(cfg, eps: float, p: float) -> float:
+    """a_sim = eps * b * branch mass of a member; NaN for a subcritical p."""
+    if p <= SUBCRITICAL_P:
+        return math.nan
+    r_cut = float(cfg.get("r_cut", CONVENTIONS["truncation_radius"]))
+    return eps * float(cfg["b"]) * _branch_mass(float(cfg["A"]), p, r_cut)
+
+
 def _sweep_members(cfg, axis: str, values) -> list:
     """Members (eps, p, a_sim, dir name) along `axis` ("a", "eps" or "p").
 
-    The other two parameters come from cfg; a subcritical p gets a NaN a_sim.
+    The other two parameters come from cfg; a subcritical p gets a NaN a_sim
+    on the eps and p axes.
     """
     b, amp, r_cut = float(cfg["b"]), float(cfg["A"]), float(cfg["r_cut"])
     members = []
@@ -310,12 +319,9 @@ def _sweep_members(cfg, axis: str, values) -> list:
         if axis == "a":
             p = float(cfg["p"])
             eps, a = _eps_for_target_a(v, amp, p, b, r_cut), v
-        elif axis == "eps":
-            p = float(cfg["p"])
-            eps, a = v, v * b * _branch_mass(amp, p, r_cut)
         else:
-            eps, p = float(cfg["eps"]), v
-            a = eps * b * _branch_mass(amp, p, r_cut) if p > SUBCRITICAL_P else math.nan
+            eps, p = (v, float(cfg["p"])) if axis == "eps" else (float(cfg["eps"]), v)
+            a = _member_a_sim(cfg, eps, p)
         members.append((eps, p, a, f"run_{i:02d}_{axis}{v:g}"))
     return members
 
@@ -388,11 +394,9 @@ def cmd_simulate(args) -> int:
     if cfg["dry_run"]:
         manifest.finalize(out)
         return EXIT_OK
-    a_sim = float(cfg["b"]) * core_mass(
-        InhomogeneitySpec(float(cfg["A"]), float(cfg["p"]), float(cfg["eps"]))
-    )
+    eps, p = float(cfg["eps"]), float(cfg["p"])
     entry, report = _run_member(
-        cfg, float(cfg["eps"]), float(cfg["p"]), a_sim, out, bool(cfg["save_field"])
+        cfg, eps, p, _member_a_sim(cfg, eps, p), out, bool(cfg["save_field"])
     )
     write_json(out / "runs.json", [entry])
     if not report.converged:
@@ -834,6 +838,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        if isinstance(exc, BlowUpError):
+            print(f"  at step {exc.step_index}, t = {exc.t}, "
+                  f"last residual {exc.residual}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -40,11 +40,18 @@ class NumericalError(RuntimeError):
 
 
 class BlowUpError(NumericalError):
-    """Time stepper produced NaN/Inf."""
+    """Time stepper produced NaN/Inf.
 
-    def __init__(self, message: str, step_index: int):
+    step_index and t say where; residual is the last steady residual taken
+    before the blow-up, None if none was.
+    """
+
+    def __init__(self, message: str, step_index: int, t: float | None = None,
+                 residual: float | None = None):
         super().__init__(message)
         self.step_index = step_index
+        self.t = t
+        self.residual = residual
 
 
 class BracketError(NumericalError):

@@ -128,6 +128,8 @@ class SteadyStateReport:
     steady_tol: float = math.nan
     t_final: float = math.nan
     steps: int = 0
+    dt_steps: list = field(default_factory=list)  # [dt, steps at that dt]
+    dt_rejections: int = 0  # steps dropped after a blow-up on the dt ladder
     coarse_steps: int = 0  # half-grid warm-start steps, summed over levels
     start: str = "rest"  # "half_grid", "hopf_cole" or "rest"
     start_omega: float | None = None  # lambda/b of the eigen solve, if one ran
@@ -143,6 +145,8 @@ class SteadyStateReport:
             "steady_tol": self.steady_tol,
             "t_final": self.t_final,
             "steps": self.steps,
+            "dt_steps": self.dt_steps,
+            "dt_rejections": self.dt_rejections,
             "coarse_steps": self.coarse_steps,
             "start": self.start,
             "start_omega": self.start_omega,
@@ -166,7 +170,8 @@ class SteadyStateReport:
 
 def build_report(phi: Field2D, *, omega_drift: float, steady_residual: float,
                  steady_tol: float, converged: bool, t_final: float, steps: int,
-                 corner_ratio: float, coarse_steps: int = 0,
+                 corner_ratio: float, dt_steps: list | None = None,
+                 dt_rejections: int = 0, coarse_steps: int = 0,
                  start: str = "rest", start_omega: float | None = None,
                  annulus: tuple[float, float] | None = None,
                  n_bins: int = 64) -> SteadyStateReport:
@@ -182,6 +187,8 @@ def build_report(phi: Field2D, *, omega_drift: float, steady_residual: float,
         steady_tol=steady_tol,
         t_final=t_final,
         steps=steps,
+        dt_steps=dt_steps or [],
+        dt_rejections=dt_rejections,
         coarse_steps=coarse_steps,
         start=start,
         start_omega=start_omega,

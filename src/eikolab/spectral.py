@@ -8,16 +8,18 @@ series below |z| = 1e-2), which sidesteps the cancellation instability near 0.
 The quadratic product is dealiased with the 2/3 rule; the forcing enters as an
 exact spectral constant.  run_to_steady warm-starts from the half grid's
 locked state where that grid resolves the defect core, else from the
-Hopf-Cole eigenstate.
+Hopf-Cole eigenstate, and relaxes a warm start with a growing time step.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import lobpcg
@@ -94,8 +96,13 @@ class Field2D:
         return float(np.mean(self.values))
 
 
+@functools.lru_cache(maxsize=2)
 def _spectral_tools(grid: GridSpec2D):
-    """(ikx, iky, minus_ksq, dealias_mask) in rfft2 layout."""
+    """(ikx, iky, minus_ksq, dealias_mask) in rfft2 layout, read-only.
+
+    Cached for the last two grids (a half-grid ladder visits two), so every
+    plan of a relaxation shares one set of arrays.
+    """
     n, l = grid.n, grid.l
     kx = 2.0 * np.pi * np.fft.fftfreq(n, d=l / n)
     ky = 2.0 * np.pi * np.fft.rfftfreq(n, d=l / n)
@@ -110,7 +117,10 @@ def _spectral_tools(grid: GridSpec2D):
         mask = (ix[:, None] < n / 3.0) & (iy[None, :] < n / 3.0)
     else:
         mask = np.ones((n, n // 2 + 1), dtype=bool)
-    return ikx[:, None], iky[None, :], minus_ksq, mask
+    tools = (ikx[:, None], iky[None, :], minus_ksq, mask)
+    for a in tools:
+        a.flags.writeable = False
+    return tools
 
 
 def _phi_functions(z: np.ndarray, n_contour: int = 32, count: int = 3):
@@ -221,8 +231,10 @@ def _nonlinear_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
 
 
 def _step_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
-              ghat: np.ndarray | None) -> np.ndarray:
-    n0 = _nonlinear_hat(uhat, plan, b, eps, ghat)
+              ghat: np.ndarray | None, n0: np.ndarray | None = None) -> np.ndarray:
+    """One ETDRK4 step; n0, the nonlinear term at uhat, is computed if not given."""
+    if n0 is None:
+        n0 = _nonlinear_hat(uhat, plan, b, eps, ghat)
     a = plan.e_half * uhat + plan.q_half * n0
     na = _nonlinear_hat(a, plan, b, eps, ghat)
     bb = plan.e_half * uhat + plan.q_half * na
@@ -248,9 +260,11 @@ def rhs_nonlinear(phi: Field2D, b: float, eps: float, g_field: Field2D) -> Field
 
 
 def full_rhs_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
-                 ghat: np.ndarray | None) -> np.ndarray:
-    """Spectral phi_t = -|k|^2 phi_hat + nonlinear_hat."""
-    return plan.linear_symbol * uhat + _nonlinear_hat(uhat, plan, b, eps, ghat)
+                 ghat: np.ndarray | None, n0: np.ndarray | None = None) -> np.ndarray:
+    """Spectral phi_t = -|k|^2 phi_hat + nonlinear_hat (n0, if it is given)."""
+    if n0 is None:
+        n0 = _nonlinear_hat(uhat, plan, b, eps, ghat)
+    return plan.linear_symbol * uhat + n0
 
 
 def step_etdrk4(phi: Field2D, plan: ETDRK4Plan, b: float, eps: float,
@@ -297,47 +311,118 @@ HALF_GRID_MIN_N = 64
 HALF_GRID_MAX_DX = 0.5
 
 
-def _relax(config: SimulationConfig, uhat: np.ndarray):
+# Warm-started runs relax on the dt ladder dt * 2**level, level <= LADDER_TOP:
+# the locked state is a fixed point of ETDRK4 whatever the step, and a ceiling
+# of 4 dt keeps the strong figure-1 members stable (8 dt blows up at a = 2.85).
+LADDER_TOP = 2
+
+
+class Relaxation(NamedTuple):
+    """What _relax returns: the last spectrum and how the run got there."""
+
+    uhat: np.ndarray
+    steps: int
+    converged: bool
+    residual: float
+    omega_drift: float
+    t: float  # sum of the time steps taken
+    dt_steps: list  # [dt, steps taken at that dt], by ascending dt
+    dt_rejections: int  # steps dropped after a blow-up above config.dt
+
+
+def _relax(config: SimulationConfig, uhat: np.ndarray,
+           ladder: bool = False) -> Relaxation:
     """Step the spectrum uhat on config.grid until phi_t is steady or t_max.
 
     Steadiness: max |phi_t - mean(phi_t)| over the centered disk of radius
-    0.45 L below steady_tol, checked after step 1 and every check_interval
-    steps with the exact instantaneous right-hand side.  Returns (uhat, steps,
-    converged, residual, omega_drift); raises BlowUpError on a non-finite
-    field.
+    0.45 L below steady_tol, with the exact instantaneous right-hand side
+    L u + N(u); N(u) is the next step's first stage, so a check costs one
+    inverse FFT.  Without the ladder the step is config.dt and the check
+    comes after step 1, every check_interval steps and at t_max.  With it
+    (warm starts) the check comes after every step, and the step is
+    dt * 2**level by switched evolution relaxation: tau grows by
+    min(2, r_prev / r), within [dt, dt * 2**LADDER_TOP], and the level is
+    tau snapped down to the ladder.  A step above dt that blows up is
+    dropped and lowers the level and the ceiling; a blow-up at dt raises
+    BlowUpError.  Time ends at ceil(t_max / dt) * dt, the last step
+    shortened to meet it.
     """
-    grid = config.grid
-    plan = make_plan(grid, config.dt)
+    grid, b, dt = config.grid, config.b, config.dt
     eps = config.defect.strength
     ghat = np.fft.rfft2(sample_defect(grid, config.defect).values)
     disk = grid.radius_grid() <= 0.45 * grid.l
-    n_steps_max = int(math.ceil(config.t_max / config.dt))
+    n_ticks = int(math.ceil(config.t_max / dt))  # time budget in units of dt
+    plans = {}  # level -> plan, the most recently used last
 
+    def plan_at(level):
+        if level in plans:
+            plans[level] = plans.pop(level)
+        else:
+            if len(plans) == 2:  # at most two plans alive
+                del plans[next(iter(plans))]
+            plans[level] = make_plan(grid, dt * 2**level)
+        return plans[level]
+
+    def steady_residual(u, n, plan):
+        """(residual, omega_drift) from phi_t = L u + n, None if not finite."""
+        phi_t = np.fft.irfft2(full_rhs_hat(u, plan, b, eps, ghat, n), s=(grid.n, grid.n))
+        if not np.all(np.isfinite(phi_t)):
+            return None
+        sel = phi_t[disk]
+        mean_t = float(np.mean(sel))
+        return float(np.max(np.abs(sel - mean_t))), -mean_t
+
+    ceiling = LADDER_TOP if ladder else 0
+    counts = [0] * (ceiling + 1)
+    tau = 1.0  # in units of dt
+    level = ticks = step = rejections = 0
     converged = False
-    residual = math.inf
+    residual = None
     omega_drift = 0.0
-    step = 0
     # overflow on the way to a blow-up is reported by BlowUpError alone
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps_max + 1):
-            uhat = _step_hat(uhat, plan, config.b, eps, ghat)
-            if not np.isfinite(uhat[0, 0]):
-                raise BlowUpError(f"non-finite field after step {step}", step)
-            # step 1 too: a warm start is often locked after a single step
-            if step == 1 or step % config.check_interval == 0 or step == n_steps_max:
-                phi_t = np.fft.irfft2(
-                    full_rhs_hat(uhat, plan, config.b, eps, ghat), s=(grid.n, grid.n)
-                )
-                if not np.all(np.isfinite(phi_t)):
-                    raise BlowUpError(f"non-finite field after step {step}", step)
-                sel = phi_t[disk]
-                mean_t = float(np.mean(sel))
-                residual = float(np.max(np.abs(sel - mean_t)))
-                omega_drift = -mean_t
-                if residual < config.steady_tol:
-                    converged = True
-                    break
-    return uhat, step, converged, residual, omega_drift
+        n0 = _nonlinear_hat(uhat, plan_at(0), b, eps, ghat)
+        if ladder:  # the start's residual is the first r_prev
+            start = steady_residual(uhat, n0, plan_at(0))
+            residual = None if start is None else start[0]
+        while ticks < n_ticks:
+            level = min(level, (n_ticks - ticks).bit_length() - 1)
+            plan = plan_at(level)
+            new = _step_hat(uhat, plan, b, eps, ghat, n0)
+            n_new = _nonlinear_hat(new, plan, b, eps, ghat)
+            ends = ticks + (1 << level) >= n_ticks
+            finite = bool(np.isfinite(new[0, 0]))
+            checked = None
+            # from rest: after step 1, every check_interval steps and at t_max
+            if finite and (ladder or step == 0 or (step + 1) % config.check_interval == 0
+                           or ends):
+                checked = steady_residual(new, n_new, plan)
+                finite = checked is not None
+            if not finite:
+                if level == 0:
+                    raise BlowUpError(f"non-finite field after step {step + 1}",
+                                      step + 1, t=(ticks + 1) * dt, residual=residual)
+                rejections += 1
+                ceiling = level - 1
+                level, tau = ceiling, float(1 << ceiling)
+                continue
+            uhat, n0 = new, n_new
+            step += 1
+            ticks += 1 << level
+            counts[level] += 1
+            if checked is None:
+                continue
+            r, omega_drift = checked
+            if r < config.steady_tol:
+                residual, converged = r, True
+                break
+            if ladder and residual is not None:
+                tau = min(max(tau * min(2.0, residual / r), 1.0), float(1 << ceiling))
+                level = math.frexp(tau)[1] - 1  # floor(log2(tau))
+            residual = r
+    dt_steps = [[dt * 2**j, c] for j, c in enumerate(counts) if c]
+    return Relaxation(uhat, step, converged, residual, omega_drift, ticks * dt,
+                      dt_steps, rejections)
 
 
 def _zero_pad(coarse_hat: np.ndarray, n: int) -> np.ndarray:
@@ -429,11 +514,11 @@ def _warm_start(config: SimulationConfig) -> tuple[np.ndarray, int, str, float |
     coarse_steps = 0
     if half >= HALF_GRID_MIN_N and grid.l / half <= HALF_GRID_MAX_DX:
         coarse = replace(config, grid=GridSpec2D(half, grid.l, grid.dealias))
-        start, coarse_steps, _, start_omega = _warm_start(coarse)
-        uhat, steps, converged, _, _ = _relax(coarse, start)
-        coarse_steps += steps
-        if converged:
-            return _zero_pad(uhat, grid.n), coarse_steps, "half_grid", start_omega
+        start, coarse_steps, kind, start_omega = _warm_start(coarse)
+        run = _relax(coarse, start, ladder=kind != "rest")
+        coarse_steps += run.steps
+        if run.converged:
+            return _zero_pad(run.uhat, grid.n), coarse_steps, "half_grid", start_omega
     uhat, start_omega = _hopf_cole_start(config)
     start = "rest" if start_omega is None else "hopf_cole"
     return uhat, coarse_steps, start, start_omega
@@ -444,7 +529,8 @@ def run_to_steady(config: SimulationConfig):
 
     The run starts from the half grid's locked state where that grid resolves
     the defect core, else from the Hopf-Cole eigenstate, else from phi = 0
-    (see _warm_start); steadiness is judged on config.grid alone (see
+    (see _warm_start); a warm start relaxes on the dt ladder, a start from
+    rest keeps config.dt, and steadiness is judged on config.grid alone (see
     _relax).  Returns (Field2D, SteadyStateReport); a timeout is reported,
     not raised.
     """
@@ -461,17 +547,19 @@ def run_to_steady(config: SimulationConfig):
         )
 
     start, coarse_steps, start_kind, start_omega = _warm_start(config)
-    uhat, step, converged, residual, omega_drift = _relax(config, start)
+    run = _relax(config, start, ladder=start_kind != "rest")
 
-    phi = Field2D(grid, np.fft.irfft2(uhat, s=(grid.n, grid.n)), spectral=uhat)
+    phi = Field2D(grid, np.fft.irfft2(run.uhat, s=(grid.n, grid.n)), spectral=run.uhat)
     report = build_report(
         phi,
-        omega_drift=omega_drift,
-        steady_residual=residual,
+        omega_drift=run.omega_drift,
+        steady_residual=run.residual,
         steady_tol=config.steady_tol,
-        converged=converged,
-        t_final=step * config.dt,
-        steps=step,
+        converged=run.converged,
+        t_final=run.t,
+        steps=run.steps,
+        dt_steps=run.dt_steps,
+        dt_rejections=run.dt_rejections,
         coarse_steps=coarse_steps,
         start=start_kind,
         start_omega=start_omega,

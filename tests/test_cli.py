@@ -187,12 +187,15 @@ def _close(x):
     (["--eps-values", "0.8,1.2", "--p", "0.8"],
      [(0.8, 0.8, _close(0.8 * MASS_P08), "run_00_eps0.8"),
       (1.2, 0.8, _close(1.2 * MASS_P08), "run_01_eps1.2")]),
+    # a subcritical member has no mass on the eps axis either
+    (["--eps-values", "1.0", "--p", "0.3"],
+     [(1.0, 0.3, _close(math.nan), "run_00_eps1")]),
     # subcritical p has no mass; p > 1 takes the closed-form mass A/(2p - 2)
     (["--p-values", "0.3,0.8,1.5", "--A", "1.5", "--eps", "0.5"],
      [(0.5, 0.3, _close(math.nan), "run_00_p0.3"),
       (0.5, 0.8, _close(0.5 * 1.5 * MASS_P08), "run_01_p0.8"),
       (0.5, 1.5, _close(0.5 * 1.5 / 1.0), "run_02_p1.5")]),
-], ids=["a", "eps", "p"])
+], ids=["a", "eps", "eps-subcritical", "p"])
 def test_sweep_dry_run_solves_eps_for_target_a(tmp_path, axis_args, expected):
     out = tmp_path / "plan"
     assert main(["sweep", *axis_args, "--dry-run", "--out", str(out)]) == EXIT_OK
@@ -204,7 +207,21 @@ def test_blow_up_exit_code(tmp_path, capsys):
     code = main(["simulate", "--N", "64", "--L", "50", "--A", "1e300",
                  "--t-max", "10", "--out", str(tmp_path / "boom")])
     assert code == EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    # a run from rest takes no residual before its first check
+    assert "at step 1, t = 0.5, last residual None" in err
+
+
+@pytest.mark.parametrize("p,a_sim", [(1.5, 1.0), (0.3, math.nan)])
+def test_simulate_records_the_sweep_a_sim(tmp_path, p, a_sim):
+    # the closed-form mass eps A / (2p - 2) for p > 1, NaN for p <= 1/2,
+    # as a sweep member with the same A, p and eps records
+    out = tmp_path / "sim"
+    main(["simulate", "--N", "64", "--L", "50", "--A", "1", "--p", str(p),
+          "--eps", "1.0", "--t-max", "1", "--out", str(out)])
+    runs = json.loads((out / "runs.json").read_text())
+    assert runs[0]["params"]["a_sim"] == _close(a_sim)
 
 
 def test_blow_up_leaks_no_floating_point_warnings(tmp_path):

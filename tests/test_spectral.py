@@ -1,13 +1,15 @@
 """Periodic spectral stepper: exactness identities, convergence, round-trips."""
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eikolab.errors import BlowUpError, ConfigError
-from eikolab.profiles import InhomogeneitySpec
+from eikolab.profiles import SUBCRITICAL_P, InhomogeneitySpec
 from eikolab.measure import measure_wavenumber
+from eikolab import spectral
 from eikolab.spectral import (
     DEALIAS_NONE,
     Field2D,
@@ -17,7 +19,9 @@ from eikolab.spectral import (
     _phi_functions,
     _relax,
     _spectral_tools,
+    _step_hat,
     defect_corner_ratio,
+    full_rhs_hat,
     make_plan,
     read_field_snapshot,
     rhs_nonlinear,
@@ -95,6 +99,17 @@ def test_plan_tables_match_full_grid_evaluation(n, l, dt, dealias):
     }
     for name, table in expect.items():
         assert np.array_equal(getattr(plan, name), table), name
+
+
+def test_plans_share_the_cached_spectral_tools():
+    # one read-only set of arrays per grid serves every plan on the dt ladder
+    grid = GridSpec2D(64, 10.0)
+    coarse, fine = make_plan(grid, 0.5), make_plan(grid, 2.0)
+    for name in ("linear_symbol", "ikx", "iky", "dealias_mask"):
+        table = getattr(fine, name)
+        assert table is getattr(coarse, name)
+        assert not table.flags.writeable
+    assert _spectral_tools(GridSpec2D(64, 10.0)) is _spectral_tools(grid)
 
 
 def test_linear_mode_decays_exactly():
@@ -246,21 +261,29 @@ def _zero_start(cfg):
     return _relax(cfg, np.zeros((n, n // 2 + 1), dtype=complex))
 
 
+def _k(cfg, run):
+    n = cfg.grid.n
+    return measure_wavenumber(Field2D(cfg.grid, np.fft.irfft2(run.uhat, s=(n, n))))
+
+
 @pytest.mark.slow
 def test_half_grid_start_locks_the_same_state():
     # N=128 L=25: the N=64 grid (dx 0.39) resolves the unit core, locks first,
     # and the fine grid relaxes from its zero-padded spectrum
     cfg = _locked_config(128, 25.0)
     phi, report = run_to_steady(cfg)
-    uhat, steps, converged, _, omega = _zero_start(cfg)
-    k_cold = measure_wavenumber(Field2D(cfg.grid, np.fft.irfft2(uhat, s=(128, 128))))
-    assert converged and report.converged
+    cold = _zero_start(cfg)
+    assert cold.converged and report.converged
     assert report.coarse_steps > 0
-    assert report.steps < steps
-    assert report.t_final == report.steps * cfg.dt
-    assert report.k_measured == pytest.approx(k_cold, rel=2e-4)
-    assert report.omega_drift == pytest.approx(omega, rel=2e-4)
-    assert report.as_dict(include_profile=False)["coarse_steps"] == report.coarse_steps
+    assert report.steps < cold.steps
+    # the warm fine grid relaxes on the dt ladder: t_final sums the steps taken
+    assert sum(n for _, n in report.dt_steps) == report.steps
+    assert report.t_final == sum(dt * n for dt, n in report.dt_steps)
+    assert report.k_measured == pytest.approx(_k(cfg, cold), rel=2e-4)
+    assert report.omega_drift == pytest.approx(cold.omega_drift, rel=2e-4)
+    record = report.as_dict(include_profile=False)
+    assert record["coarse_steps"] == report.coarse_steps
+    assert (record["dt_steps"], record["dt_rejections"]) == (report.dt_steps, 0)
 
 
 @pytest.mark.parametrize("n,l,t_max", [(64, 50.0, 2000.0), (256, 100.0, 10.0)])
@@ -269,21 +292,26 @@ def test_unresolved_half_grid_falls_back_to_the_eigen_start(n, l, t_max):
     cfg = _locked_config(n, l, t_max=t_max)
     phi, report = run_to_steady(cfg)
     start, omega = _hopf_cole_start(cfg)
-    uhat, steps, *_ = _relax(cfg, start)
+    run = _relax(cfg, start, ladder=True)
     assert report.coarse_steps == 0
-    assert report.steps == steps
-    assert np.array_equal(phi.values, np.fft.irfft2(uhat, s=(n, n)))
+    assert report.steps == run.steps
+    assert np.array_equal(phi.values, np.fft.irfft2(run.uhat, s=(n, n)))
     assert (report.start, report.start_omega) == ("hopf_cole", omega)
 
 
 def test_half_grid_that_cannot_lock_falls_back_to_the_eigen_start():
     cfg = _locked_config(128, 25.0, t_max=20.0, steady_tol=1e-12)
     phi, report = run_to_steady(cfg)
-    uhat, steps, converged, *_ = _relax(cfg, _hopf_cole_start(cfg)[0])
-    assert not converged and not report.converged
-    assert report.coarse_steps == 40  # the whole half-grid pass is spent
-    assert report.steps == steps
-    assert np.array_equal(phi.values, np.fft.irfft2(uhat, s=(128, 128)))
+    coarse = replace(cfg, grid=GridSpec2D(64, 25.0))
+    spent = _relax(coarse, _hopf_cole_start(coarse)[0], ladder=True)
+    run = _relax(cfg, _hopf_cole_start(cfg)[0], ladder=True)
+    assert not run.converged and not report.converged
+    # the whole half-grid pass is spent: t_max in fewer steps than t_max / dt
+    assert not spent.converged and spent.t == cfg.t_max
+    assert report.coarse_steps == spent.steps < 40
+    assert report.steps == run.steps
+    assert report.t_final == run.t == cfg.t_max
+    assert np.array_equal(phi.values, np.fft.irfft2(run.uhat, s=(128, 128)))
     assert report.start == "hopf_cole"
 
 
@@ -297,12 +325,12 @@ def test_eigenvalue_matches_locked_omega(n, l, p):
     cfg = SimulationConfig(GridSpec2D(n, l), dt=0.5, b=1.0, t_max=2000.0,
                            defect=InhomogeneitySpec(1.5, p, strength=1.0))
     start, omega = _hopf_cole_start(cfg)
-    _, cold_steps, cold_locked, _, cold_omega = _zero_start(cfg)
-    _, warm_steps, warm_locked, _, warm_omega = _relax(cfg, start)
-    assert cold_locked and warm_locked
-    assert omega == pytest.approx(cold_omega, rel=1e-4)
-    assert warm_omega == pytest.approx(cold_omega, rel=1e-4)
-    assert warm_steps < cold_steps
+    cold = _zero_start(cfg)
+    warm = _relax(cfg, start, ladder=True)
+    assert cold.converged and warm.converged
+    assert omega == pytest.approx(cold.omega_drift, rel=1e-4)
+    assert warm.omega_drift == pytest.approx(cold.omega_drift, rel=1e-4)
+    assert warm.steps < cold.steps
 
 
 @pytest.mark.parametrize("amplitude,p", [(1.5, 0.5), (1.5, 0.3), (1e300, 1.5)])
@@ -326,3 +354,97 @@ def test_eigen_solve_leaks_no_warning(amplitude, at_rest):
         warnings.simplefilter("error")
         _, omega = _hopf_cole_start(cfg)
     assert (omega is None) == at_rest
+
+
+# ------------------------------------------------- dt ladder (SER)
+
+
+def _constant_dt_loop(cfg, uhat):
+    """Reference: step at cfg.dt, check after step 1, every check_interval
+    steps and at t_max; returns (uhat, steps)."""
+    grid, b, eps = cfg.grid, cfg.b, cfg.defect.strength
+    plan = make_plan(grid, cfg.dt)
+    ghat = np.fft.rfft2(sample_defect(grid, cfg.defect).values)
+    disk = grid.radius_grid() <= 0.45 * grid.l
+    n_max = math.ceil(cfg.t_max / cfg.dt)
+    for step in range(1, n_max + 1):
+        uhat = _step_hat(uhat, plan, b, eps, ghat)
+        if step == 1 or step % cfg.check_interval == 0 or step == n_max:
+            phi_t = np.fft.irfft2(full_rhs_hat(uhat, plan, b, eps, ghat),
+                                  s=(grid.n, grid.n))
+            sel = phi_t[disk]
+            if np.max(np.abs(sel - np.mean(sel))) < cfg.steady_tol:
+                break
+    return uhat, step
+
+
+@pytest.mark.parametrize("p", [0.3, 1.5])
+def test_runs_from_rest_keep_the_constant_step(p):
+    # p = 0.3 starts from rest by rule; p = 1.5 is relaxed from zero by hand
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0, t_max=2000.0,
+                           defect=InhomogeneitySpec(1.5, p, strength=1.0))
+    uhat, steps = _constant_dt_loop(cfg, np.zeros((64, 33), dtype=complex))
+    run = _zero_start(cfg)
+    assert run.steps == steps and np.array_equal(run.uhat, uhat)
+    assert run.t == steps * cfg.dt
+    assert (run.dt_steps, run.dt_rejections) == ([[cfg.dt, steps]], 0)
+    if p <= SUBCRITICAL_P:
+        with pytest.warns(RuntimeWarning, match="corner"):
+            phi, report = run_to_steady(cfg)
+        assert (report.start, report.steps) == ("rest", steps)
+        assert np.array_equal(phi.values, np.fft.irfft2(uhat, s=(64, 64)))
+
+
+@pytest.mark.parametrize("l,p", [(50.0, 0.8), (50.0, 1.5)])
+def test_ser_ladder_locks_to_the_fixed_step_state(l, p):
+    cfg = SimulationConfig(GridSpec2D(128, l), dt=0.5, b=1.0, t_max=2000.0,
+                           defect=InhomogeneitySpec(1.5, p, strength=1.0))
+    start, _ = _hopf_cole_start(cfg)
+    fixed = _relax(cfg, start)
+    ser = _relax(cfg, start, ladder=True)
+    assert fixed.converged and ser.converged
+    assert ser.steps < fixed.steps
+    assert _k(cfg, ser) == pytest.approx(_k(cfg, fixed), rel=1e-5)
+    assert ser.omega_drift == pytest.approx(fixed.omega_drift, rel=1e-5)
+    assert max(dt for dt, _ in ser.dt_steps) == 4 * cfg.dt  # the ceiling is reached
+    assert sum(n for _, n in ser.dt_steps) == ser.steps
+    assert ser.t == sum(dt * n for dt, n in ser.dt_steps)
+
+
+def _failing_steps(monkeypatch, fails):
+    """Make _step_hat return NaN wherever fails(plan.dt) holds."""
+    real = spectral._step_hat
+
+    def step(uhat, plan, *args):
+        out = real(uhat, plan, *args)
+        return np.full_like(out, np.nan) if fails(plan.dt) else out
+
+    monkeypatch.setattr(spectral, "_step_hat", step)
+
+
+def test_blow_up_on_the_top_level_rolls_back(monkeypatch):
+    # a blow-up above dt is dropped: the last accepted state is kept and the
+    # level and ceiling come down, so the run still locks to the same state
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0, t_max=2000.0,
+                           defect=InhomogeneitySpec(1.5, 0.8, strength=1.0))
+    start, _ = _hopf_cole_start(cfg)
+    clean = _relax(cfg, start, ladder=True)
+    _failing_steps(monkeypatch, lambda dt: dt == 4 * cfg.dt)
+    rolled = _relax(cfg, start, ladder=True)
+    assert rolled.converged and rolled.dt_rejections == 1
+    assert max(dt for dt, _ in rolled.dt_steps) == 2 * cfg.dt
+    assert rolled.t == sum(dt * n for dt, n in rolled.dt_steps)
+    assert _k(cfg, rolled) == pytest.approx(_k(cfg, clean), rel=1e-5)
+    assert rolled.omega_drift == pytest.approx(clean.omega_drift, rel=1e-5)
+
+
+def test_blow_up_at_the_base_step_reports_where(monkeypatch):
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0, t_max=2000.0,
+                           defect=InhomogeneitySpec(1.5, 0.8, strength=1.0))
+    start, _ = _hopf_cole_start(cfg)
+    _failing_steps(monkeypatch, lambda dt: True)
+    with pytest.raises(BlowUpError) as info:
+        _relax(cfg, start, ladder=True)
+    assert (info.value.step_index, info.value.t) == (1, cfg.dt)
+    # on the ladder the start's residual is taken before step 1
+    assert info.value.residual > cfg.steady_tol
