@@ -130,6 +130,7 @@ class SteadyStateReport:
     steps: int = 0
     dt_steps: list = field(default_factory=list)  # [dt, steps at that dt]
     dt_rejections: int = 0  # steps dropped after a blow-up on the dt ladder
+    start_residual: float | None = None  # residual of the warm start, None from rest
     coarse_steps: int = 0  # half-grid warm-start steps, summed over levels
     start: str = "rest"  # "half_grid", "hopf_cole" or "rest"
     start_omega: float | None = None  # lambda/b of the eigen solve, if one ran
@@ -147,6 +148,7 @@ class SteadyStateReport:
             "steps": self.steps,
             "dt_steps": self.dt_steps,
             "dt_rejections": self.dt_rejections,
+            "start_residual": self.start_residual,
             "coarse_steps": self.coarse_steps,
             "start": self.start,
             "start_omega": self.start_omega,
@@ -171,7 +173,8 @@ class SteadyStateReport:
 def build_report(phi: Field2D, *, omega_drift: float, steady_residual: float,
                  steady_tol: float, converged: bool, t_final: float, steps: int,
                  corner_ratio: float, dt_steps: list | None = None,
-                 dt_rejections: int = 0, coarse_steps: int = 0,
+                 dt_rejections: int = 0, start_residual: float | None = None,
+                 coarse_steps: int = 0,
                  start: str = "rest", start_omega: float | None = None,
                  annulus: tuple[float, float] | None = None,
                  n_bins: int = 64) -> SteadyStateReport:
@@ -189,6 +192,7 @@ def build_report(phi: Field2D, *, omega_drift: float, steady_residual: float,
         steps=steps,
         dt_steps=dt_steps or [],
         dt_rejections=dt_rejections,
+        start_residual=start_residual,
         coarse_steps=coarse_steps,
         start=start,
         start_omega=start_omega,

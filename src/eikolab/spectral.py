@@ -8,7 +8,8 @@ series below |z| = 1e-2), which sidesteps the cancellation instability near 0.
 The quadratic product is dealiased with the 2/3 rule; the forcing enters as an
 exact spectral constant.  run_to_steady warm-starts from the half grid's
 locked state where that grid resolves the defect core, else from the
-Hopf-Cole eigenstate, and relaxes a warm start with a growing time step.
+Hopf-Cole eigenstate continued along its far-field asymptote, and relaxes a
+warm start with a growing time step.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import lobpcg
 
 from .errors import BlowUpError, ConfigError
@@ -181,10 +183,13 @@ def make_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
     if not dt > 0:
         raise ConfigError(f"dt must be > 0, got {dt}")
     ikx, iky, minus_ksq, mask = _spectral_tools(grid)
-    # every table is even in kx: evaluate rows kx >= 0 and mirror the rest
+    # every table is even in kx: evaluate rows kx >= 0 and mirror the rest;
+    # the phi-functions depend on |k|^2 alone, so each distinct value once
     z = minus_ksq[: grid.n // 2 + 1] * dt
-    phi1, phi2, phi3 = _phi_functions(z)
-    (half1,) = _phi_functions(0.5 * z, count=1)
+    zu, inverse = np.unique(z, return_inverse=True)
+    inverse = inverse.reshape(z.shape)  # flat before numpy 2
+    phi1, phi2, phi3 = (t[inverse] for t in _phi_functions(zu))
+    half1 = _phi_functions(0.5 * zu, count=1)[0][inverse]
     e_full = np.exp(z)
     e_half = np.exp(0.5 * z)
     q_half = 0.5 * dt * half1
@@ -328,6 +333,7 @@ class Relaxation(NamedTuple):
     t: float  # sum of the time steps taken
     dt_steps: list  # [dt, steps taken at that dt], by ascending dt
     dt_rejections: int  # steps dropped after a blow-up above config.dt
+    start_residual: float | None  # the start's residual, taken on the ladder only
 
 
 def _relax(config: SimulationConfig, uhat: np.ndarray,
@@ -385,6 +391,7 @@ def _relax(config: SimulationConfig, uhat: np.ndarray,
         if ladder:  # the start's residual is the first r_prev
             start = steady_residual(uhat, n0, plan_at(0))
             residual = None if start is None else start[0]
+        start_residual = residual
         while ticks < n_ticks:
             level = min(level, (n_ticks - ticks).bit_length() - 1)
             plan = plan_at(level)
@@ -422,7 +429,7 @@ def _relax(config: SimulationConfig, uhat: np.ndarray,
             residual = r
     dt_steps = [[dt * 2**j, c] for j, c in enumerate(counts) if c]
     return Relaxation(uhat, step, converged, residual, omega_drift, ticks * dt,
-                      dt_steps, rejections)
+                      dt_steps, rejections, start_residual)
 
 
 def _zero_pad(coarse_hat: np.ndarray, n: int) -> np.ndarray:
@@ -445,25 +452,22 @@ _EIGEN_LOCK = threading.Lock()
 EIGEN_TOL = 1e-9
 
 
-def _hopf_cole_start(config: SimulationConfig) -> tuple[np.ndarray, float | None]:
-    """Initial spectrum from the Hopf-Cole eigenstate and its Omega = lambda/b.
+def _hopf_cole_eigen(config: SimulationConfig) -> tuple[np.ndarray, float] | None:
+    """The Hopf-Cole eigenstate (w scaled to max 1, Omega = lambda/b), or None.
 
     w = exp(-b phi) turns the PDE into w_t = Lap w + b eps g w, whose principal
     eigenpair (lambda, w) is the locked state.  LOBPCG (block size 1, start
     vector g) solves B = -Lap - b eps g with the spectral Laplacian and the
     Fourier-diagonal preconditioner (-Lap + sigma)^-1, sigma = max(b eps g)/2.
-    w is scaled to max 1 and phi0 = -log(max(w, 0) + floor)/b, the floor set
-    above the eigenvector's noise.  The start stays at rest, (zero, None), for
-    p <= SUBCRITICAL_P (outside the theorem: such runs must not lock), a
-    non-finite operator, a failed or unconverged solve, or a w that is not
-    finite or nowhere positive.
+    None for p <= SUBCRITICAL_P (outside the theorem), a non-finite operator,
+    a failed or unconverged solve, or a w that is not finite or nowhere
+    positive.
     """
     grid, n = config.grid, config.grid.n
-    rest = np.zeros((n, n // 2 + 1), dtype=complex), None
     pot = config.b * config.defect.strength * sample_defect(grid, config.defect).values
     sigma = 0.5 * float(np.max(pot))
     if config.defect.decay_exponent <= SUBCRITICAL_P or not 0.0 < sigma < math.inf:
-        return rest
+        return None
     _, _, minus_ksq, _ = _spectral_tools(grid)
 
     def fourier(symbol):
@@ -484,17 +488,54 @@ def _hopf_cole_start(config: SimulationConfig) -> tuple[np.ndarray, float | None
                 maxiter=200, largest=False, retResidualNormsHistory=True,
             )
         except (ValueError, ArithmeticError):  # an overflowing operator lands here
-            return rest
+            return None
     if not (history[-1] <= EIGEN_TOL and np.all(np.isfinite(vec))):
-        return rest
+        return None
     w = vec.reshape(n, n) * np.sign(np.sum(vec))
     peak = float(np.max(w))
     if not peak > 0.0:
-        return rest
-    w = w / peak
+        return None
+    return w / peak, float(-lam[0]) / config.b
+
+
+def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.ndarray:
+    """phi0 from the eigenstate w, matched to its far-field asymptote.
+
+    On the trusted set, w >= 10 floor with floor = max(1e-7, 100 max(0, -min w))
+    above the eigenvector's noise, phi0 = -log(w)/b.  Beyond r_f, the smallest
+    periodic radius of an untrusted cell, phi0 follows the far field of
+    w ~ exp(-int q)/sqrt(r), q^2 = b (Omega - eps g):
+    phi0(r) = phibar + int_{r_f}^r sqrt(max(Omega - eps g, 0)/b) + 1/(2 b s) ds,
+    with phibar the mean of phi0 over trusted cells within one dx of r_f.
+    """
+    grid, b = config.grid, config.b
     floor = max(1e-7, 100.0 * max(0.0, -float(np.min(w))))
-    phi0 = -np.log(np.maximum(w, 0.0) + floor) / config.b
-    return np.fft.rfft2(phi0), float(-lam[0]) / config.b
+    trusted = w >= 10.0 * floor
+    near = -np.log(np.maximum(w, 10.0 * floor)) / b
+    r = grid.radius_grid(periodic=True)
+    r_f = float(np.min(r, where=~trusted, initial=np.max(r)))
+    phibar = float(np.mean(near, where=trusted & (np.abs(r - r_f) <= grid.dx)))
+    s = np.linspace(r_f, np.max(r), grid.n + 1)
+    # d phi0/dr = q/b + 1/(2 b r)
+    slope = np.sqrt(np.maximum(omega - evaluate_g(config.defect, s), 0.0) / b) + 0.5 / (b * s)
+    far = phibar + np.interp(r, s, cumulative_trapezoid(slope, s, initial=0.0))
+    return np.where(trusted, near, far)
+
+
+def _hopf_cole_start(config: SimulationConfig) -> tuple[np.ndarray, float | None]:
+    """Initial spectrum from the Hopf-Cole eigenstate and its Omega = lambda/b.
+
+    phi0 is -log(w)/b where w is above its noise and the far-field asymptote
+    beyond (see _matched_phi).  The start stays at rest, (zero, None), where
+    _hopf_cole_eigen finds no usable eigenstate; for p <= SUBCRITICAL_P such
+    runs must not be steered to lock.
+    """
+    eigen = _hopf_cole_eigen(config)
+    if eigen is None:
+        n = config.grid.n
+        return np.zeros((n, n // 2 + 1), dtype=complex), None
+    w, omega = eigen
+    return np.fft.rfft2(_matched_phi(config, w, omega)), omega
 
 
 def _warm_start(config: SimulationConfig) -> tuple[np.ndarray, int, str, float | None]:
@@ -560,6 +601,7 @@ def run_to_steady(config: SimulationConfig):
         steps=run.steps,
         dt_steps=run.dt_steps,
         dt_rejections=run.dt_rejections,
+        start_residual=run.start_residual,
         coarse_steps=coarse_steps,
         start=start_kind,
         start_omega=start_omega,

@@ -254,6 +254,12 @@ def test_simulate_measure_round_trip(tmp_path):
     assert verify_manifest(out) == []
     runs = json.loads((out / "runs.json").read_text())
     k_run = runs[0]["report"]["k_measured"]
+    # the warm start's residual is read from the run directory alone
+    record = runs[0]["report"]
+    assert record["start"] == "hopf_cole"
+    assert record["start_residual"] > record["steady_residual"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["start_residual"] == record["start_residual"]
     m_out = tmp_path / "meas.json"
     assert main(["measure", "--field", str(out / "field"),
                  "--out", str(m_out)]) == EXIT_OK

@@ -12,10 +12,13 @@ from eikolab.measure import measure_wavenumber
 from eikolab import spectral
 from eikolab.spectral import (
     DEALIAS_NONE,
+    LADDER_TOP,
     Field2D,
     GridSpec2D,
     SimulationConfig,
+    _hopf_cole_eigen,
     _hopf_cole_start,
+    _matched_phi,
     _phi_functions,
     _relax,
     _spectral_tools,
@@ -81,24 +84,26 @@ def test_sample_defect_values_and_strength_separation():
 @pytest.mark.parametrize("n,l,dt,dealias", [(64, 10.0, 0.5, "two_thirds"),
                                              (128, 2.0 * math.pi, 0.05, "none")])
 def test_plan_tables_match_full_grid_evaluation(n, l, dt, dealias):
-    # make_plan evaluates rows kx >= 0 and mirrors them; a full-grid
-    # evaluation must give the same tables bit for bit
+    # make_plan evaluates each distinct |k|^2 of the rows kx >= 0 once and
+    # mirrors them; a full-grid evaluation must give the same tables bit for
+    # bit, on every step of the dt ladder
     grid = GridSpec2D(n, l, dealias)
-    plan = make_plan(grid, dt)
     _, _, minus_ksq, _ = _spectral_tools(grid)
-    z = minus_ksq * dt
-    phi1, phi2, phi3 = _phi_functions(z)
-    half1, _, _ = _phi_functions(0.5 * z)
-    expect = {
-        "e_full": np.exp(z),
-        "e_half": np.exp(0.5 * z),
-        "q_half": 0.5 * dt * half1,
-        "f1": dt * (phi1 - 3.0 * phi2 + 4.0 * phi3),
-        "f2": dt * (phi2 - 2.0 * phi3),
-        "f3": dt * (4.0 * phi3 - phi2),
-    }
-    for name, table in expect.items():
-        assert np.array_equal(getattr(plan, name), table), name
+    for step in (dt * 2**j for j in range(LADDER_TOP + 1)):
+        plan = make_plan(grid, step)
+        z = minus_ksq * step
+        phi1, phi2, phi3 = _phi_functions(z)
+        half1, _, _ = _phi_functions(0.5 * z)
+        expect = {
+            "e_full": np.exp(z),
+            "e_half": np.exp(0.5 * z),
+            "q_half": 0.5 * step * half1,
+            "f1": step * (phi1 - 3.0 * phi2 + 4.0 * phi3),
+            "f2": step * (phi2 - 2.0 * phi3),
+            "f3": step * (4.0 * phi3 - phi2),
+        }
+        for name, table in expect.items():
+            assert np.array_equal(getattr(plan, name), table), (name, step)
 
 
 def test_plans_share_the_cached_spectral_tools():
@@ -284,6 +289,8 @@ def test_half_grid_start_locks_the_same_state():
     record = report.as_dict(include_profile=False)
     assert record["coarse_steps"] == report.coarse_steps
     assert (record["dt_steps"], record["dt_rejections"]) == (report.dt_steps, 0)
+    # the zero-padded half-grid state is the fine grid's start
+    assert record["start_residual"] == report.start_residual > report.steady_residual
 
 
 @pytest.mark.parametrize("n,l,t_max", [(64, 50.0, 2000.0), (256, 100.0, 10.0)])
@@ -297,6 +304,7 @@ def test_unresolved_half_grid_falls_back_to_the_eigen_start(n, l, t_max):
     assert report.steps == run.steps
     assert np.array_equal(phi.values, np.fft.irfft2(run.uhat, s=(n, n)))
     assert (report.start, report.start_omega) == ("hopf_cole", omega)
+    assert report.start_residual == run.start_residual > cfg.steady_tol
 
 
 def test_half_grid_that_cannot_lock_falls_back_to_the_eigen_start():
@@ -356,6 +364,65 @@ def test_eigen_solve_leaks_no_warning(amplitude, at_rest):
     assert (omega is None) == at_rest
 
 
+def _noise_floor(w):
+    """The eigenvector's noise floor, set as _matched_phi sets it."""
+    return max(1e-7, 100.0 * max(0.0, -float(np.min(w))))
+
+
+def _floor_start(cfg):
+    """The eigen start without its far field: -log(max(w, 0) + floor)/b."""
+    w, _ = _hopf_cole_eigen(cfg)
+    return np.fft.rfft2(-np.log(np.maximum(w, 0.0) + _noise_floor(w)) / cfg.b)
+
+
+@pytest.mark.parametrize("amplitude,p,eps", [(1.0, 0.8, 2.0), (3.0, 1.5, 1.0)])
+def test_far_field_match_locks_in_fewer_steps(amplitude, p, eps):
+    # w reaches its noise floor inside the box; the floor-only start is flat
+    # beyond it, and the ladder must walk the front out to the disk edge
+    cfg = SimulationConfig(GridSpec2D(128, 50.0), dt=0.5, b=1.0, t_max=2000.0,
+                           defect=InhomogeneitySpec(amplitude, p, strength=eps))
+    w, omega = _hopf_cole_eigen(cfg)
+    assert np.min(w) < 10.0 * _noise_floor(w)
+    start, start_omega = _hopf_cole_start(cfg)
+    assert start_omega == omega
+    assert np.array_equal(start, np.fft.rfft2(_matched_phi(cfg, w, omega)))
+    floor_start = _floor_start(cfg)
+    fixed = _relax(cfg, floor_start)
+    floor = _relax(cfg, floor_start, ladder=True)
+    matched = _relax(cfg, start, ladder=True)
+    assert fixed.converged and floor.converged and matched.converged
+    assert matched.omega_drift == pytest.approx(fixed.omega_drift, rel=1e-5)
+    assert _k(cfg, matched) == pytest.approx(_k(cfg, fixed), rel=1e-5)
+    assert matched.steps < floor.steps
+
+
+@pytest.mark.parametrize("amplitude,p,eps", [(1.0, 0.8, 2.0), (3.0, 1.5, 1.0)])
+def test_far_field_match_keeps_log_w_where_w_is_trusted(amplitude, p, eps):
+    cfg = SimulationConfig(GridSpec2D(128, 50.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(amplitude, p, strength=eps))
+    w, omega = _hopf_cole_eigen(cfg)
+    phi0 = _matched_phi(cfg, w, omega)
+    trusted = w >= 10.0 * _noise_floor(w)
+    assert np.array_equal(phi0[trusted], -np.log(w[trusted]) / cfg.b)
+    # beyond the cut phi0 keeps rising with r, at about the far-field slope
+    # sqrt(Omega/b) along the x axis (g is below 1e-2 of Omega out there)
+    r = cfg.grid.radius_grid(periodic=True)
+    row = r[:, 64]
+    far = ~trusted[:, 64] & (np.arange(128) >= 64)
+    slope = np.diff(phi0[far, 64]) / np.diff(row[far])
+    assert np.all(np.isfinite(phi0)) and np.all(slope > 0.0)
+    assert np.median(slope) == pytest.approx(math.sqrt(omega / cfg.b), rel=0.1)
+
+
+def test_weak_defect_gets_no_far_field_continuation():
+    # a weak defect's w stays far above its noise over the whole box
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(1.0, 0.8, strength=0.5))
+    w, omega = _hopf_cole_eigen(cfg)
+    assert np.min(w) >= 10.0 * _noise_floor(w)
+    assert np.array_equal(_matched_phi(cfg, w, omega), -np.log(w) / cfg.b)
+
+
 # ------------------------------------------------- dt ladder (SER)
 
 
@@ -387,19 +454,22 @@ def test_runs_from_rest_keep_the_constant_step(p):
     run = _zero_start(cfg)
     assert run.steps == steps and np.array_equal(run.uhat, uhat)
     assert run.t == steps * cfg.dt
-    assert (run.dt_steps, run.dt_rejections) == ([[cfg.dt, steps]], 0)
+    assert (run.dt_steps, run.dt_rejections, run.start_residual) == (
+        [[cfg.dt, steps]], 0, None)
     if p <= SUBCRITICAL_P:
         with pytest.warns(RuntimeWarning, match="corner"):
             phi, report = run_to_steady(cfg)
-        assert (report.start, report.steps) == ("rest", steps)
+        assert (report.start, report.steps, report.start_residual) == ("rest", steps, None)
+        assert report.as_dict()["start_residual"] is None
         assert np.array_equal(phi.values, np.fft.irfft2(uhat, s=(64, 64)))
 
 
 @pytest.mark.parametrize("l,p", [(50.0, 0.8), (50.0, 1.5)])
 def test_ser_ladder_locks_to_the_fixed_step_state(l, p):
+    # from the start without its far field, which the ladder must walk out
     cfg = SimulationConfig(GridSpec2D(128, l), dt=0.5, b=1.0, t_max=2000.0,
                            defect=InhomogeneitySpec(1.5, p, strength=1.0))
-    start, _ = _hopf_cole_start(cfg)
+    start = _floor_start(cfg)
     fixed = _relax(cfg, start)
     ser = _relax(cfg, start, ladder=True)
     assert fixed.converged and ser.converged
@@ -409,6 +479,21 @@ def test_ser_ladder_locks_to_the_fixed_step_state(l, p):
     assert max(dt for dt, _ in ser.dt_steps) == 4 * cfg.dt  # the ceiling is reached
     assert sum(n for _, n in ser.dt_steps) == ser.steps
     assert ser.t == sum(dt * n for dt, n in ser.dt_steps)
+
+
+@pytest.mark.parametrize("amplitude,p,dt", [(2.5, 0.8, 1.5), (3.0, 1.5, 2.0)])
+def test_marginal_dt_runs_out_its_time_on_the_ladder(amplitude, p, dt):
+    # neither locks at its own dt; from the start without its far field the
+    # ladder ended in a blow-up at dt (t = 85.5 and 68), from the matched
+    # start it runs out the time as the fixed step does
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=dt, b=1.0, t_max=200.0,
+                           defect=InhomogeneitySpec(amplitude, p, strength=1.0))
+    start, _ = _hopf_cole_start(cfg)
+    fixed = _relax(cfg, start)
+    ladder = _relax(cfg, start, ladder=True)
+    assert not fixed.converged and not ladder.converged
+    assert ladder.t == fixed.t == math.ceil(cfg.t_max / dt) * dt
+    assert ladder.dt_rejections == 0
 
 
 def _failing_steps(monkeypatch, fails):
