@@ -13,7 +13,6 @@ the interior).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -306,18 +305,6 @@ class FarFieldAnsatz:
         return self.decay_rate**2 / self.b
 
 
-def _log_k0(z):
-    """log K0(z), elementwise, via the scaled evaluation (no underflow)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return np.array([math.log(bessel_k0_scaled(v)) - v for v in z])
-
-
-def _ratio(z):
-    """K0'(z)/K0(z) = -K1/K0, elementwise."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return np.array([log_k0_ratio(v) for v in z])
-
-
 def far_field_phi0(ansatz: FarFieldAnsatz, r):
     """phi0(r); zero inside the cut-off, -(1/b) log K0(L r) far out."""
     from .profiles import CutoffSpec, smooth_cutoff
@@ -328,8 +315,10 @@ def far_field_phi0(ansatz: FarFieldAnsatz, r):
     out = np.zeros_like(z)
     act = z > 1.0
     if np.any(act):
-        chi = smooth_cutoff(CutoffSpec("chi"), z[act])
-        out[act] = -(1.0 / ansatz.b) * chi * _log_k0(z[act])
+        za = z[act]
+        chi = smooth_cutoff(CutoffSpec("chi"), za)
+        # log K0 through the scaled evaluation, which does not underflow
+        out[act] = -(1.0 / ansatz.b) * chi * (np.log(bessel_k0_scaled(za)) - za)
     return float(out[0]) if scalar else out
 
 
@@ -348,8 +337,8 @@ def _phi0_terms(ansatz: FarFieldAnsatz, r: np.ndarray):
     za = z[act]
     ra = r[act]
     chi, dchi, d2chi = cutoff_derivatives(CutoffSpec("chi"), za)
-    u = _log_k0(za)
-    rat = _ratio(za)
+    u = np.log(bessel_k0_scaled(za)) - za  # log K0
+    rat = log_k0_ratio(za)  # K0'/K0
     du = lam * rat
     d2u = lam * lam * (1.0 - rat / za - rat * rat)
     c = chi
@@ -661,6 +650,45 @@ def _far_series(r):
     return rho, drho
 
 
+def _rises_past(r, y):
+    return y[0] - 1.3
+
+
+_rises_past.terminal = True
+_rises_past.direction = 1
+
+
+def _turns_back(r, y):
+    return y[1]
+
+
+_turns_back.terminal = True
+_turns_back.direction = -1
+
+
+def _shoot(s: float, r_end: float, r0: float, rtol: float, atol: float, t_eval=None):
+    """Shot of slope s from r0 toward r_end; it stops at either classifying event."""
+    # origin series rho = s(r - r^3/8) + O(r^5) seeds the launch
+    y0 = (s * (r0 - r0**3 / 8.0), s * (1.0 - 3.0 * r0**2 / 8.0))
+    return solve_ivp(
+        _amplitude_rhs,
+        (r0, r_end),
+        y0,
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+        events=(_rises_past, _turns_back),
+        t_eval=t_eval,
+    )
+
+
+def _shot_is_high(sol) -> bool:
+    """Supercritical: rose past 1.3, or ended (at its turning point or r_end) above 1."""
+    if sol.t_events[0].size:
+        return True
+    return bool(sol.y[0, -1] >= 1.0)
+
+
 def shoot_spiral_amplitude(
     r_max: float = 20.0,
     tol: float = 1e-8,
@@ -670,9 +698,12 @@ def shoot_spiral_amplitude(
 ) -> ShootingSolution:
     """Solve rho'' + rho'/r - rho/r^2 + rho - rho^3 = 0, rho(0)=0, rho(inf)=1.
 
-    Launches rho = s r at r0 and bisects the slope s: trajectories crossing
-    rho = 1.3 (or ending above 1 at r_max + 10) are supercritical, the rest
-    collapse.  The bisection ends on adjacent doubles, yet no launch slope in
+    Launches rho = s r at r0 and bisects the slope s.  A shot stops as soon
+    as it shows its side: crossing rho = 1.3 upward makes it supercritical,
+    and its turning point (rho' crossing 0 downward) makes it collapse, since
+    rho'' = rho (rho^2 - 1 + 1/r^2) <= 0 there puts rho below 1.  A shot that
+    does neither by r_max + 10 is supercritical if it ends above 1.  The
+    bisection ends on adjacent doubles, yet no launch slope in
     double precision rides the separatrix out to r_max: a slope ulp (1.1e-16)
     seeds the unstable mode e^{sqrt 2 r}, which grows x4.1 per unit length,
     moves 1 - rho(20) by 3e-5 when shot out to r = 20, and leaves the
@@ -697,28 +728,8 @@ def shoot_spiral_amplitude(
     atol = rtol * 1e-2
     r_far = r_max + 10.0  # end of slope classification and of the outer BVP
 
-    def integrate(s: float, r_end: float, t_eval=None):
-        event = lambda r, y: y[0] - 1.3  # noqa: E731
-        event.terminal = True
-        event.direction = 1
-        # origin series rho = s(r - r^3/8) + O(r^5) seeds the launch
-        y0 = (s * (r0 - r0**3 / 8.0), s * (1.0 - 3.0 * r0**2 / 8.0))
-        return solve_ivp(
-            _amplitude_rhs,
-            (r0, r_end),
-            y0,
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            events=(event,),
-            t_eval=t_eval,
-        )
-
     def is_high(s: float) -> bool:
-        sol = integrate(s, r_far)
-        if sol.t_events[0].size:
-            return True
-        return sol.y[0, -1] >= 1.0
+        return _shot_is_high(_shoot(s, r_far, r0, rtol, atol))
 
     lo, hi = bracket
     if is_high(lo) or not is_high(hi):
@@ -737,7 +748,7 @@ def shoot_spiral_amplitude(
     slope = 0.5 * (lo + hi)
     nodes = np.linspace(0.0, r_max, n_profile)
     inner = (nodes >= r0) & (nodes < _R_MATCH)
-    shot = integrate(lo, _R_MATCH, t_eval=np.append(nodes[inner], _R_MATCH))
+    shot = _shoot(lo, _R_MATCH, r0, rtol, atol, t_eval=np.append(nodes[inner], _R_MATCH))
     rho_match = float(shot.y[0, -1])
 
     rho_far = _far_series(r_far)[0]

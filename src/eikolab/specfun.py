@@ -11,11 +11,23 @@ The plain asymptotic series saturates near 1.6e-8 at z = 8, so the middle
 region is carried by the Chebyshev fits up to 16 instead.  Scaled variants
 e^z K0(z), e^z K1(z) avoid underflow in far-field work; K0 itself underflows
 to 0 around z ~ 745 and bessel_eval flags that case.
+
+Float/array contract: bessel_k0_scaled, bessel_k1_scaled and log_k0_ratio
+take a float or an array_like.  A float (or any scalar) in gives a float out
+through an `if` on the regime; an array in gives an array of the same shape,
+each regime evaluated once on its mask, so nothing loops over points.  Both
+paths run the same regime kernels.  They agree bitwise for z > 2; in the
+series regime np.log/np.exp may round differently from math.log/math.exp,
+which the cancellation near z = 2 magnifies to a few tens of ulp at most.
+An array with any element <= 0, NaN or inf raises DomainError.
+bessel_eval, bessel_k0 and bessel_k1 take floats only.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -185,16 +197,41 @@ class BesselEval:
     underflow: bool = False
 
 
-def _check_domain(z: float) -> float:
-    z = float(z)
-    if not z > 0.0 or math.isinf(z) or math.isnan(z):
-        from .errors import DomainError
+def _check_domain(z):
+    """z as a float (scalar input) or a float ndarray (array_like input).
 
-        raise DomainError(f"K0/K1 need z > 0 and finite, got {z}")
+    Every element must be > 0 and finite; one bad element rejects the call.
+    """
+    if isinstance(z, float) or np.ndim(z) == 0:
+        z = float(z)
+        if not z > 0.0 or math.isinf(z) or math.isnan(z):
+            _reject(z)
+        return z
+    z = np.asarray(z, dtype=float)
+    bad = ~((z > 0.0) & np.isfinite(z))
+    if bad.any():
+        _reject(z[bad][0])
     return z
 
 
-def _k0_series(z: float) -> float:
+def _reject(z):
+    from .errors import DomainError
+
+    raise DomainError(f"K0/K1 need z > 0 and finite, got {z}")
+
+
+def _settled(done) -> bool:
+    """True once a convergence test holds: a bool on the float path, a mask on arrays."""
+    return done if isinstance(done, bool) else bool(done.all())
+
+
+# Each regime kernel below is plain arithmetic on a float or an ndarray; xp is
+# the math module on the float path and numpy on the array path.  The series
+# loops run until every point has converged: terms past a point's own stopping
+# test are below half an ulp of its sums.
+
+
+def _k0_series(z, xp):
     q = 0.25 * z * z
     term, i0, s, h = 1.0, 1.0, 0.0, 0.0
     k = 0
@@ -204,12 +241,12 @@ def _k0_series(z: float) -> float:
         h += 1.0 / k
         i0 += term
         s += term * h
-        if term * (h + 1.0) < 1e-18 * (i0 + abs(s)):
+        if _settled(term * (h + 1.0) < 1e-18 * (i0 + abs(s))):
             break
-    return -(math.log(0.5 * z) + EULER_GAMMA) * i0 + s
+    return -(xp.log(0.5 * z) + EULER_GAMMA) * i0 + s
 
 
-def _k1_series(z: float) -> float:
+def _k1_series(z, xp):
     # K1 = 1/z + log(z/2) I1 - (z/4) sum (psi(k+1)+psi(k+2)) q^k / (k! (k+1)!)
     q = 0.25 * z * z
     term, i1s, h = 1.0, 1.0, 0.0
@@ -222,13 +259,13 @@ def _k1_series(z: float) -> float:
         coef = 2.0 * h + 1.0 / (k + 1) - 2.0 * EULER_GAMMA
         i1s += term
         s += term * coef
-        if term * (abs(coef) + 1.0) < 1e-18 * (i1s + abs(s)):
+        if _settled(term * (abs(coef) + 1.0) < 1e-18 * (i1s + abs(s))):
             break
     i1 = 0.5 * z * i1s
-    return 1.0 / z + math.log(0.5 * z) * i1 - 0.25 * z * s
+    return 1.0 / z + xp.log(0.5 * z) * i1 - 0.25 * z * s
 
 
-def _cheb(coeffs, z: float) -> float:
+def _cheb(coeffs, z):
     # Clenshaw on [2, 16]
     x = (2.0 * z - (_CHEB_LO + _CHEB_HI)) / (_CHEB_HI - _CHEB_LO)
     b0 = b1 = 0.0
@@ -237,7 +274,7 @@ def _cheb(coeffs, z: float) -> float:
     return b0 - x * b1
 
 
-def _asym_sum(coeffs, z: float) -> float:
+def _asym_sum(coeffs, z):
     s, zk = 0.0, 1.0
     for c in coeffs:
         s += c / zk
@@ -245,37 +282,57 @@ def _asym_sum(coeffs, z: float) -> float:
     return s
 
 
+def _series_pair(z, xp):
+    ez = xp.exp(z)
+    return ez * _k0_series(z, xp), ez * _k1_series(z, xp)
+
+
+def _uniform_pair(z, xp):
+    rs = 1.0 / xp.sqrt(z)
+    return _cheb(_CHEB_K0, z) * rs, _cheb(_CHEB_K1, z) * rs
+
+
+def _asymptotic_pair(z, xp):
+    pref = xp.sqrt(xp.pi / (2.0 * z))
+    return pref * _asym_sum(_ASYM_K0, z), pref * _asym_sum(_ASYM_K1, z)
+
+
 def _scaled_pair(z: float) -> tuple[float, float, str]:
-    """(e^z K0, e^z K1, regime)."""
+    """(e^z K0, e^z K1, regime) for one float."""
     if z <= _SERIES_HI:
-        ez = math.exp(z)
-        return ez * _k0_series(z), ez * _k1_series(z), REGIME_SERIES
+        return (*_series_pair(z, math), REGIME_SERIES)
     if z < _ASYM_LO:
-        rs = 1.0 / math.sqrt(z)
-        return _cheb(_CHEB_K0, z) * rs, _cheb(_CHEB_K1, z) * rs, REGIME_UNIFORM
-    pref = math.sqrt(math.pi / (2.0 * z))
-    return (
-        pref * _asym_sum(_ASYM_K0, z),
-        pref * _asym_sum(_ASYM_K1, z),
-        REGIME_ASYMPTOTIC,
-    )
+        return (*_uniform_pair(z, math), REGIME_UNIFORM)
+    return (*_asymptotic_pair(z, math), REGIME_ASYMPTOTIC)
 
 
-def bessel_k0_scaled(z: float) -> float:
-    """e^z K0(z); stays O(1/sqrt(z)) for large z."""
-    z = _check_domain(z)
-    return _scaled_pair(z)[0]
+def _scaled(z):
+    """(e^z K0, e^z K1) for a checked float or ndarray, one regime mask at a time."""
+    if isinstance(z, float):
+        return _scaled_pair(z)[:2]
+    s0, s1 = np.empty_like(z), np.empty_like(z)
+    series = z <= _SERIES_HI
+    asym = z >= _ASYM_LO
+    for mask, pair in ((series, _series_pair), (~(series | asym), _uniform_pair),
+                       (asym, _asymptotic_pair)):
+        if mask.any():
+            s0[mask], s1[mask] = pair(z[mask], np)
+    return s0, s1
 
 
-def bessel_k1_scaled(z: float) -> float:
-    """e^z K1(z)."""
-    z = _check_domain(z)
-    return _scaled_pair(z)[1]
+def bessel_k0_scaled(z):
+    """e^z K0(z); stays O(1/sqrt(z)) for large z.  Elementwise on arrays."""
+    return _scaled(_check_domain(z))[0]
+
+
+def bessel_k1_scaled(z):
+    """e^z K1(z).  Elementwise on arrays."""
+    return _scaled(_check_domain(z))[1]
 
 
 def bessel_eval(z: float) -> BesselEval:
     """Evaluate K0 and K1 together, recording regime and underflow."""
-    z = _check_domain(z)
+    z = _check_domain(float(z))
     s0, s1, regime = _scaled_pair(z)
     if z >= _UNDERFLOW_Z:
         return BesselEval(z, 0.0, 0.0, regime, underflow=True)
@@ -293,11 +350,11 @@ def bessel_k1(z: float) -> float:
     return bessel_eval(z).k1
 
 
-def log_k0_ratio(z: float) -> float:
+def log_k0_ratio(z):
     """d/dz log K0(z) = -K1(z)/K0(z), evaluated without overflow.
 
     Strictly below -1 for all z > 0 and tends to -1 from below as z grows.
+    Elementwise on arrays.
     """
-    z = _check_domain(z)
-    s0, s1, _ = _scaled_pair(z)
+    s0, s1 = _scaled(_check_domain(z))
     return -s1 / s0

@@ -18,6 +18,9 @@ from eikolab.radial import (
     RadialGrid,
     RadialProfile,
     SpiralCoefficients,
+    _amplitude_rhs,
+    _shoot,
+    _shot_is_high,
     apply_inverse_L_lambda,
     cumulative_integral,
     eikonal_coefficients,
@@ -414,6 +417,40 @@ def test_shooting_window_on_far_field_series(r_max):
     sel = r >= 10.0
     scaled = r[sel] ** 2 * (1.0 - rho[sel] ** 2)
     assert np.all(np.diff(scaled) <= 0.0)
+
+
+def test_shot_stopped_at_its_turning_point_keeps_its_class(amplitude_solution):
+    # a shot that stops where rho' turns negative must be classed as the same
+    # shot run out to r_max + 10 would be: rho crossed 1.3, or rho(30) >= 1
+    r0, rtol, atol, r_far = 1e-3, 1e-12, 1e-14, 30.0
+
+    def full_length_is_high(s):
+        rise = lambda r, y: y[0] - 1.3  # noqa: E731
+        rise.terminal = True
+        rise.direction = 1
+        y0 = (s * (r0 - r0**3 / 8.0), s * (1.0 - 3.0 * r0**2 / 8.0))
+        sol = solve_ivp(_amplitude_rhs, (r0, r_far), y0, method="DOP853",
+                        rtol=rtol, atol=atol, events=(rise,))
+        return bool(sol.t_events[0].size) or sol.y[0, -1] >= 1.0
+
+    def early_exit_is_high(s):
+        return _shot_is_high(_shoot(s, r_far, r0, rtol, atol))
+
+    # replay the bisection with the full-length rule: same midpoints, same end
+    lo, hi = 0.1, 1.0
+    midpoints = []
+    while hi - lo > 2.5e-16 and 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        high = full_length_is_high(mid)
+        assert early_exit_is_high(mid) == high, mid
+        midpoints.append(mid)
+        lo, hi = (lo, mid) if high else (mid, hi)
+    assert len(midpoints) == amplitude_solution.bisections == 52
+    assert (lo, hi) == amplitude_solution.bracket
+    for s, high in [(lo, False), (hi, True), (1e-3, False), (0.1, False),
+                    (0.5, False), (0.6, True), (1.0, True), (5.0, True)]:
+        assert full_length_is_high(s) == high, s
+        assert early_exit_is_high(s) == high, s
 
 
 def test_shooting_validation():

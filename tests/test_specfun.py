@@ -30,12 +30,22 @@ def table_rows(table):
         yield float(row["z"]), float(row["k0"]), float(row["k1"])
 
 
+def table_columns(table, z_max):
+    rows = np.array([row for row in table_rows(table) if row[0] <= z_max])
+    return rows[:, 0], rows[:, 1], rows[:, 2]
+
+
 def test_against_frozen_table(bessel_table):
     for z, k0_ref, k1_ref in table_rows(bessel_table):
         if z >= 746.0:
             continue  # underflow regime checked separately
         assert bessel_k0(z) == pytest.approx(k0_ref, rel=1e-13), z
         assert bessel_k1(z) == pytest.approx(k1_ref, rel=1e-13), z
+    # the whole table at once through the array path
+    z, k0_ref, k1_ref = table_columns(bessel_table, 745.0)
+    damp = np.exp(-z)
+    assert bessel_k0_scaled(z) * damp == pytest.approx(k0_ref, rel=1e-13)
+    assert bessel_k1_scaled(z) * damp == pytest.approx(k1_ref, rel=1e-13)
 
 
 def test_scaled_variants_against_table(bessel_table):
@@ -49,6 +59,17 @@ def test_scaled_variants_against_table(bessel_table):
         assert bessel_k1_scaled(z) == pytest.approx(
             math.exp(z) * k1_ref, rel=1e-12
         ), z
+    z, k0_ref, k1_ref = table_columns(bessel_table, 300.0)
+    s0, s1 = bessel_k0_scaled(z), bessel_k1_scaled(z)
+    assert isinstance(s0, np.ndarray) and s0.shape == z.shape
+    assert s0 == pytest.approx(np.exp(z) * k0_ref, rel=1e-12)
+    assert s1 == pytest.approx(np.exp(z) * k1_ref, rel=1e-12)
+    assert log_k0_ratio(z) == pytest.approx(-k1_ref / k0_ref, rel=1e-12)
+    # a float in gives a float out, whatever scalar type it came as
+    for one in (3.0, 3, np.float64(3.0), np.array(3.0)):
+        for f in (bessel_k0_scaled, bessel_k1_scaled, log_k0_ratio):
+            out = f(one)
+            assert type(out) is float and out == f(np.array([3.0]))[0]
 
 
 def test_regime_assignment():
@@ -65,6 +86,14 @@ def test_regime_boundaries_are_seamless():
     for lo, hi in [(2.0, np.nextafter(2.0, 3.0)), (np.nextafter(16.0, 1.0), 16.0)]:
         assert bessel_k0(lo) == pytest.approx(bessel_k0(hi), rel=1e-12)
         assert bessel_k1(lo) == pytest.approx(bessel_k1(hi), rel=1e-12)
+    # the array path picks the same regime as the float path on either side
+    z = np.array([np.nextafter(2.0, 1.0), 2.0, np.nextafter(2.0, 3.0),
+                  np.nextafter(16.0, 1.0), 16.0, np.nextafter(16.0, 17.0)])
+    for f in (bessel_k0_scaled, bessel_k1_scaled, log_k0_ratio):
+        arr = f(z)
+        one = np.array([f(float(v)) for v in z])
+        ulps = np.abs(arr.view(np.int64) - one.view(np.int64))
+        assert np.all(ulps <= 2), (f.__name__, ulps)
 
 
 def test_underflow_flag():
@@ -93,6 +122,10 @@ def test_domain_rejection():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             bessel_k0(bad)
+        # one bad element rejects a whole array
+        for f in (bessel_k0_scaled, bessel_k1_scaled, log_k0_ratio):
+            with pytest.raises(DomainError):
+                f(np.array([1.0, bad, 20.0]))
 
 
 @given(st.floats(min_value=1e-3, max_value=700.0))
