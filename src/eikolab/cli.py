@@ -187,9 +187,13 @@ def _merge_config(args, defaults: dict) -> dict:
 
 
 def _floats(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+    """A list of numbers, or their comma-separated text; ConfigError if not."""
+    tokens = text if isinstance(text, (list, tuple)) else [
+        tok for tok in str(text).split(",") if tok.strip()]
+    try:
+        return [float(v) for v in tokens]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"not a list of numbers: {text!r}") from exc
 
 
 def _out_dir(path) -> Path:
@@ -433,7 +437,7 @@ def cmd_measure(args) -> int:
             raise ConfigError("--annulus takes r_in,r_out")
         annulus = (vals[0], vals[1])
     k = measure_wavenumber(phi, annulus)
-    prof = radial_gradient_profile(phi, n_bins=int(args.n_bins))
+    prof = radial_gradient_profile(phi, n_bins=args.n_bins)
     payload = {
         "k_measured": k,
         "annulus": list(annulus) if annulus else CONVENTIONS["annulus_fractions"],
@@ -763,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("measure", help="observables from a stored snapshot")
     sp.add_argument("--field", required=True)
     sp.add_argument("--annulus")
-    sp.add_argument("--n-bins", dest="n_bins", default=64)
+    sp.add_argument("--n-bins", dest="n_bins", type=int, default=64)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_measure)
 

@@ -19,7 +19,9 @@ from .errors import ConfigError, DivergentMassError, ResolutionError
 from .radial import RadialGrid, RadialProfile
 
 # Tails g ~ r^-m with m = 2p <= 1 lie outside the paper's theorem (m in (1, 2]):
-# no target pattern is predicted, and runs are expected not to lock.
+# no target pattern is predicted, and no eigen start steers such runs to lock.
+# They may still lock on their own (p = 0.3 at N=256 does, from rest, after
+# 140 steps); the subcritical verdict rests on the growing gradient.
 SUBCRITICAL_P = 0.5
 
 

@@ -2,7 +2,7 @@
 
 Contents: the corrector K solving Laplacian_0 K + b g_far = 0, the explicit
 inverse of L_lam = d/dr + 1/r + lam, the far-field first-order approximation
-phi0 = -(1/b) chi(Lr) log K0(Lr) with its damped fixed-point correction, a
+phi0 = -(1/b) chi(Lr) log K0(Lr) with its damped Newton correction, a
 Hopf-Cole residual check, the amplitude-equation shooting BVP, and the
 reduction of complex amplitude coefficients to eikonal coefficients.
 
@@ -30,10 +30,6 @@ from .errors import (
 )
 from .specfun import bessel_k0_scaled, log_k0_ratio
 
-GRADING_UNIFORM = "uniform"
-GRADING_GEOMETRIC = "geometric"
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing radial nodes, usually anchored at r = 0.
@@ -44,7 +40,6 @@ class RadialGrid:
     """
 
     nodes: np.ndarray
-    grading: str = GRADING_UNIFORM
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -66,32 +61,16 @@ class RadialGrid:
     def r_max(self) -> float:
         return float(self.nodes[-1])
 
-    def dense_enough(self, per_unit: int = 8, lo: float = 0.0, hi: float = 4.0) -> bool:
-        """At least per_unit nodes per unit length on [lo, hi] (solver-grade check)."""
-        hi = min(hi, self.r_max)
-        if hi <= lo:
-            return True
-        n = int(np.count_nonzero((self.nodes >= lo) & (self.nodes <= hi)))
-        return n >= per_unit * (hi - lo)
-
     @classmethod
     def uniform(cls, r_max: float, n: int) -> "RadialGrid":
         if not (r_max > 0 and n >= 2):
             raise ConfigError("uniform grid needs r_max > 0 and n >= 2")
-        return cls(np.linspace(0.0, r_max, n), GRADING_UNIFORM)
-
-    @classmethod
-    def geometric(cls, r_max: float, n: int, r_inner: float = 1e-3) -> "RadialGrid":
-        """Node 0 plus a geometric ladder from r_inner to r_max."""
-        if not (0 < r_inner < r_max and n >= 3):
-            raise ConfigError("geometric grid needs 0 < r_inner < r_max, n >= 3")
-        ladder = r_inner * (r_max / r_inner) ** np.linspace(0.0, 1.0, n - 1)
-        return cls(np.concatenate(([0.0], ladder)), GRADING_GEOMETRIC)
+        return cls(np.linspace(0.0, r_max, n))
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Sampled radial function with an optional fitted tail law.
+    """Sampled radial function.
 
     bin_counts/interpolated are populated only by azimuthal binning: cells per
     bin and which bins were empty and filled from neighbours.
@@ -99,7 +78,6 @@ class RadialProfile:
 
     grid: RadialGrid
     values: np.ndarray
-    decay_estimate: tuple[float, float] | None = None  # (exponent, prefactor)
     bin_counts: np.ndarray | None = None
     interpolated: np.ndarray | None = None
 
@@ -185,19 +163,22 @@ def fd_weights(xs: np.ndarray, x0, m: int) -> np.ndarray:
     return np.moveaxis(w[m], 0, -1)
 
 
-def fd_derivative(nodes: np.ndarray, values: np.ndarray, order: int, stencil: int = 7) -> np.ndarray:
-    """m-th derivative on an arbitrary grid via sliding Fornberg stencils."""
+_STENCIL = 7  # nodes per finite-difference stencil
+
+
+def fd_derivative(nodes: np.ndarray, values: np.ndarray, order: int) -> np.ndarray:
+    """m-th derivative on an arbitrary grid via sliding 7-node Fornberg stencils."""
     n = len(nodes)
-    stencil = min(stencil, n)
+    stencil = min(_STENCIL, n)
     lo = np.clip(np.arange(n) - stencil // 2, 0, n - stencil)
     idx = lo[:, None] + np.arange(stencil)
     return np.sum(fd_weights(nodes[idx], nodes, order) * values[idx], axis=1)
 
 
-def radial_laplacian_fd(nodes: np.ndarray, values: np.ndarray, stencil: int = 7) -> np.ndarray:
+def radial_laplacian_fd(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """u'' + u'/r by finite differences; 2 u''(0) at an origin node (regularity)."""
-    d1 = fd_derivative(nodes, values, 1, stencil)
-    d2 = fd_derivative(nodes, values, 2, stencil)
+    d1 = fd_derivative(nodes, values, 1)
+    d2 = fd_derivative(nodes, values, 2)
     out = np.empty_like(d1)
     if nodes[0] == 0.0:
         out[0] = 2.0 * d2[0]
@@ -377,7 +358,7 @@ def far_field_source(ansatz: FarFieldAnsatz, r):
 
 @dataclass(frozen=True)
 class CorrectionResult:
-    """Fixed-point solve output: psi = d(phi1)/dr plus iteration diagnostics."""
+    """Newton solve output: psi = d(phi1)/dr plus iteration diagnostics."""
 
     psi: RadialProfile
     iterations: int
@@ -390,16 +371,13 @@ def solve_far_field_correction(
     ansatz: FarFieldAnsatz,
     g=None,
     eps: float = 0.0,
-    lam_pre: float | None = None,
     grid: RadialGrid | None = None,
-    source=None,
-    linear_coef=None,
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> CorrectionResult:
-    """Fixed-point solve of the first-order correction equation.
+    """Newton solve of the first-order correction equation.
 
-    The default path solves, for psi = d(phi1)/dr,
+    Solves, for psi = d(phi1)/dr,
 
         psi' + psi/r - 2 b phi0' psi - b psi^2 + S - eps g = 0
 
@@ -412,23 +390,8 @@ def solve_far_field_correction(
     The source is weighted by the cut-off shape so only the far region
     lam r >= 1 drives it (the core is matched separately, so the constant
     frequency part inside the cut-off must not enter).
-
-    Passing linear_coef (with a source) switches to the generic forward
-    L_lam-preconditioned damped map on an origin-anchored grid, for
-    intermediate-scale equations whose linear coefficient favors it.
     """
-    lam = 2.0 * ansatz.decay_rate if lam_pre is None else float(lam_pre)
-    if not lam > 0.0:
-        raise ConfigError(f"preconditioner rate must be > 0, got {lam}")
     b = ansatz.b
-
-    if linear_coef is not None:
-        if grid is None:
-            raise ConfigError("generic path needs an explicit origin-anchored grid")
-        return _forward_preconditioned_correction(
-            ansatz, lam, grid, source, linear_coef, g, eps, tol, max_iter
-        )
-
     if grid is None:
         lam0 = ansatz.decay_rate
         grid = RadialGrid(np.linspace(0.5 / lam0, 10.0 / lam0, 4001))
@@ -439,20 +402,15 @@ def solve_far_field_correction(
         )
     nodes = grid.nodes
     coef = -2.0 * b * far_field_phi0_grad(ansatz, nodes)
-    if source is None:
-        src = np.asarray(far_field_source(ansatz, nodes), dtype=float)
-        if g is not None and eps != 0.0:
-            src = src - eps * np.asarray(_as_callable(g, "g")(nodes), dtype=float)
-        # restrict smoothly to the far region with the same cut-off shape the
-        # ansatz uses; a hard mask would put a kink into psi and pollute the
-        # residual diagnostic near lam r = 1
-        from .profiles import CutoffSpec, smooth_cutoff
+    src = np.asarray(far_field_source(ansatz, nodes), dtype=float)
+    if g is not None and eps != 0.0:
+        src = src - eps * np.asarray(_as_callable(g, "g")(nodes), dtype=float)
+    # restrict smoothly to the far region with the same cut-off shape the
+    # ansatz uses; a hard mask would put a kink into psi and pollute the
+    # residual diagnostic near lam r = 1
+    from .profiles import CutoffSpec, smooth_cutoff
 
-        src = smooth_cutoff(CutoffSpec(), ansatz.decay_rate * nodes) * src
-    else:
-        src = np.asarray(_as_callable(source, "source")(nodes), dtype=float)
-        if g is not None and eps != 0.0:
-            src = src - eps * np.asarray(_as_callable(g, "g")(nodes), dtype=float)
+    src = smooth_cutoff(CutoffSpec(), ansatz.decay_rate * nodes) * src
 
     # Newton sweeps: each update solves
     #   delta' + delta/r - 2 b (phi0' + psi) delta = -R(psi)
@@ -522,56 +480,6 @@ def solve_far_field_correction(
             converged = True
             break
 
-    profile = RadialProfile(grid, psi)
-    residual = correction_residual(profile, coef, b, src)
-    rates = tuple(
-        diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0
-    )
-    return CorrectionResult(profile, it, converged, rates, residual)
-
-
-def _forward_preconditioned_correction(ansatz, lam, grid, source, linear_coef,
-                                       g, eps, tol, max_iter) -> CorrectionResult:
-    """Damped psi <- L_lam^{-1}[(lam - coef) psi + b psi^2 - src] iteration."""
-    nodes = grid.nodes
-    b = ansatz.b
-    coef = np.asarray(_as_callable(linear_coef, "linear_coef")(nodes), dtype=float)
-    src = np.asarray(_as_callable(source, "source")(nodes), dtype=float)
-    if g is not None and eps != 0.0:
-        src = src - eps * np.asarray(_as_callable(g, "g")(nodes), dtype=float)
-
-    psi = np.zeros_like(nodes)
-    damping = 1.0
-    diffs: list[float] = []
-    grow = 0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        rhs_vals = (lam - coef) * psi + b * psi * psi - src
-        if not np.all(np.isfinite(rhs_vals)):
-            raise NonContractionError(
-                "fixed-point iteration diverged; reduce eps",
-                last_iterate=RadialProfile(grid, psi),
-            )
-        rhs = CubicSpline(nodes, rhs_vals)
-        psi_new = apply_inverse_L_lambda(rhs, lam, grid).values
-        psi_next = psi + damping * (psi_new - psi)
-        diff = float(np.max(np.abs(psi_next - psi)))
-        if diffs and diff > diffs[-1]:
-            grow += 1
-            damping = 0.5
-        else:
-            grow = 0
-        diffs.append(diff)
-        psi = psi_next
-        if grow >= 5:
-            raise NonContractionError(
-                "fixed-point iteration diverged; reduce eps",
-                last_iterate=RadialProfile(grid, psi),
-            )
-        if diff < tol:
-            converged = True
-            break
     profile = RadialProfile(grid, psi)
     residual = correction_residual(profile, coef, b, src)
     rates = tuple(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import threading
+import types
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,9 +29,6 @@ from scipy.sparse.linalg import lobpcg
 from .errors import BlowUpError, ConfigError
 from .profiles import SUBCRITICAL_P, InhomogeneitySpec, evaluate_g
 
-DEALIAS_TWO_THIRDS = "two_thirds"
-DEALIAS_NONE = "none"
-
 
 @dataclass(frozen=True)
 class GridSpec2D:
@@ -39,15 +36,12 @@ class GridSpec2D:
 
     n: int
     l: float
-    dealias: str = DEALIAS_TWO_THIRDS
 
     def __post_init__(self):
         if self.n < 64 or (self.n & (self.n - 1)) != 0:
             raise ConfigError(f"n must be a power of two >= 64, got {self.n}")
         if not self.l > 0:
             raise ConfigError(f"l must be > 0, got {self.l}")
-        if self.dealias not in (DEALIAS_TWO_THIRDS, DEALIAS_NONE):
-            raise ConfigError(f"unknown dealias policy {self.dealias!r}")
 
     @property
     def dx(self) -> float:
@@ -113,19 +107,19 @@ def _spectral_tools(grid: GridSpec2D):
     ikx[n // 2] = 0.0  # Nyquist has no signed derivative
     iky[-1] = 0.0
     minus_ksq = -(kx[:, None] ** 2 + ky[None, :] ** 2)
-    if grid.dealias == DEALIAS_TWO_THIRDS:
-        ix = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-        iy = np.abs(np.fft.rfftfreq(n, d=1.0 / n))
-        mask = (ix[:, None] < n / 3.0) & (iy[None, :] < n / 3.0)
-    else:
-        mask = np.ones((n, n // 2 + 1), dtype=bool)
+    ix = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    iy = np.abs(np.fft.rfftfreq(n, d=1.0 / n))
+    mask = (ix[:, None] < n / 3.0) & (iy[None, :] < n / 3.0)  # the 2/3 rule
     tools = (ikx[:, None], iky[None, :], minus_ksq, mask)
     for a in tools:
         a.flags.writeable = False
     return tools
 
 
-def _phi_functions(z: np.ndarray, n_contour: int = 32, count: int = 3):
+_N_CONTOUR = 32  # contour points per phi-function value
+
+
+def _phi_functions(z: np.ndarray, count: int = 3):
     """phi1..phi_count (count <= 3) for real z <= 0 by contour averaging / Taylor near 0."""
     z = np.asarray(z, dtype=float)
     phis = [np.empty_like(z) for _ in range(count)]
@@ -137,8 +131,8 @@ def _phi_functions(z: np.ndarray, n_contour: int = 32, count: int = 3):
     zl = z[~small]
     if zl.size:
         sums = np.zeros((count,) + zl.shape, dtype=complex)
-        for i in range(n_contour):
-            w = zl + np.exp(2j * np.pi * (i + 0.5) / n_contour)
+        for i in range(_N_CONTOUR):
+            w = zl + np.exp(2j * np.pi * (i + 0.5) / _N_CONTOUR)
             # phi_j(w) = (e^w - sum_{m<j} w^m / m!) / w^j
             rem = np.exp(w) - 1.0
             for j in range(1, count + 1):
@@ -147,7 +141,7 @@ def _phi_functions(z: np.ndarray, n_contour: int = 32, count: int = 3):
                 if j < count:
                     rem = rem - (1.0 / math.factorial(j)) * wj
         for phi, s in zip(phis, sums):
-            phi[~small] = s.real / n_contour
+            phi[~small] = s.real / _N_CONTOUR
     return tuple(phis)
 
 
@@ -251,39 +245,12 @@ def _step_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
     )
 
 
-def rhs_nonlinear(phi: Field2D, b: float, eps: float, g_field: Field2D) -> Field2D:
-    """-b |grad phi|^2 - eps g with spectral gradient and dealiased product."""
-    if g_field.grid != phi.grid:
-        raise ConfigError("phi and g live on different grids")
-    ikx, iky, _, mask = _spectral_tools(phi.grid)
-    uhat = phi.hat()
-    n = phi.grid.n
-    px = np.fft.irfft2(ikx * uhat, s=(n, n))
-    py = np.fft.irfft2(iky * uhat, s=(n, n))
-    prod = np.fft.irfft2(np.fft.rfft2(px * px + py * py) * mask, s=(n, n))
-    return Field2D(phi.grid, -b * prod - eps * g_field.values)
-
-
 def full_rhs_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
                  ghat: np.ndarray | None, n0: np.ndarray | None = None) -> np.ndarray:
     """Spectral phi_t = -|k|^2 phi_hat + nonlinear_hat (n0, if it is given)."""
     if n0 is None:
         n0 = _nonlinear_hat(uhat, plan, b, eps, ghat)
     return plan.linear_symbol * uhat + n0
-
-
-def step_etdrk4(phi: Field2D, plan: ETDRK4Plan, b: float, eps: float,
-                g_field: Field2D | None, step_index: int = 0) -> Field2D:
-    """One ETDRK4 step; raises BlowUpError if the output is not finite."""
-    if plan.grid != phi.grid:
-        raise ConfigError("plan was built for a different grid")
-    ghat = None if g_field is None else np.fft.rfft2(g_field.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out_hat = _step_hat(phi.hat(), plan, b, eps, ghat)
-        out = np.fft.irfft2(out_hat, s=(phi.grid.n, phi.grid.n))
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(f"non-finite field after step {step_index}", step_index)
-    return Field2D(phi.grid, out, spectral=out_hat)
 
 
 @dataclass(frozen=True)
@@ -445,10 +412,22 @@ def _zero_pad(coarse_hat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-# scipy's lobpcg reports a missed tolerance as a UserWarning, and silencing it
-# swaps the process-wide warning filters; one solve at a time keeps pool
-# threads from restoring each other's filters.
-_EIGEN_LOCK = threading.Lock()
+def _silenced(func):
+    """func with the warnings module it calls replaced by a no-op warn.
+
+    scipy's lobpcg reports a missed tolerance as a UserWarning, and the eigen
+    start reads that verdict off the residual history instead.  A warning
+    filter will not do: filters are process-wide, and entering or leaving
+    catch_warnings clears every module's once-per-location registry, so each
+    solve would reprint the periodic-corner warning.  This copy shares no
+    state, so pool threads may solve concurrently.
+    """
+    quiet = types.SimpleNamespace(warn=lambda *args, **kwargs: None)
+    return types.FunctionType(func.__code__, {**func.__globals__, "warnings": quiet},
+                              func.__name__, func.__defaults__, func.__closure__)
+
+
+_lobpcg = _silenced(lobpcg)
 EIGEN_TOL = 1e-9
 
 
@@ -479,10 +458,9 @@ def _hopf_cole_eigen(config: SimulationConfig) -> tuple[np.ndarray, float] | Non
 
     laplacian = fourier(minus_ksq)
     column = pot.reshape(-1, 1)
-    with _EIGEN_LOCK, warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore", UserWarning)
+    with np.errstate(all="ignore"):
         try:
-            lam, vec, history = lobpcg(
+            lam, vec, history = _lobpcg(
                 lambda x: -laplacian(x) - column * x, column.copy(),
                 M=fourier(1.0 / (sigma - minus_ksq)), tol=EIGEN_TOL,
                 maxiter=200, largest=False, retResidualNormsHistory=True,
@@ -554,7 +532,7 @@ def _warm_start(config: SimulationConfig) -> tuple[np.ndarray, int, str, float |
     half = grid.n // 2
     coarse_steps = 0
     if half >= HALF_GRID_MIN_N and grid.l / half <= HALF_GRID_MAX_DX:
-        coarse = replace(config, grid=GridSpec2D(half, grid.l, grid.dealias))
+        coarse = replace(config, grid=GridSpec2D(half, grid.l))
         start, coarse_steps, kind, start_omega = _warm_start(coarse)
         run = _relax(coarse, start, ladder=kind != "rest")
         coarse_steps += run.steps
@@ -624,9 +602,7 @@ def spectral_gradient(phi: Field2D) -> tuple[np.ndarray, np.ndarray]:
 def top_shell_energy_fraction(phi: Field2D) -> float:
     """Spectral energy fraction carried by the top-1/3 shell (dealias check)."""
     n = phi.grid.n
-    ix = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    iy = np.abs(np.fft.rfftfreq(n, d=1.0 / n))
-    top = (ix[:, None] >= n / 3.0) | (iy[None, :] >= n / 3.0)
+    top = ~_spectral_tools(phi.grid)[3]
     uhat = phi.hat()
     # rfft2 halves the spectrum; weight interior ky columns twice
     w = np.full(n // 2 + 1, 2.0)
@@ -651,7 +627,7 @@ def write_field_snapshot(phi: Field2D, prefix: str | Path) -> tuple[Path, Path]:
     header = {
         "n": phi.grid.n,
         "l": phi.grid.l,
-        "dealias": phi.grid.dealias,
+        "dealias": "two_thirds",
         "dtype": "float64",
         "order": "C",
         "layout": "row-major x-index first",
@@ -661,10 +637,20 @@ def write_field_snapshot(phi: Field2D, prefix: str | Path) -> tuple[Path, Path]:
 
 
 def read_field_snapshot(prefix: str | Path) -> Field2D:
+    """The field written by write_field_snapshot; ConfigError if it is not one."""
     prefix = Path(prefix)
     if prefix.suffix in (".bin", ".json"):
         prefix = prefix.with_suffix("")
-    header = json.loads(prefix.with_suffix(".json").read_text())
-    grid = GridSpec2D(int(header["n"]), float(header["l"]), header["dealias"])
-    vals = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8").reshape(grid.n, grid.n)
-    return Field2D(grid, vals)
+    try:
+        header = json.loads(prefix.with_suffix(".json").read_text())
+        grid = GridSpec2D(int(header["n"]), float(header["l"]))
+        dealias = header["dealias"]
+        vals = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read snapshot {prefix}: {exc}") from exc
+    if dealias != "two_thirds":
+        raise ConfigError(f"snapshot {prefix} has dealias {dealias!r}, not 'two_thirds'")
+    if vals.size != grid.n * grid.n:
+        raise ConfigError(f"snapshot {prefix}.bin holds {vals.size} values, "
+                          f"not n^2 = {grid.n * grid.n}")
+    return Field2D(grid, vals.reshape(grid.n, grid.n))

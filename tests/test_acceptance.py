@@ -36,7 +36,7 @@ from eikolab.radial import (
     solve_corrector_K,
 )
 from eikolab.specfun import bessel_eval, bessel_k0
-from eikolab.spectral import Field2D, GridSpec2D, make_plan, step_etdrk4
+from eikolab.spectral import GridSpec2D, _step_hat, make_plan
 
 pytestmark = pytest.mark.acceptance
 
@@ -136,30 +136,32 @@ def test_criterion_1_bessel_vs_frozen_series_oracle(bessel_table, verdict):
 def test_criterion_2_etdrk4_order_and_linear_exactness(verdict):
     t0 = time.perf_counter()
 
+    # the production kernel, stepped in Fourier space as run_to_steady steps it
+    def advance(values, plan, b, eps, g, steps):
+        ghat = None if g is None else np.fft.rfft2(g)
+        uhat = np.fft.rfft2(values)
+        for _ in range(steps):
+            uhat = _step_hat(uhat, plan, b, eps, ghat)
+        return np.fft.irfft2(uhat, s=values.shape)
+
     grid = GridSpec2D(128, 100.0)
     ax = grid.axes()
     x, y = np.meshgrid(ax, ax, indexing="ij")
-    g_field = Field2D(grid, np.exp(-((x - 50.0) ** 2 + (y - 50.0) ** 2) / 80.0))
+    g = np.exp(-((x - 50.0) ** 2 + (y - 50.0) ** 2) / 80.0)
     t_end = 4.0
 
-    def advance(dt):
-        plan = make_plan(grid, dt)
-        phi = Field2D(grid, np.zeros((128, 128)))
-        for _ in range(int(round(t_end / dt))):
-            phi = step_etdrk4(phi, plan, b=1.0, eps=0.5, g_field=g_field)
-        return phi.values
-
-    u1, u2, u3 = advance(0.5), advance(0.25), advance(0.125)
+    u1, u2, u3 = (advance(np.zeros((128, 128)), make_plan(grid, dt), 1.0, 0.5, g,
+                          int(round(t_end / dt)))
+                  for dt in (0.5, 0.25, 0.125))
     e12 = np.max(np.abs(u1 - u2))
     e23 = np.max(np.abs(u2 - u3))
     order = math.log2(e12 / e23)
 
     lin_grid = GridSpec2D(128, 2.0 * math.pi)
     lx, _ = np.meshgrid(lin_grid.axes(), lin_grid.axes(), indexing="ij")
-    phi = Field2D(lin_grid, np.cos(3.0 * lx))
-    stepped = step_etdrk4(phi, make_plan(lin_grid, 0.2), b=0.0, eps=0.0, g_field=None)
+    stepped = advance(np.cos(3.0 * lx), make_plan(lin_grid, 0.2), 0.0, 0.0, None, 1)
     expect = math.exp(-9.0 * 0.2) * np.cos(3.0 * lx)
-    lin_err = np.max(np.abs(stepped.values - expect)) / np.max(np.abs(expect))
+    lin_err = np.max(np.abs(stepped - expect)) / np.max(np.abs(expect))
 
     elapsed = time.perf_counter() - t0
     ok = order >= 3.8 and lin_err <= 1e-12 and elapsed < 30.0

@@ -2,12 +2,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eikolab
 from eikolab.asymptotics import predict_k_for_family
 from eikolab.cli import (
     EXIT_CONFIG,
@@ -19,6 +23,7 @@ from eikolab.cli import (
     verify_manifest,
 )
 from eikolab.specfun import bessel_eval
+from eikolab.spectral import Field2D, GridSpec2D, write_field_snapshot
 
 
 def read_csv(path):
@@ -170,6 +175,49 @@ def test_sweep_requires_exactly_one_axis(tmp_path, capsys):
 def test_grid_validation_exit_code(tmp_path, capsys):
     assert main(["simulate", "--N", "48", "--t-max", "1",
                  "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+
+
+def test_malformed_outside_input_exits_2(tmp_path, capsys):
+    snap = tmp_path / "field"
+    write_field_snapshot(Field2D(GridSpec2D(64, 50.0), np.zeros((64, 64))), snap)
+    assert main(["measure", "--field", str(snap)]) == EXIT_OK
+    capsys.readouterr()
+
+    short = tmp_path / "short"
+    write_field_snapshot(Field2D(GridSpec2D(64, 50.0), np.zeros((64, 64))), short)
+    short.with_suffix(".bin").write_bytes(short.with_suffix(".bin").read_bytes()[:-8])
+    other_rule = tmp_path / "other_rule"
+    write_field_snapshot(Field2D(GridSpec2D(64, 50.0), np.zeros((64, 64))), other_rule)
+    header = json.loads(other_rule.with_suffix(".json").read_text())
+    other_rule.with_suffix(".json").write_text(json.dumps({**header, "dealias": "none"}))
+    for argv in (
+        ["measure", "--field", str(tmp_path / "missing")],
+        ["measure", "--field", str(short)],
+        ["measure", "--field", str(other_rule)],
+        ["sweep", "--a-values", "1,x", "--dry-run", "--out", str(tmp_path / "s")],
+    ):
+        assert main(argv) == EXIT_CONFIG, argv
+        assert capsys.readouterr().err.startswith("config error:"), argv
+    # argparse rejects a non-integer bin count with its usage error, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--field", str(snap), "--n-bins", "abc"])
+    assert exc.value.code == EXIT_CONFIG
+
+
+def test_corner_warning_printed_once_per_sweep(tmp_path):
+    # four members over the wrap-around threshold on two pool threads, each
+    # seeded by an eigen solve: the once-per-location warning shows once
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = str(Path(eikolab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eikolab.cli", "figure1", "--N", "64", "--L", "50",
+         "--A", "1", "--p", "0.8", "--jobs", "2", "--a-values", "0.75,0.9,1.05,1.2",
+         "--out", str(tmp_path / "fig1")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr.count("corner/center ratio") == 1, proc.stderr
 
 
 MASS_P08 = 2.5 * (10.0**0.2 - 1.0)  # truncated mass of the unit-amplitude p=0.8 defect

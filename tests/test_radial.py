@@ -55,19 +55,6 @@ def test_grid_validation():
     assert not w.has_origin
 
 
-def test_geometric_grid():
-    g = RadialGrid.geometric(100.0, 41, r_inner=1e-2)
-    assert g.has_origin
-    assert g.nodes[1] == pytest.approx(1e-2)
-    ratios = g.nodes[2:] / g.nodes[1:-1]
-    assert np.allclose(ratios, ratios[0])
-
-
-def test_dense_enough():
-    assert RadialGrid.uniform(4.0, 64).dense_enough(per_unit=8)
-    assert not RadialGrid.uniform(4.0, 16).dense_enough(per_unit=8)
-
-
 def test_profile_validation():
     g = RadialGrid.uniform(1.0, 11)
     with pytest.raises(ConfigError):
@@ -318,26 +305,6 @@ def test_correction_grid_validation():
     a = FarFieldAnsatz(decay_rate=0.5, b=1.0)
     with pytest.raises(ConfigError):
         solve_far_field_correction(a, grid=RadialGrid.uniform(10.0, 1001))
-    with pytest.raises(ConfigError):
-        solve_far_field_correction(a, lam_pre=-1.0)
-    with pytest.raises(ConfigError):
-        solve_far_field_correction(a, linear_coef=lambda s: np.ones_like(s))
-
-
-def test_correction_generic_forward_path():
-    # linear_coef = lam makes the lagged linear term vanish; small source
-    a = FarFieldAnsatz(decay_rate=0.5, b=1.0)
-    grid = RadialGrid(np.linspace(0.0, 20.0, 2001))
-    lam = 1.0
-    res = solve_far_field_correction(
-        a,
-        lam_pre=lam,
-        grid=grid,
-        source=lambda s: 0.01 * np.exp(-0.5 * np.asarray(s)),
-        linear_coef=lambda s: np.full_like(np.asarray(s, float), lam),
-    )
-    assert res.converged
-    assert res.residual_sup < 1e-6
 
 
 # ----------------------------------------------------------------- Hopf-Cole

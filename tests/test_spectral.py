@@ -11,7 +11,6 @@ from eikolab.profiles import SUBCRITICAL_P, InhomogeneitySpec
 from eikolab.measure import measure_wavenumber
 from eikolab import spectral
 from eikolab.spectral import (
-    DEALIAS_NONE,
     LADDER_TOP,
     Field2D,
     GridSpec2D,
@@ -19,6 +18,7 @@ from eikolab.spectral import (
     _hopf_cole_eigen,
     _hopf_cole_start,
     _matched_phi,
+    _nonlinear_hat,
     _phi_functions,
     _relax,
     _spectral_tools,
@@ -27,10 +27,8 @@ from eikolab.spectral import (
     full_rhs_hat,
     make_plan,
     read_field_snapshot,
-    rhs_nonlinear,
     run_to_steady,
     sample_defect,
-    step_etdrk4,
     top_shell_energy_fraction,
     write_field_snapshot,
 )
@@ -41,6 +39,16 @@ def _xy(grid):
     return np.meshgrid(ax, ax, indexing="ij")
 
 
+def _advance(values, plan, b, eps, g=None, steps=1):
+    """The field after `steps` steps of the production kernel _step_hat."""
+    ghat = None if g is None else np.fft.rfft2(g)
+    uhat = np.fft.rfft2(values)
+    for _ in range(steps):
+        uhat = _step_hat(uhat, plan, b, eps, ghat)
+    n = plan.grid.n
+    return Field2D(plan.grid, np.fft.irfft2(uhat, s=(n, n)), spectral=uhat)
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         GridSpec2D(48, 10.0)  # not a power of two
@@ -48,8 +56,6 @@ def test_grid_validation():
         GridSpec2D(32, 10.0)  # too small
     with pytest.raises(ConfigError):
         GridSpec2D(64, -1.0)
-    with pytest.raises(ConfigError):
-        GridSpec2D(64, 10.0, dealias="half")
     g = GridSpec2D(64, 16.0)
     assert g.dx == 0.25
     assert g.center() == (8.0, 8.0)
@@ -81,13 +87,12 @@ def test_sample_defect_values_and_strength_separation():
     )
 
 
-@pytest.mark.parametrize("n,l,dt,dealias", [(64, 10.0, 0.5, "two_thirds"),
-                                             (128, 2.0 * math.pi, 0.05, "none")])
-def test_plan_tables_match_full_grid_evaluation(n, l, dt, dealias):
+@pytest.mark.parametrize("n,l,dt", [(64, 10.0, 0.5), (128, 2.0 * math.pi, 0.05)])
+def test_plan_tables_match_full_grid_evaluation(n, l, dt):
     # make_plan evaluates each distinct |k|^2 of the rows kx >= 0 once and
     # mirrors them; a full-grid evaluation must give the same tables bit for
     # bit, on every step of the dt ladder
-    grid = GridSpec2D(n, l, dealias)
+    grid = GridSpec2D(n, l)
     _, _, minus_ksq, _ = _spectral_tools(grid)
     for step in (dt * 2**j for j in range(LADDER_TOP + 1)):
         plan = make_plan(grid, step)
@@ -121,9 +126,7 @@ def test_linear_mode_decays_exactly():
     # b = 0, eps = 0: a single Fourier mode must decay by e^{-k^2 dt} exactly
     grid = GridSpec2D(64, 2.0 * math.pi)
     x, _ = _xy(grid)
-    phi = Field2D(grid, np.cos(3.0 * x))
-    plan = make_plan(grid, dt=0.2)
-    stepped = step_etdrk4(phi, plan, b=0.0, eps=0.0, g_field=None)
+    stepped = _advance(np.cos(3.0 * x), make_plan(grid, dt=0.2), b=0.0, eps=0.0)
     expect = math.exp(-9.0 * 0.2) * np.cos(3.0 * x)
     assert np.max(np.abs(stepped.values - expect)) < 1e-12
 
@@ -132,10 +135,8 @@ def test_constant_forcing_is_exact():
     # with b = 0 and uniform g the scheme must integrate phi_t = -eps*g exactly:
     # the phi-weights satisfy f1 + 4 f2 + f3 = dt*phi1
     grid = GridSpec2D(64, 10.0)
-    g_field = Field2D(grid, np.full((64, 64), 2.0))
-    phi = Field2D(grid, np.zeros((64, 64)))
-    plan = make_plan(grid, dt=0.7)
-    stepped = step_etdrk4(phi, plan, b=0.0, eps=0.5, g_field=g_field)
+    stepped = _advance(np.zeros((64, 64)), make_plan(grid, dt=0.7), b=0.0, eps=0.5,
+                       g=np.full((64, 64), 2.0))
     assert np.max(np.abs(stepped.values + 0.5 * 2.0 * 0.7)) < 1e-13
 
 
@@ -143,15 +144,12 @@ def test_self_convergence_order():
     # smooth manufactured problem: zero start, Gaussian forcing bump
     grid = GridSpec2D(64, 100.0)
     x, y = _xy(grid)
-    g_field = Field2D(grid, np.exp(-((x - 50.0) ** 2 + (y - 50.0) ** 2) / 80.0))
+    g = np.exp(-((x - 50.0) ** 2 + (y - 50.0) ** 2) / 80.0)
     t_end = 4.0
 
     def advance(dt):
-        plan = make_plan(grid, dt)
-        phi = Field2D(grid, np.zeros((64, 64)))
-        for _ in range(int(round(t_end / dt))):
-            phi = step_etdrk4(phi, plan, b=1.0, eps=0.5, g_field=g_field)
-        return phi.values
+        return _advance(np.zeros((64, 64)), make_plan(grid, dt), b=1.0, eps=0.5, g=g,
+                        steps=int(round(t_end / dt))).values
 
     u1, u2, u3 = advance(0.5), advance(0.25), advance(0.125)
     e12 = np.max(np.abs(u1 - u2))
@@ -161,53 +159,35 @@ def test_self_convergence_order():
 
 
 def test_dealias_masks_quadratic_product():
-    # mode 12 squares onto mode 24, above the 64/3 cut: the masked run keeps
-    # the top shell empty, the unmasked one populates it
-    fractions = {}
-    for policy in ("two_thirds", "none"):
-        grid = GridSpec2D(64, 2.0 * math.pi, dealias=policy)
-        x, y = _xy(grid)
-        phi = Field2D(grid, 0.1 * (np.cos(12.0 * x) + np.cos(12.0 * y)))
-        plan = make_plan(grid, 0.05)
-        for _ in range(5):
-            phi = step_etdrk4(phi, plan, b=1.0, eps=0.0, g_field=None)
-        fractions[policy] = top_shell_energy_fraction(phi)
-    assert fractions["two_thirds"] < 1e-20
-    assert fractions["none"] > 1e3 * max(fractions["two_thirds"], 1e-300)
+    # mode 12 squares onto mode 24, above the 64/3 cut: the plan's 2/3 mask
+    # keeps the top shell empty, the same plan without it populates it
+    grid = GridSpec2D(64, 2.0 * math.pi)
+    x, y = _xy(grid)
+    start = 0.1 * (np.cos(12.0 * x) + np.cos(12.0 * y))
+    plan = make_plan(grid, 0.05)
+    unmasked = replace(plan, dealias_mask=np.ones_like(plan.dealias_mask))
+    masked, bare = (top_shell_energy_fraction(_advance(start, p, b=1.0, eps=0.0, steps=5))
+                    for p in (plan, unmasked))
+    assert masked < 1e-20
+    assert bare > 1e3 * max(masked, 1e-300)
 
 
-def test_rhs_nonlinear_matches_plan_route():
+def test_nonlinear_hat_matches_analytic_gradient():
     grid = GridSpec2D(64, 30.0)
     x, y = _xy(grid)
-    phi = Field2D(grid, np.sin(2.0 * np.pi * x / 30.0) * np.cos(2.0 * np.pi * y / 30.0))
-    g_field = sample_defect(grid, InhomogeneitySpec(1.0, 1.0))
-    direct = rhs_nonlinear(phi, 2.0, 0.3, g_field)
-    # gradient-squared of the analytic field, dealiased, matches spectral route
+    phi = np.sin(2.0 * np.pi * x / 30.0) * np.cos(2.0 * np.pi * y / 30.0)
+    g = sample_defect(grid, InhomogeneitySpec(1.0, 1.0)).values
+    nhat = _nonlinear_hat(np.fft.rfft2(phi), make_plan(grid, 0.5), 2.0, 0.3, np.fft.rfft2(g))
+    # gradient-squared of the analytic field (its modes are far below the cut)
     kx = 2.0 * np.pi / 30.0
     px = kx * np.cos(kx * x) * np.cos(kx * y)
     py = -kx * np.sin(kx * x) * np.sin(kx * y)
-    expect = -2.0 * (px**2 + py**2) - 0.3 * g_field.values
-    assert np.max(np.abs(direct.values - expect)) < 1e-10
-
-
-def test_blow_up_detected():
-    grid = GridSpec2D(64, 10.0)
-    x, _ = _xy(grid)
-    phi = Field2D(grid, 1e160 * np.sin(2.0 * np.pi * x / 10.0))
-    plan = make_plan(grid, 0.5)
-    with pytest.raises(BlowUpError):
-        step_etdrk4(phi, plan, b=1.0, eps=0.0, g_field=None)
-
-
-def test_plan_grid_mismatch():
-    plan = make_plan(GridSpec2D(64, 10.0), 0.5)
-    other = Field2D(GridSpec2D(64, 20.0), np.zeros((64, 64)))
-    with pytest.raises(ConfigError):
-        step_etdrk4(other, plan, b=1.0, eps=0.0, g_field=None)
+    expect = -2.0 * (px**2 + py**2) - 0.3 * g
+    assert np.max(np.abs(np.fft.irfft2(nhat, s=(64, 64)) - expect)) < 1e-10
 
 
 def test_snapshot_round_trip(tmp_path):
-    grid = GridSpec2D(64, 25.0, dealias=DEALIAS_NONE)
+    grid = GridSpec2D(64, 25.0)
     rng = np.random.default_rng(3)
     phi = Field2D(grid, rng.standard_normal((64, 64)))
     write_field_snapshot(phi, tmp_path / "snap")
