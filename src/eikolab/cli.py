@@ -2,8 +2,9 @@
 
 Every command writes into an output directory and finishes by emitting a
 manifest (config snapshot, version, timestamps, sha256 of every output file,
-convention flags).  All numeric CSV fields use 17 significant digits so two
-invocations with the same config produce byte-identical data files.
+convention flags, library versions, CPU count and BLAS thread settings).  All
+numeric CSV fields use 17 significant digits so two invocations with the same
+config produce byte-identical data files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 partial
 results (some sweep members unsteady).
@@ -14,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
@@ -22,6 +24,7 @@ from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .asymptotics import make_prediction, predict_k_for_family
@@ -102,6 +105,20 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Library versions, CPUs and the BLAS thread settings a run saw."""
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "cpus": {"count": os.cpu_count(),
+                 "affinity": None if affinity is None else len(affinity)},
+        "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
 class RunManifest:
     """Config snapshot plus a hashed inventory of everything written."""
 
@@ -128,6 +145,7 @@ class RunManifest:
             "finished_at": _utcnow(),
             "files": files,
             "failures": self.failures,
+            "environment": _environment(),
         }
         return write_json(out_dir / "manifest.json", payload)
 

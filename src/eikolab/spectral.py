@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import types
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.sparse.linalg import lobpcg
+from scipy.linalg import eigh
 
 from .errors import BlowUpError, ConfigError
 from .profiles import SUBCRITICAL_P, InhomogeneitySpec, evaluate_g
@@ -86,10 +85,6 @@ class Field2D:
         if self.spectral is None:
             self.spectral = np.fft.rfft2(self.values)
         return self.spectral
-
-    def mean(self) -> float:
-        """The constant gauge mode."""
-        return float(np.mean(self.values))
 
 
 @functools.lru_cache(maxsize=2)
@@ -412,35 +407,75 @@ def _zero_pad(coarse_hat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _silenced(func):
-    """func with the warnings module it calls replaced by a no-op warn.
+EIGEN_TOL = 1e-9  # on ||Bx - lam x|| for unit x
+EIGEN_MAXITER = 200
 
-    scipy's lobpcg reports a missed tolerance as a UserWarning, and the eigen
-    start reads that verdict off the residual history instead.  A warning
-    filter will not do: filters are process-wide, and entering or leaving
-    catch_warnings clears every module's once-per-location registry, so each
-    solve would reprint the periodic-corner warning.  This copy shares no
-    state, so pool threads may solve concurrently.
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v by einsum's own loop: OpenBLAS would thread a dot of this size on
+    helper threads that busy-wait, taking the pool's second core."""
+    return float(np.einsum("i,i->", u.ravel(), v.ravel()))
+
+
+def _deflate(v, basis, images, bv=None):
+    """(v, bv, ||v||): v less its parts along the orthonormal basis, taken
+    twice, and its B-image bv (if given) less the same parts of the images."""
+    for _ in range(2):
+        for s, bs in zip(basis, images):
+            c = _dot(s, v)
+            v = v - c * s
+            if bv is not None:
+                bv = bv - c * bs
+    return v, bv, math.sqrt(_dot(v, v))
+
+
+def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """The smallest eigenpair (lam, unit x) of the symmetric B, or None.
+
+    LOBPCG with block size 1 (Knyazev, SIAM J. Sci. Comput. 23, 2001): each
+    step takes the lowest Ritz pair of B on span{x, w, p}, with w = T r the
+    preconditioned residual r = Bx - lam x and p the last step's update.  p and
+    then w are Gram-Schmidt'd twice against the basis and normalised, and p is
+    dropped when nothing of it is left.  B is applied to w alone: Bx and Bp
+    follow x and p as the same combinations.  Converged when
+    ||r|| <= EIGEN_TOL; None after EIGEN_MAXITER steps.
     """
-    quiet = types.SimpleNamespace(warn=lambda *args, **kwargs: None)
-    return types.FunctionType(func.__code__, {**func.__globals__, "warnings": quiet},
-                              func.__name__, func.__defaults__, func.__closure__)
-
-
-_lobpcg = _silenced(lobpcg)
-EIGEN_TOL = 1e-9
+    x = x / math.sqrt(_dot(x, x))
+    bx = apply_b(x)
+    p = bp = None
+    for step in range(EIGEN_MAXITER + 1):
+        lam = _dot(x, bx)
+        r = bx - lam * x
+        if math.sqrt(_dot(r, r)) <= EIGEN_TOL:
+            return lam, x
+        if step == EIGEN_MAXITER:
+            break
+        basis, images = [x], [bx]
+        if p is not None:
+            p, bp, norm = _deflate(p, basis, images, bp)
+            if norm > 0.0:  # else p lies in span{x}
+                basis.append(p / norm)
+                images.append(bp / norm)
+        w, _, norm = _deflate(precondition(r), basis, images)
+        basis.append(w / norm)
+        images.append(apply_b(basis[-1]))
+        gram = np.array([[_dot(s, bs) for bs in images] for s in basis])
+        c = eigh(0.5 * (gram + gram.T), subset_by_index=(0, 0))[1][:, 0]
+        p = sum(cj * s for cj, s in zip(c[1:], basis[1:]))
+        bp = sum(cj * bs for cj, bs in zip(c[1:], images[1:]))
+        x, bx = c[0] * x + p, c[0] * bx + bp
+    return None
 
 
 def _hopf_cole_eigen(config: SimulationConfig) -> tuple[np.ndarray, float] | None:
     """The Hopf-Cole eigenstate (w scaled to max 1, Omega = lambda/b), or None.
 
     w = exp(-b phi) turns the PDE into w_t = Lap w + b eps g w, whose principal
-    eigenpair (lambda, w) is the locked state.  LOBPCG (block size 1, start
-    vector g) solves B = -Lap - b eps g with the spectral Laplacian and the
-    Fourier-diagonal preconditioner (-Lap + sigma)^-1, sigma = max(b eps g)/2.
-    None for p <= SUBCRITICAL_P (outside the theorem), a non-finite operator,
-    a failed or unconverged solve, or a w that is not finite or nowhere
-    positive.
+    eigenpair (lambda, w) is the locked state.  _lobpcg (start vector g) solves
+    B = -Lap - b eps g with the spectral Laplacian and the Fourier-diagonal
+    preconditioner (-Lap + sigma)^-1, sigma = max(b eps g)/2.  None for
+    p <= SUBCRITICAL_P (outside the theorem), a non-finite operator, a failed
+    or unconverged solve, or a w that is nowhere positive.
     """
     grid, n = config.grid, config.grid.n
     pot = config.b * config.defect.strength * sample_defect(grid, config.defect).values
@@ -450,30 +485,23 @@ def _hopf_cole_eigen(config: SimulationConfig) -> tuple[np.ndarray, float] | Non
     _, _, minus_ksq, _ = _spectral_tools(grid)
 
     def fourier(symbol):
-        # LOBPCG blocks are (n*n, k); the FFTs want the batch axis leading
-        def apply(x):
-            grids = np.fft.rfft2(x.T.reshape(-1, n, n))
-            return np.fft.irfft2(symbol * grids, s=(n, n)).reshape(-1, n * n).T
-        return apply
+        return lambda x: np.fft.irfft2(symbol * np.fft.rfft2(x), s=(n, n))
 
     laplacian = fourier(minus_ksq)
-    column = pot.reshape(-1, 1)
     with np.errstate(all="ignore"):
         try:
-            lam, vec, history = _lobpcg(
-                lambda x: -laplacian(x) - column * x, column.copy(),
-                M=fourier(1.0 / (sigma - minus_ksq)), tol=EIGEN_TOL,
-                maxiter=200, largest=False, retResidualNormsHistory=True,
-            )
-        except (ValueError, ArithmeticError):  # an overflowing operator lands here
+            eigen = _lobpcg(lambda x: -laplacian(x) - pot * x,
+                            fourier(1.0 / (sigma - minus_ksq)), pot)
+        except (ValueError, ArithmeticError):  # eigh refuses a non-finite Gram matrix
             return None
-    if not (history[-1] <= EIGEN_TOL and np.all(np.isfinite(vec))):
+    if eigen is None:
         return None
-    w = vec.reshape(n, n) * np.sign(np.sum(vec))
+    lam, vec = eigen  # finite: a non-finite x has a NaN residual
+    w = vec * np.sign(np.sum(vec))
     peak = float(np.max(w))
     if not peak > 0.0:
         return None
-    return w / peak, float(-lam[0]) / config.b
+    return w / peak, -lam / config.b
 
 
 def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.ndarray:
@@ -597,22 +625,6 @@ def spectral_gradient(phi: Field2D) -> tuple[np.ndarray, np.ndarray]:
         np.fft.irfft2(ikx * uhat, s=(n, n)),
         np.fft.irfft2(iky * uhat, s=(n, n)),
     )
-
-
-def top_shell_energy_fraction(phi: Field2D) -> float:
-    """Spectral energy fraction carried by the top-1/3 shell (dealias check)."""
-    n = phi.grid.n
-    top = ~_spectral_tools(phi.grid)[3]
-    uhat = phi.hat()
-    # rfft2 halves the spectrum; weight interior ky columns twice
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    e = np.abs(uhat) ** 2 * w[None, :]
-    total = float(np.sum(e))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(e[top]) / total)
 
 
 # ------------------------------------------------------------- snapshot I/O

@@ -142,6 +142,12 @@ def test_config_file_merge_and_cli_override(tmp_path):
     assert manifest["config"]["L"] == 60.0  # file beats default
     assert manifest["config"]["dt"] == 0.25
     assert manifest["command"] == "simulate"
+    env = manifest["environment"]
+    assert set(env) == {"versions", "cpus", "thread_env"}
+    assert set(env["versions"]) == {"numpy", "scipy"}
+    assert set(env["cpus"]) == {"count", "affinity"}
+    assert set(env["thread_env"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                      "MKL_NUM_THREADS"}
     # dry run produced no artifacts beyond the manifest
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
@@ -330,6 +336,20 @@ def test_sweep_determinism(tmp_path):
     rows = read_csv(out1 / "sweep.csv")
     assert len(rows) == 2
     assert float(rows[1]["k"]) != float(rows[0]["k"])
+
+
+def test_figure1_does_not_depend_on_the_thread_count(tmp_path):
+    # the pool's threads share no numerical state: one job and two jobs
+    # write the same bytes
+    args = ["figure1", "--N", "64", "--L", "50", "--A", "1", "--p", "0.8"]
+    outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+    for jobs, out in outs.items():
+        assert main(args + ["--jobs", str(jobs), "--out", str(out)]) == EXIT_OK
+    one, two = outs[1], outs[2]
+    members = sorted(p.relative_to(one) for p in one.glob("run_*/report.json"))
+    assert len(members) == 9
+    for rel in [Path("runs.json"), Path("fig1b_points.csv")] + members:
+        assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
 
 
 def test_compare_on_synthetic_runs(tmp_path):

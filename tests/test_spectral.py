@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from eikolab.errors import BlowUpError, ConfigError
 from eikolab.profiles import SUBCRITICAL_P, InhomogeneitySpec
@@ -29,7 +30,6 @@ from eikolab.spectral import (
     read_field_snapshot,
     run_to_steady,
     sample_defect,
-    top_shell_energy_fraction,
     write_field_snapshot,
 )
 
@@ -158,6 +158,18 @@ def test_self_convergence_order():
     assert order > 3.8
 
 
+def _top_shell_energy_fraction(phi):
+    """Spectral energy fraction carried by the shell the 2/3 mask removes."""
+    n = phi.grid.n
+    top = ~_spectral_tools(phi.grid)[3]
+    # rfft2 halves the spectrum; weight interior ky columns twice
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    w[-1] = 1.0
+    e = np.abs(phi.hat()) ** 2 * w[None, :]
+    return float(np.sum(e[top]) / np.sum(e))
+
+
 def test_dealias_masks_quadratic_product():
     # mode 12 squares onto mode 24, above the 64/3 cut: the plan's 2/3 mask
     # keeps the top shell empty, the same plan without it populates it
@@ -166,7 +178,7 @@ def test_dealias_masks_quadratic_product():
     start = 0.1 * (np.cos(12.0 * x) + np.cos(12.0 * y))
     plan = make_plan(grid, 0.05)
     unmasked = replace(plan, dealias_mask=np.ones_like(plan.dealias_mask))
-    masked, bare = (top_shell_energy_fraction(_advance(start, p, b=1.0, eps=0.0, steps=5))
+    masked, bare = (_top_shell_energy_fraction(_advance(start, p, b=1.0, eps=0.0, steps=5))
                     for p in (plan, unmasked))
     assert masked < 1e-20
     assert bare > 1e3 * max(masked, 1e-300)
@@ -321,6 +333,28 @@ def test_eigenvalue_matches_locked_omega(n, l, p):
     assert warm.steps < cold.steps
 
 
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("p", [0.8, 1.5])
+def test_eigenpair_matches_arpack(n, p):
+    # an independent solver on the same operator: ARPACK's Lanczos on
+    # B = -Lap - b eps g, smallest algebraic eigenvalue, no preconditioner
+    cfg = SimulationConfig(GridSpec2D(n, 50.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(1.5, p, strength=1.0))
+    pot = cfg.b * cfg.defect.strength * sample_defect(cfg.grid, cfg.defect).values
+    minus_ksq = _spectral_tools(cfg.grid)[2]
+
+    def apply_b(x):
+        u = x.reshape(n, n)
+        return (-np.fft.irfft2(minus_ksq * np.fft.rfft2(u), s=(n, n)) - pot * u).ravel()
+
+    lam, vec = eigsh(LinearOperator((n * n, n * n), matvec=apply_b, dtype=float),
+                     k=1, which="SA", v0=np.ones(n * n))
+    oracle = vec[:, 0].reshape(n, n) * np.sign(np.sum(vec))
+    w, omega = _hopf_cole_eigen(cfg)
+    assert -omega * cfg.b == pytest.approx(lam[0], rel=1e-11)
+    assert np.max(np.abs(w - oracle / np.max(oracle))) <= 1e-8
+
+
 @pytest.mark.parametrize("amplitude,p", [(1.5, 0.5), (1.5, 0.3), (1e300, 1.5)])
 def test_eigen_start_stays_at_rest(amplitude, p):
     # p <= 1/2 lies outside the theorem and must not be steered to lock;
@@ -334,8 +368,8 @@ def test_eigen_start_stays_at_rest(amplitude, p):
 
 @pytest.mark.parametrize("amplitude,at_rest", [(1.5, False), (1e150, True)])
 def test_eigen_solve_leaks_no_warning(amplitude, at_rest):
-    # A = 1e150 is finite but leaves lobpcg short of its tolerance, which it
-    # reports as a UserWarning; the start then stays at rest
+    # A = 1e150 is finite but leaves the eigen solve short of its tolerance;
+    # the start then stays at rest, silently
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
                            defect=InhomogeneitySpec(amplitude, 0.8, strength=1.0))
     with warnings.catch_warnings():

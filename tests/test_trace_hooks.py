@@ -8,6 +8,11 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from eikolab.profiles import InhomogeneitySpec
+from eikolab.spectral import GridSpec2D, SimulationConfig, _hopf_cole_eigen
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -26,3 +31,22 @@ def test_every_traced_entry_point_resolves():
     missing = [(module, attr) for module, attr in points
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_eigen_solve_calls_numpy_fft_by_attribute(monkeypatch):
+    # the tracer's spectral.fft.* metrics wrap numpy.fft.rfft2/irfft2 by
+    # attribute, so the eigen start's transforms must be looked up there
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(1.5, 0.8, strength=1.0))
+    assert _hopf_cole_eigen(cfg) is not None
+    assert calls.count("rfft2") > 0 and calls.count("irfft2") > 0
