@@ -34,7 +34,7 @@ from .measure import ANNULUS_FRACTIONS, fit_k_law, fit_log_k_vs_inv_a
 from .measure import measure_wavenumber, radial_gradient_profile
 from .profiles import CutoffSpec, InhomogeneitySpec, core_mass, evaluate_g
 from .profiles import SUBCRITICAL_P, smooth_cutoff, split_defect
-from .radial import RadialGrid, shoot_spiral_amplitude, solve_corrector_K
+from .radial import RadialGrid, shoot_spiral_amplitude, solve_corrector_K, validate_shooting
 from .specfun import bessel_eval
 from .spectral import (
     GridSpec2D,
@@ -734,6 +734,7 @@ def cmd_figure3(args) -> int:
     out = _out_dir(cfg["out"])
     manifest = RunManifest("figure3", cfg)
     if cfg["dry_run"]:
+        validate_shooting(float(cfg["rmax"]), float(cfg["tol"]))
         manifest.finalize(out)
         return EXIT_OK
     _write_shooting(out, ("fig3_profile.csv", "fig3_tail.csv", "fig3.json"),

@@ -13,11 +13,13 @@ the interior).
 """
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_bvp, solve_ivp
+from scipy.integrate import ode, solve_bvp, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import (
@@ -558,43 +560,68 @@ def _far_series(r):
     return rho, drho
 
 
-def _rises_past(r, y):
-    return y[0] - 1.3
+def _launch(s: float, r0: float):
+    """(rho, rho') at r0 from the origin series rho = s (r - r^3/8) + O(r^5)."""
+    return (s * (r0 - r0**3 / 8.0), s * (1.0 - 3.0 * r0**2 / 8.0))
 
 
-_rises_past.terminal = True
-_rises_past.direction = 1
+_MAX_STEPS = 10_000  # DOP853 step cap per classifying shot; default shots take 41-177
 
 
-def _turns_back(r, y):
-    return y[1]
+def _shot_classifier(r_end: float, r0: float, rtol: float,
+                     atol: float) -> Callable[[float], bool]:
+    """is_high(s): class of the shot of slope s from r0 toward r_end, on compiled DOP853.
+
+    Read at each accepted step end: rho >= 1.3 is supercritical, rho' < 0 (past
+    the turning point) collapses; either stops the shot.  A shot that does
+    neither by r_end is supercritical if it ends at rho >= 1.  An integrator
+    failure raises NumericalError instead of classing the point it stopped at.
+    """
+    verdict = []
+
+    def classify(r, y):
+        if y[0] >= 1.3:
+            verdict.append(True)
+        elif y[1] < 0.0:
+            verdict.append(False)
+        else:
+            return 0
+        return -1
+
+    # one solver serves every shot: scipy's dop853 wrapper keeps a reference to
+    # each integrator it has run, so a solver per shot would leak about 1.4 kB
+    solver = ode(_amplitude_rhs).set_integrator(
+        "dop853", rtol=rtol, atol=atol, nsteps=_MAX_STEPS)
+    solver.set_solout(classify)
+
+    def is_high(s: float) -> bool:
+        verdict.clear()
+        solver.set_initial_value(_launch(s, r0), r0)
+        with warnings.catch_warnings():
+            # the failure is raised below as a typed error, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            rho = solver.integrate(r_end)[0]
+        if not solver.successful():
+            raise NumericalError(
+                f"amplitude shot of slope {s!r} stopped at r = {solver.t:.6g} before "
+                f"r = {r_end:g} (DOP853 istate {solver.get_return_code()})")
+        return verdict[0] if verdict else bool(rho >= 1.0)
+
+    return is_high
 
 
-_turns_back.terminal = True
-_turns_back.direction = -1
-
-
-def _shoot(s: float, r_end: float, r0: float, rtol: float, atol: float, t_eval=None):
-    """Shot of slope s from r0 toward r_end; it stops at either classifying event."""
-    # origin series rho = s(r - r^3/8) + O(r^5) seeds the launch
-    y0 = (s * (r0 - r0**3 / 8.0), s * (1.0 - 3.0 * r0**2 / 8.0))
-    return solve_ivp(
-        _amplitude_rhs,
-        (r0, r_end),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        events=(_rises_past, _turns_back),
-        t_eval=t_eval,
-    )
-
-
-def _shot_is_high(sol) -> bool:
-    """Supercritical: rose past 1.3, or ended (at its turning point or r_end) above 1."""
-    if sol.t_events[0].size:
-        return True
-    return bool(sol.y[0, -1] >= 1.0)
+def validate_shooting(r_max: float, tol: float, r0: float = 1e-3,
+                      bracket: tuple[float, float] = (0.1, 1.0)) -> None:
+    """ConfigError unless r_max >= 20, 0 < tol <= 1e-6, 0 < r0 < 1, 0 < lo < hi, all finite."""
+    lo, hi = bracket
+    if not (math.isfinite(r_max) and r_max >= 20.0):
+        raise ConfigError(f"r_max must be finite and >= 20, got {r_max}")
+    if not 0.0 < tol <= 1e-6:
+        raise ConfigError(f"tol must be in (0, 1e-6], got {tol}")
+    if not 0.0 < r0 < 1.0:
+        raise ConfigError(f"launch radius r0 must be in (0, 1), got {r0}")
+    if not (math.isfinite(hi) and 0.0 < lo < hi):
+        raise ConfigError(f"slope bracket must be finite with 0 < lo < hi, got {bracket}")
 
 
 def shoot_spiral_amplitude(
@@ -606,39 +633,40 @@ def shoot_spiral_amplitude(
 ) -> ShootingSolution:
     """Solve rho'' + rho'/r - rho/r^2 + rho - rho^3 = 0, rho(0)=0, rho(inf)=1.
 
-    Launches rho = s r at r0 and bisects the slope s.  A shot stops as soon
-    as it shows its side: crossing rho = 1.3 upward makes it supercritical,
-    and its turning point (rho' crossing 0 downward) makes it collapse, since
-    rho'' = rho (rho^2 - 1 + 1/r^2) <= 0 there puts rho below 1.  A shot that
-    does neither by r_max + 10 is supercritical if it ends above 1.  The
-    bisection ends on adjacent doubles, yet no launch slope in
-    double precision rides the separatrix out to r_max: a slope ulp (1.1e-16)
-    seeds the unstable mode e^{sqrt 2 r}, which grows x4.1 per unit length,
-    moves 1 - rho(20) by 3e-5 when shot out to r = 20, and leaves the
-    separatrix altogether by r ~ 26.  Classifying 10 units past r_max only
-    settles the slope; it cannot keep the shot profile on the separatrix.
+    Launches rho = s r at r0 and bisects the slope s.  Each shot runs on
+    scipy's compiled DOP853 (Hairer, Norsett & Wanner 1993) and is classed at
+    each accepted step end, with no located events: rho >= 1.3 makes it
+    supercritical and rho' < 0 makes it collapse, and either stops it.  A
+    shot that does neither by r_max + 10 is supercritical if it ends at
+    rho >= 1.  In exact arithmetic this is the class of the first crossing:
+    at a turning point rho'' = rho (rho^2 - 1 + 1/r^2) <= 0 puts rho below 1,
+    and past 1.3 rho'' > 0, so a shot that rose past 1.3 never turns back and
+    no step end can show both.  An integrator failure raises NumericalError.
 
-    So the profile is the lower bracket end's trajectory on [0, 10], where
-    both bracket ends agree to about 1e-11, joined to a boundary-value solve
-    (solve_bvp, tolerance `tol`) on [10, r_max + 10] with rho(10) from that
-    trajectory and the three-term far-field series
-    rho = 1 - 1/(2 r^2) - 9/(8 r^4) - 161/(16 r^6) at r_max + 10.  Nothing is
-    integrated outward along the unstable direction there; the error of the
-    series end condition decays inward as e^{-sqrt 2 (r_max + 10 - r)}, so
-    the reported window sits on the separatrix tail: 1 - rho(20) = 1.2572e-3,
-    within 1.7e-7 of 1/(2 r^2) + 9/(8 r^4).
+    The bisection ends on adjacent doubles, yet no launch slope in double
+    precision rides the separatrix out to r_max: a slope ulp (1.1e-16) seeds
+    the unstable mode e^{sqrt 2 r}, which grows x4.1 per unit length, moves
+    1 - rho(20) by 3e-5 when shot out to r = 20, and leaves the separatrix
+    altogether by r ~ 26.  Classifying 10 units past r_max only settles the
+    slope; it cannot keep the shot profile on the separatrix.
+
+    So the profile is the lower bracket end's trajectory on [0, 10] (one
+    solve_ivp DOP853 shot), where both bracket ends agree to about 1e-11,
+    joined to a boundary-value solve (solve_bvp, tolerance `tol`) on
+    [10, r_max + 10] with rho(10) from that trajectory and the three-term
+    far-field series rho = 1 - 1/(2 r^2) - 9/(8 r^4) - 161/(16 r^6) at
+    r_max + 10.  Nothing is integrated outward along the unstable direction
+    there; the error of the series end condition decays inward as
+    e^{-sqrt 2 (r_max + 10 - r)}, so the reported window sits on the
+    separatrix tail: 1 - rho(20) = 1.2572e-3, within 1.7e-7 of
+    1/(2 r^2) + 9/(8 r^4).  Inputs are checked by `validate_shooting`.
     """
-    if not r_max >= 20.0:
-        raise ConfigError(f"r_max must be >= 20, got {r_max}")
-    if not 0.0 < tol <= 1e-6:
-        raise ConfigError(f"tol must be in (0, 1e-6], got {tol}")
+    validate_shooting(r_max, tol, r0, bracket)
     rtol = max(tol / 1e4, 1e-13)
     atol = rtol * 1e-2
     r_far = r_max + 10.0  # end of slope classification and of the outer BVP
 
-    def is_high(s: float) -> bool:
-        return _shot_is_high(_shoot(s, r_far, r0, rtol, atol))
-
+    is_high = _shot_classifier(r_far, r0, rtol, atol)
     lo, hi = bracket
     if is_high(lo) or not is_high(hi):
         raise BracketError(f"slope bracket {bracket} does not straddle the solution")
@@ -656,7 +684,8 @@ def shoot_spiral_amplitude(
     slope = 0.5 * (lo + hi)
     nodes = np.linspace(0.0, r_max, n_profile)
     inner = (nodes >= r0) & (nodes < _R_MATCH)
-    shot = _shoot(lo, _R_MATCH, r0, rtol, atol, t_eval=np.append(nodes[inner], _R_MATCH))
+    shot = solve_ivp(_amplitude_rhs, (r0, _R_MATCH), _launch(lo, r0), method="DOP853",
+                     rtol=rtol, atol=atol, t_eval=np.append(nodes[inner], _R_MATCH))
     rho_match = float(shot.y[0, -1])
 
     rho_far = _far_series(r_far)[0]

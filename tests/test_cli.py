@@ -131,6 +131,19 @@ def test_shoot_artifacts(tmp_path):
     assert float(last["r2_one_minus_rho_sq"]) == pytest.approx(1.0, abs=0.3)
 
 
+def test_shoot_infinite_rmax_exits_2(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["shoot", "--rmax", "inf", "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+    assert "r_max must be finite" in capsys.readouterr().err
+
+
+def test_shoot_integrator_failure_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("eikolab.radial._MAX_STEPS", 5)
+    assert main(["shoot", "--out", str(tmp_path / "s")]) == EXIT_NUMERICAL
+    assert "istate -2" in capsys.readouterr().err
+
+
 def test_config_file_merge_and_cli_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"N": 128, "L": 60.0, "dt": 0.25}))
@@ -436,6 +449,12 @@ def test_figure_dry_runs(tmp_path):
         assert main([cmd, "--dry-run", "--out", str(out)]) == EXIT_OK
         names = sorted(p.name for p in out.iterdir())
         assert names == ["manifest.json"]
+
+
+def test_figure3_dry_run_rejects_what_the_run_rejects(tmp_path):
+    for extra in ([], ["--dry-run"]):
+        out = tmp_path / f"fig3{len(extra)}"
+        assert main(["figure3", "--rmax", "5", "--out", str(out), *extra]) == EXIT_CONFIG
 
 
 def test_figure3_outputs(tmp_path):

@@ -1,15 +1,18 @@
 """Radial machinery: grids, quadrature, corrector, L_lambda, far field, shooting."""
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 
+from eikolab import radial
 from eikolab.errors import (
     BracketError,
     ConfigError,
     DomainError,
     NonContractionError,
+    NumericalError,
     RangeError,
 )
 from eikolab.profiles import CutoffSpec, InhomogeneitySpec, evaluate_g, smooth_cutoff
@@ -19,8 +22,8 @@ from eikolab.radial import (
     RadialProfile,
     SpiralCoefficients,
     _amplitude_rhs,
-    _shoot,
-    _shot_is_high,
+    _launch,
+    _shot_classifier,
     apply_inverse_L_lambda,
     cumulative_integral,
     eikonal_coefficients,
@@ -349,6 +352,8 @@ def test_shooting_selected_slope(amplitude_solution):
     assert amplitude_solution.slope_origin == pytest.approx(
         0.5831894958602174, abs=1e-9
     )
+    # the frozen value came from event-located shots; step-end classes land within 1e-12
+    assert abs(amplitude_solution.slope_origin - 0.5831894958602174) <= 1e-12
     lo, hi = amplitude_solution.bracket
     assert hi - lo <= 1e-15
     assert amplitude_solution.bisections >= 45
@@ -388,20 +393,28 @@ def test_shooting_window_on_far_field_series(r_max):
 
 def test_shot_stopped_at_its_turning_point_keeps_its_class(amplitude_solution):
     # a shot that stops where rho' turns negative must be classed as the same
-    # shot run out to r_max + 10 would be: rho crossed 1.3, or rho(30) >= 1
+    # compiled DOP853 shot run out to r_max + 10 would be: rho reached 1.3 at
+    # a step end, or rho(30) >= 1
     r0, rtol, atol, r_far = 1e-3, 1e-12, 1e-14, 30.0
 
     def full_length_is_high(s):
-        rise = lambda r, y: y[0] - 1.3  # noqa: E731
-        rise.terminal = True
-        rise.direction = 1
-        y0 = (s * (r0 - r0**3 / 8.0), s * (1.0 - 3.0 * r0**2 / 8.0))
-        sol = solve_ivp(_amplitude_rhs, (r0, r_far), y0, method="DOP853",
-                        rtol=rtol, atol=atol, events=(rise,))
-        return bool(sol.t_events[0].size) or sol.y[0, -1] >= 1.0
+        rose = []
 
-    def early_exit_is_high(s):
-        return _shot_is_high(_shoot(s, r_far, r0, rtol, atol))
+        def rise(r, y):
+            if y[0] >= 1.3:
+                rose.append(r)
+                return -1
+            return 0
+
+        solver = ode(_amplitude_rhs).set_integrator(
+            "dop853", rtol=rtol, atol=atol, nsteps=radial._MAX_STEPS)
+        solver.set_solout(rise)
+        solver.set_initial_value(_launch(s, r0), r0)
+        rho = solver.integrate(r_far)[0]
+        assert solver.successful(), s
+        return bool(rose) or rho >= 1.0
+
+    early_exit_is_high = _shot_classifier(r_far, r0, rtol, atol)
 
     # replay the bisection with the full-length rule: same midpoints, same end
     lo, hi = 0.1, 1.0
@@ -420,6 +433,48 @@ def test_shot_stopped_at_its_turning_point_keeps_its_class(amplitude_solution):
         assert early_exit_is_high(s) == high, s
 
 
+def _event_located_is_high(s, r_far=30.0, r0=1e-3, rtol=1e-12, atol=1e-14):
+    """Class of the shot of slope s by solve_ivp's DOP853 with located events."""
+    def rise(r, y):
+        return y[0] - 1.3
+
+    def turn(r, y):
+        return y[1]
+
+    rise.terminal = turn.terminal = True
+    rise.direction, turn.direction = 1, -1
+    sol = solve_ivp(_amplitude_rhs, (r0, r_far), _launch(s, r0), method="DOP853",
+                    rtol=rtol, atol=atol, events=(rise, turn))
+    assert sol.success, s
+    return bool(sol.t_events[0].size) or bool(sol.y[0, -1] >= 1.0)
+
+
+@pytest.mark.parametrize("offset", [1e-10, 1e-8, 1e-6, 1e-3, 0.1])
+def test_step_end_class_matches_event_located_class(amplitude_solution, offset):
+    # an independent integrator with located crossings classes every slope
+    # off the separatrix as the compiled step-end classifier does
+    s_star = amplitude_solution.slope_origin
+    is_high = _shot_classifier(30.0, 1e-3, 1e-12, 1e-14)
+    for s, high in ((s_star - offset, False), (s_star + offset, True)):
+        assert is_high(s) == high, s
+        assert _event_located_is_high(s) == high, s
+
+
+def test_shooting_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shoot_spiral_amplitude(20.0, 1e-8)
+
+
+def test_failed_shot_raises_numerical_error(monkeypatch):
+    # a shot that runs out of steps must not be classed at the point it stopped
+    monkeypatch.setattr(radial, "_MAX_STEPS", 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"slope 0\.1 .*istate -2"):
+            shoot_spiral_amplitude(20.0, 1e-8)
+
+
 def test_shooting_validation():
     with pytest.raises(ConfigError):
         shoot_spiral_amplitude(r_max=10.0)
@@ -427,6 +482,27 @@ def test_shooting_validation():
         shoot_spiral_amplitude(tol=1e-3)
     with pytest.raises(BracketError):
         shoot_spiral_amplitude(bracket=(0.9, 1.0))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"r_max": math.inf},
+    {"r_max": math.nan},
+    {"tol": 0.0},
+    {"tol": math.nan},
+    {"r0": 0.0},
+    {"r0": -1e-3},
+    {"r0": 1.0},
+    {"r0": math.inf},
+    {"bracket": (math.nan, 1.0)},
+    {"bracket": (0.1, math.nan)},
+    {"bracket": (0.1, math.inf)},
+    {"bracket": (-math.inf, 1.0)},
+    {"bracket": (0.0, 1.0)},
+    {"bracket": (1.0, 0.1)},
+])
+def test_shooting_rejects_bad_input(kwargs):
+    with pytest.raises(ConfigError):
+        shoot_spiral_amplitude(**kwargs)
 
 
 # --------------------------------------------------------- eikonal reduction
