@@ -9,7 +9,7 @@ The overall prefactor C multiplying k is never derived, only fitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ CONVENTION_SIMULATION = "simulation"
 
 BRANCH_CLOSED_FORM = "closed_form"
 BRANCH_TRUNCATED = "truncated"
+BRANCH_SUBCRITICAL = "subcritical"  # p <= SUBCRITICAL_P: no law to compare with
 
 # 2 e^{-gamma}: the K0 small-argument constant that sets the law's prefactor
 LAW_PREFACTOR = 2.0 * math.exp(-EULER_GAMMA)
@@ -181,6 +182,11 @@ class ComparisonRow:
     steady: bool
     branch: str
 
+    @property
+    def used(self) -> bool:
+        """Whether the row entered the prefactor fit."""
+        return self.steady and self.branch != BRANCH_SUBCRITICAL
+
 
 @dataclass(frozen=True)
 class ComparisonTable:
@@ -193,61 +199,63 @@ class ComparisonTable:
     n_excluded: int
 
 
-def _resolve_run(params: Mapping, convention_R: float):
-    """(p, a_sim, branch) for one sweep entry."""
+def _resolve_run(params: Mapping, p: float, convention_R: float):
+    """(a_sim, branch) for one sweep entry of defect exponent p."""
     if "a_sim" in params:
-        return float(params.get("p", math.nan)), float(params["a_sim"]), "given"
+        return float(params["a_sim"]), "given"
     amplitude = float(params["A"]) if "A" in params else float(params["amplitude"])
-    p = float(params["p"])
     eff = amplitude * float(params.get("eps", 1.0)) * float(params.get("b", 1.0))
     fam = predict_k_for_family(eff, p, convention_R=convention_R)
-    return p, fam.a_sim, fam.branch
+    return fam.a_sim, fam.branch
 
 
 def compare_prediction_to_runs(sweep: Sequence[tuple[Mapping, object]],
                                convention_R: float = 3.0) -> ComparisonTable:
     """Fit the one free prefactor C over steady runs and report log residuals.
 
-    Non-steady runs stay in the table flagged steady=False with nan residual;
-    they never enter the fit.
+    Runs with p <= SUBCRITICAL_P are outside the theorem: they stay in the
+    table on the subcritical branch with nan k_shape and residual, and do not
+    count towards the 3 runs needed.  Non-steady runs stay in the table
+    flagged steady=False with nan residual.  Neither enters the fit.
     """
-    if len(sweep) < 3:
-        raise StatisticsError(f"need at least 3 runs to compare, got {len(sweep)}")
-    resolved = []
+    rows = []
     for params, report in sweep:
-        p, a_sim, branch = _resolve_run(params, convention_R)
-        if not a_sim > 0.0:
-            raise ConventionError(f"run has non-positive a_sim = {a_sim}")
-        k_shape = math.exp(-1.0 / a_sim)
         steady = bool(getattr(report, "converged", True))
         k_measured = float(report.k_measured)
+        p = float(params.get("p", math.nan))
+        if p <= SUBCRITICAL_P:
+            a_sim = float(params.get("a_sim", math.nan))
+            rows.append(ComparisonRow(p, a_sim, k_measured, math.nan, math.nan, steady,
+                                      BRANCH_SUBCRITICAL))
+            continue
+        a_sim, branch = _resolve_run(params, p, convention_R)
+        if not a_sim > 0.0:
+            raise ConventionError(f"run has non-positive a_sim = {a_sim}")
         if steady and not k_measured > 0.0:
             raise DomainError(
                 f"steady run reports non-positive k_measured = {k_measured}"
             )
-        resolved.append((p, a_sim, k_measured, k_shape, steady, branch))
+        rows.append(ComparisonRow(p, a_sim, k_measured, math.exp(-1.0 / a_sim), math.nan,
+                                  steady, branch))
+    n_comparable = sum(r.branch != BRANCH_SUBCRITICAL for r in rows)
+    if n_comparable < 3:
+        raise StatisticsError(
+            f"need at least 3 runs with p > {SUBCRITICAL_P} to compare, got {n_comparable}")
 
-    used = [(math.log(km) - math.log(ks)) for p, a, km, ks, s, br in resolved if s]
+    used = [math.log(r.k_measured) - math.log(r.k_shape) for r in rows if r.used]
     if not used:
         raise StatisticsError("no steady runs available to fit the prefactor")
     log_c = float(np.mean(used))
-    c_fitted = math.exp(log_c)
-
-    rows = []
     sq = 0.0
-    for p, a_sim, k_measured, k_shape, steady, branch in resolved:
-        if steady:
-            res = math.log(k_measured) - math.log(k_shape) - log_c
+    for i, r in enumerate(rows):
+        if r.used:
+            res = math.log(r.k_measured) - math.log(r.k_shape) - log_c
             sq += res * res
-        else:
-            res = math.nan
-        rows.append(
-            ComparisonRow(p, a_sim, k_measured, k_shape, res, steady, branch)
-        )
+            rows[i] = replace(r, log_residual=res)
     return ComparisonTable(
         rows=tuple(rows),
-        c_fitted=c_fitted,
+        c_fitted=math.exp(log_c),
         rms_log_residual=math.sqrt(sq / len(used)),
         n_used=len(used),
-        n_excluded=len(resolved) - len(used),
+        n_excluded=len(rows) - len(used),
     )

@@ -29,7 +29,7 @@ import scipy
 from . import __version__
 from .asymptotics import make_prediction, predict_k_for_family
 from .asymptotics import compare_prediction_to_runs
-from .errors import BlowUpError, ConfigError, NumericalError
+from .errors import BlowUpError, ConfigError, NumericalError, StatisticsError
 from .measure import ANNULUS_FRACTIONS, fit_k_law, fit_log_k_vs_inv_a
 from .measure import measure_wavenumber, radial_gradient_profile
 from .profiles import CutoffSpec, InhomogeneitySpec, core_mass, evaluate_g
@@ -445,8 +445,6 @@ def _write_sweep_table(cfg, out: Path, members, results):
 
 
 def cmd_measure(args) -> int:
-    if not args.field:
-        raise ConfigError("--field <snapshot prefix> is required")
     phi = read_field_snapshot(args.field)
     annulus = None
     if args.annulus:
@@ -513,7 +511,7 @@ def cmd_compare(args) -> int:
             for r in table.rows
         ],
     )
-    steady_pts = [(r.a_sim, r.k_measured) for r in table.rows if r.steady]
+    steady_pts = [(r.a_sim, r.k_measured) for r in table.rows if r.used]
     summary = {
         "c_fitted": table.c_fitted,
         "rms_log_residual": table.rms_log_residual,
@@ -712,17 +710,17 @@ def _write_figure2(cfg, out: Path, members, results):
     )
     write_csv(out / "fig2b_profiles.csv", ["p", "r", "dphidr"], profile_rows)
 
-    comparable = [
-        (entry["params"], SimpleNamespace(**entry["report"]))
-        for (_eps, p, _a, _name), (entry, _report) in zip(members, results)
-        if p > SUBCRITICAL_P
-    ]
     summary = {"plateau": {f"{row[0]:g}": bool(row[6]) for row in k_rows}}
-    if len(comparable) >= 3:
-        table = compare_prediction_to_runs(comparable, convention_R=r_cut)
+    try:
+        table = compare_prediction_to_runs(
+            [(entry["params"], SimpleNamespace(**entry["report"])) for entry, _ in results],
+            convention_R=r_cut)
+    except StatisticsError:  # fewer than 3 runs with p > SUBCRITICAL_P, or none steady
+        pass
+    else:
         summary["c_fitted"] = table.c_fitted
         summary["rms_log_residual"] = table.rms_log_residual
-        steady_pts = [(r.a_sim, r.k_measured) for r in table.rows if r.steady]
+        steady_pts = [(r.a_sim, r.k_measured) for r in table.rows if r.used]
         if len(steady_pts) >= 4:
             fit = fit_log_k_vs_inv_a(steady_pts)
             summary["log_k_vs_inv_a_pearson"] = fit.pearson_r

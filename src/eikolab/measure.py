@@ -8,7 +8,7 @@ transform y = 1/(log k - 1) against a and through log k against -1/a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -117,7 +117,10 @@ def plateau_value(profile: RadialProfile, window: tuple[float, float]) -> float:
 
 @dataclass(frozen=True)
 class SteadyStateReport:
-    """Observables of one run: wavenumber, drift frequency, residual, profile."""
+    """The record of one run: its observables and how the run got there.
+
+    as_dict is the schema of report.json and of each runs.json report.
+    """
 
     k_measured: float
     omega_drift: float
@@ -137,23 +140,10 @@ class SteadyStateReport:
     corner_ratio: float = math.nan
 
     def as_dict(self, include_profile: bool = True) -> dict:
-        out = {
-            "k_measured": self.k_measured,
-            "omega_drift": self.omega_drift,
-            "steady_residual": self.steady_residual,
-            "annulus": list(self.annulus),
-            "converged": self.converged,
-            "steady_tol": self.steady_tol,
-            "t_final": self.t_final,
-            "steps": self.steps,
-            "dt_steps": self.dt_steps,
-            "dt_rejections": self.dt_rejections,
-            "start_residual": self.start_residual,
-            "coarse_steps": self.coarse_steps,
-            "start": self.start,
-            "start_omega": self.start_omega,
-            "corner_ratio": self.corner_ratio,
-        }
+        """Every field in declaration order, the radial profile last (if included)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "radial_profile"}
+        out["annulus"] = list(self.annulus)
         if include_profile:
             out["radial_profile"] = {
                 "r": self.radial_profile.grid.nodes.tolist(),
@@ -170,34 +160,14 @@ class SteadyStateReport:
         return out
 
 
-def build_report(phi: Field2D, *, omega_drift: float, steady_residual: float,
-                 steady_tol: float, converged: bool, t_final: float, steps: int,
-                 corner_ratio: float, dt_steps: list | None = None,
-                 dt_rejections: int = 0, start_residual: float | None = None,
-                 coarse_steps: int = 0,
-                 start: str = "rest", start_omega: float | None = None,
-                 annulus: tuple[float, float] | None = None,
-                 n_bins: int = 64) -> SteadyStateReport:
-    if annulus is None:
-        annulus = default_annulus(phi.grid)
-    return SteadyStateReport(
-        k_measured=measure_wavenumber(phi, annulus),
-        omega_drift=omega_drift,
-        steady_residual=steady_residual,
-        annulus=annulus,
-        radial_profile=radial_gradient_profile(phi, n_bins),
-        converged=converged,
-        steady_tol=steady_tol,
-        t_final=t_final,
-        steps=steps,
-        dt_steps=dt_steps or [],
-        dt_rejections=dt_rejections,
-        start_residual=start_residual,
-        coarse_steps=coarse_steps,
-        start=start,
-        start_omega=start_omega,
-        corner_ratio=corner_ratio,
-    )
+def build_report(phi: Field2D, **run) -> SteadyStateReport:
+    """The run record of phi: k over the default annulus and the radial
+    gradient profile are measured here, every other SteadyStateReport field
+    is passed through by name."""
+    annulus = default_annulus(phi.grid)
+    return SteadyStateReport(k_measured=measure_wavenumber(phi, annulus),
+                             annulus=annulus,
+                             radial_profile=radial_gradient_profile(phi), **run)
 
 
 # ------------------------------------------------------------------ fitting

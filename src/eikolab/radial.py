@@ -14,6 +14,7 @@ the interior).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -566,6 +567,10 @@ def _launch(s: float, r0: float):
 
 
 _MAX_STEPS = 10_000  # DOP853 step cap per classifying shot; default shots take 41-177
+_RHO_HIGH = 1.3  # a shot that reaches it is supercritical
+# r0 * r0 in the right-hand side must stay a normal double: below this it
+# loses digits, and by r0 ~ 1e-162 it underflows to 0
+_R0_MIN = math.sqrt(sys.float_info.min)
 
 
 def _shot_classifier(r_end: float, r0: float, rtol: float,
@@ -574,13 +579,15 @@ def _shot_classifier(r_end: float, r0: float, rtol: float,
 
     Read at each accepted step end: rho >= 1.3 is supercritical, rho' < 0 (past
     the turning point) collapses; either stops the shot.  A shot that does
-    neither by r_end is supercritical if it ends at rho >= 1.  An integrator
-    failure raises NumericalError instead of classing the point it stopped at.
+    neither by r_end is supercritical if it ends at rho >= 1.  A slope that
+    launches at rho >= 1.3 is supercritical without a shot, whose first
+    right-hand side could overflow.  An integrator failure raises
+    NumericalError instead of classing the point it stopped at.
     """
     verdict = []
 
     def classify(r, y):
-        if y[0] >= 1.3:
+        if y[0] >= _RHO_HIGH:
             verdict.append(True)
         elif y[1] < 0.0:
             verdict.append(False)
@@ -595,8 +602,11 @@ def _shot_classifier(r_end: float, r0: float, rtol: float,
     solver.set_solout(classify)
 
     def is_high(s: float) -> bool:
+        launch = _launch(s, r0)
+        if launch[0] >= _RHO_HIGH:
+            return True
         verdict.clear()
-        solver.set_initial_value(_launch(s, r0), r0)
+        solver.set_initial_value(launch, r0)
         with warnings.catch_warnings():
             # the failure is raised below as a typed error, not warned about
             warnings.simplefilter("ignore", UserWarning)
@@ -612,14 +622,14 @@ def _shot_classifier(r_end: float, r0: float, rtol: float,
 
 def validate_shooting(r_max: float, tol: float, r0: float = 1e-3,
                       bracket: tuple[float, float] = (0.1, 1.0)) -> None:
-    """ConfigError unless r_max >= 20, 0 < tol <= 1e-6, 0 < r0 < 1, 0 < lo < hi, all finite."""
+    """ConfigError unless r_max >= 20, 0 < tol <= 1e-6, _R0_MIN <= r0 < 1, 0 < lo < hi, all finite."""
     lo, hi = bracket
     if not (math.isfinite(r_max) and r_max >= 20.0):
         raise ConfigError(f"r_max must be finite and >= 20, got {r_max}")
     if not 0.0 < tol <= 1e-6:
         raise ConfigError(f"tol must be in (0, 1e-6], got {tol}")
-    if not 0.0 < r0 < 1.0:
-        raise ConfigError(f"launch radius r0 must be in (0, 1), got {r0}")
+    if not _R0_MIN <= r0 < 1.0:
+        raise ConfigError(f"launch radius r0 must be in [{_R0_MIN:.4g}, 1), got {r0}")
     if not (math.isfinite(hi) and 0.0 < lo < hi):
         raise ConfigError(f"slope bracket must be finite with 0 < lo < hi, got {bracket}")
 

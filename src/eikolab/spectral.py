@@ -6,10 +6,12 @@ ETDRK4 stages.  phi-function coefficient tables are evaluated by averaging the
 analytic formulas over a 32-point unit circle around each -|k|^2 dt (Taylor
 series below |z| = 1e-2), which sidesteps the cancellation instability near 0.
 The quadratic product is dealiased with the 2/3 rule; the forcing enters as an
-exact spectral constant.  run_to_steady warm-starts from the half grid's
-locked state where that grid resolves the defect core, else from the
-Hopf-Cole eigenstate continued along its far-field asymptote, and relaxes a
-warm start with a growing time step.
+exact spectral constant.  A plan depends on (grid, dt) alone, so make_plan
+keeps the last PLAN_CACHE_SIZE plans, read-only, for every run and thread of
+the process: the members of a sweep share one set per ladder step.
+run_to_steady warm-starts from the half grid's locked state where that grid
+resolves the defect core, else from the Hopf-Cole eigenstate continued along
+its far-field asymptote, and relaxes a warm start with a growing time step.
 """
 from __future__ import annotations
 
@@ -168,7 +170,16 @@ class ETDRK4Plan:
     dealias_mask: np.ndarray
 
 
+# The runs of a sweep revisit a few (grid, dt) pairs: the dt ladder
+# (LADDER_TOP + 1 steps) of their grid and of each half grid.  8 holds the
+# ladders of two grids; a bound of LADDER_TOP + 1 measured a higher peak RSS
+# for a 512-grid run, not a lower one.
+PLAN_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def make_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
+    """The ETDRK4 tables for (grid, dt), cached and read-only: runs share them."""
     if not dt > 0:
         raise ConfigError(f"dt must be > 0, got {dt}")
     ikx, iky, minus_ksq, mask = _spectral_tools(grid)
@@ -188,6 +199,8 @@ def make_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
     f2 = dt * (phi2 - 2.0 * phi3)
     f3 = dt * (4.0 * phi3 - phi2)
     tables = [_mirror_kx(t) for t in (e_full, e_half, q_half, f1, f2, f3)]
+    for t in tables:
+        t.flags.writeable = False
     return ETDRK4Plan(grid, dt, minus_ksq, *tables, ikx, iky, mask)
 
 
@@ -285,14 +298,17 @@ LADDER_TOP = 2
 
 
 class Relaxation(NamedTuple):
-    """What _relax returns: the last spectrum and how the run got there."""
+    """What _relax returns: the last spectrum and how the run got there.
+
+    Every field but uhat is the SteadyStateReport field of the same name.
+    """
 
     uhat: np.ndarray
     steps: int
     converged: bool
-    residual: float
+    steady_residual: float
     omega_drift: float
-    t: float  # sum of the time steps taken
+    t_final: float  # sum of the time steps taken
     dt_steps: list  # [dt, steps taken at that dt], by ascending dt
     dt_rejections: int  # steps dropped after a blow-up above config.dt
     start_residual: float | None  # the start's residual, taken on the ladder only
@@ -320,16 +336,6 @@ def _relax(config: SimulationConfig, uhat: np.ndarray,
     ghat = np.fft.rfft2(sample_defect(grid, config.defect).values)
     disk = grid.radius_grid() <= 0.45 * grid.l
     n_ticks = int(math.ceil(config.t_max / dt))  # time budget in units of dt
-    plans = {}  # level -> plan, the most recently used last
-
-    def plan_at(level):
-        if level in plans:
-            plans[level] = plans.pop(level)
-        else:
-            if len(plans) == 2:  # at most two plans alive
-                del plans[next(iter(plans))]
-            plans[level] = make_plan(grid, dt * 2**level)
-        return plans[level]
 
     def steady_residual(u, n, plan):
         """(residual, omega_drift) from phi_t = L u + n, None if not finite."""
@@ -349,14 +355,15 @@ def _relax(config: SimulationConfig, uhat: np.ndarray,
     omega_drift = 0.0
     # overflow on the way to a blow-up is reported by BlowUpError alone
     with np.errstate(over="ignore", invalid="ignore"):
-        n0 = _nonlinear_hat(uhat, plan_at(0), b, eps, ghat)
+        plan = make_plan(grid, dt)
+        n0 = _nonlinear_hat(uhat, plan, b, eps, ghat)
         if ladder:  # the start's residual is the first r_prev
-            start = steady_residual(uhat, n0, plan_at(0))
+            start = steady_residual(uhat, n0, plan)
             residual = None if start is None else start[0]
         start_residual = residual
         while ticks < n_ticks:
             level = min(level, (n_ticks - ticks).bit_length() - 1)
-            plan = plan_at(level)
+            plan = make_plan(grid, dt * 2**level)
             new = _step_hat(uhat, plan, b, eps, ghat, n0)
             n_new = _nonlinear_hat(new, plan, b, eps, ghat)
             ends = ticks + (1 << level) >= n_ticks
@@ -597,22 +604,11 @@ def run_to_steady(config: SimulationConfig):
     run = _relax(config, start, ladder=start_kind != "rest")
 
     phi = Field2D(grid, np.fft.irfft2(run.uhat, s=(grid.n, grid.n)), spectral=run.uhat)
-    report = build_report(
-        phi,
-        omega_drift=run.omega_drift,
-        steady_residual=run.residual,
-        steady_tol=config.steady_tol,
-        converged=run.converged,
-        t_final=run.t,
-        steps=run.steps,
-        dt_steps=run.dt_steps,
-        dt_rejections=run.dt_rejections,
-        start_residual=run.start_residual,
-        coarse_steps=coarse_steps,
-        start=start_kind,
-        start_omega=start_omega,
-        corner_ratio=corner_ratio,
-    )
+    record = run._asdict()
+    del record["uhat"]
+    report = build_report(phi, **record, steady_tol=config.steady_tol,
+                          coarse_steps=coarse_steps, start=start_kind,
+                          start_omega=start_omega, corner_ratio=corner_ratio)
     return phi, report
 
 

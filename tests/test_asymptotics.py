@@ -203,3 +203,26 @@ def test_compare_guards():
     ]
     with pytest.raises(StatisticsError):
         compare_prediction_to_runs(all_dead)
+
+
+def test_compare_lists_subcritical_runs_as_excluded():
+    # p <= 1/2 controls carry a NaN a_sim: listed, never fitted, not counted
+    control = ({"p": 0.3, "a_sim": math.nan}, _report(0.7))
+    sweep = [
+        ({"p": 0.8, "a_sim": 0.6}, _report(math.exp(-1.0 / 0.6))),
+        control,
+        ({"p": 1.5, "a_sim": 0.9}, _report(math.exp(-1.0 / 0.9))),
+    ]
+    with pytest.raises(StatisticsError):
+        compare_prediction_to_runs(sweep)
+    sweep.append(({"p": 2.0, "a_sim": 1.2}, _report(math.exp(-1.0 / 1.2))))
+    table = compare_prediction_to_runs(sweep)
+    assert table.c_fitted == pytest.approx(1.0, rel=1e-12)
+    assert (table.n_used, table.n_excluded) == (3, 1)
+    row = table.rows[1]
+    assert (row.p, row.branch, row.steady, row.used) == (0.3, "subcritical", True, False)
+    assert math.isnan(row.k_shape) and math.isnan(row.log_residual)
+    # a negative mass above the threshold is still a sign error
+    sweep[0] = ({"p": 0.8, "a_sim": -0.6}, _report(0.2))
+    with pytest.raises(ConventionError):
+        compare_prediction_to_runs(sweep)

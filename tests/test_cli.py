@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import eikolab
+from eikolab import spectral
 from eikolab.asymptotics import predict_k_for_family
 from eikolab.cli import (
     EXIT_CONFIG,
@@ -427,6 +428,41 @@ def test_figure2_small_grid(tmp_path):
     assert ks[0] > ks[1] > ks[2]  # selected wavenumber falls as the tail steepens
     prof_ps = {r["p"] for r in read_csv(out / "fig2b_profiles.csv")}
     assert len(prof_ps) == 3
+
+
+def test_compare_reads_figure2_output(tmp_path):
+    # figure2 records its p = 0.3 control with a NaN a_sim; compare lists it
+    # as excluded and fits the rest, as figure2's own summary does
+    out = tmp_path / "f2"
+    assert main(["figure2", "--p-grid", "0.3,0.8,1.5,2.0", "--N", "64", "--L", "50",
+                 "--t-max", "1500", "--out", str(out)]) == EXIT_OK
+    assert main(["compare", "--runs", str(out)]) == EXIT_OK
+    rows = read_csv(out / "compare.csv")
+    assert (rows[0]["branch"], rows[0]["log_residual"]) == ("subcritical", "nan")
+    summary = json.loads((out / "compare_summary.json").read_text())
+    assert (summary["n_used"], summary["n_excluded"]) == (3, 1)
+    fig2 = json.loads((out / "fig2_summary.json").read_text())
+    assert summary["c_fitted"] == fig2["c_fitted"]
+
+
+def test_compare_rejects_a_negative_mass(tmp_path, capsys):
+    entries = [{"params": {"p": p, "a_sim": a}, "report": {"k_measured": 0.2}}
+               for p, a in ((0.8, -0.6), (1.5, 0.9), (2.0, 1.2))]
+    (tmp_path / "runs.json").write_text(json.dumps(entries))
+    assert main(["compare", "--runs", str(tmp_path)]) == EXIT_CONFIG
+    assert "non-positive a_sim" in capsys.readouterr().err
+
+
+def test_sweep_builds_each_plan_once(tmp_path):
+    # the plan cache serves every member: one build per distinct (grid, dt)
+    spectral.make_plan.cache_clear()
+    out = tmp_path / "fig1"
+    assert main(["figure1", "--a-values", "0.9,1.5", "--N", "64", "--L", "50",
+                 "--jobs", "1", "--out", str(out)]) == EXIT_OK
+    runs = json.loads((out / "runs.json").read_text())
+    dts = {dt for entry in runs for dt, _ in entry["report"]["dt_steps"]}
+    assert len(runs) == 2 and len(dts) > 1
+    assert spectral.make_plan.cache_info().misses == len(dts)
 
 
 def test_figure1_subcritical_members_do_not_fail(tmp_path):

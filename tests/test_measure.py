@@ -1,4 +1,5 @@
 """Field measurement: azimuthal binning, annulus statistics, sweep fits."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from eikolab.errors import ConfigError, DomainError, StatisticsError
 from eikolab.measure import (
+    SteadyStateReport,
     azimuthal_average,
     build_report,
     default_annulus,
@@ -108,6 +110,16 @@ def test_build_report_and_dict_round_trip():
     assert d["converged"] is True
     assert len(d["radial_profile"]["r"]) == len(d["radial_profile"]["value"])
     assert "radial_profile" not in rep.as_dict(include_profile=False)
+
+
+def test_report_dict_keys_are_the_dataclass_fields():
+    _, field, _, _ = _bump_field()
+    rep = build_report(field, omega_drift=0.25, steady_residual=1e-6)
+    names = [f.name for f in dataclasses.fields(SteadyStateReport)]
+    assert list(rep.as_dict(include_profile=False)) == [
+        name for name in names if name != "radial_profile"]
+    assert list(rep.as_dict())[-1] == "radial_profile"
+    assert rep.as_dict()["annulus"] == list(default_annulus(field.grid))
 
 
 # ------------------------------------------------------------------ fits

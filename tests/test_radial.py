@@ -464,6 +464,10 @@ def test_shooting_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         shoot_spiral_amplitude(20.0, 1e-8)
+        # at s = 1e200 the launch value rho(r0) = 1e197 classes the shot high
+        # before its first right-hand side, which would overflow
+        wide = shoot_spiral_amplitude(20.0, 1e-8, bracket=(0.1, 1e200))
+    assert abs(wide.slope_origin - 0.5831894958602174) <= 1e-12
 
 
 def test_failed_shot_raises_numerical_error(monkeypatch):
@@ -499,10 +503,13 @@ def test_shooting_validation():
     {"bracket": (-math.inf, 1.0)},
     {"bracket": (0.0, 1.0)},
     {"bracket": (1.0, 0.1)},
+    {"r0": 1e-200},  # r0 * r0 underflows in the right-hand side
 ])
 def test_shooting_rejects_bad_input(kwargs):
-    with pytest.raises(ConfigError):
-        shoot_spiral_amplitude(**kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            shoot_spiral_amplitude(**kwargs)
 
 
 # --------------------------------------------------------- eikonal reduction

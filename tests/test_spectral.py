@@ -1,4 +1,5 @@
 """Periodic spectral stepper: exactness identities, convergence, round-trips."""
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -9,12 +10,13 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from eikolab.errors import BlowUpError, ConfigError
 from eikolab.profiles import SUBCRITICAL_P, InhomogeneitySpec
-from eikolab.measure import measure_wavenumber
+from eikolab.measure import SteadyStateReport, measure_wavenumber
 from eikolab import spectral
 from eikolab.spectral import (
     LADDER_TOP,
     Field2D,
     GridSpec2D,
+    Relaxation,
     SimulationConfig,
     _hopf_cole_eigen,
     _hopf_cole_start,
@@ -120,6 +122,12 @@ def test_plans_share_the_cached_spectral_tools():
         assert table is getattr(coarse, name)
         assert not table.flags.writeable
     assert _spectral_tools(GridSpec2D(64, 10.0)) is _spectral_tools(grid)
+    # the plans are cached too, and pool threads share them: no caller may
+    # write to a table
+    assert make_plan(GridSpec2D(64, 10.0), 2.0) is fine
+    for name in ("e_full", "e_half", "q_half", "f1", "f2", "f3"):
+        with pytest.raises(ValueError):
+            getattr(fine, name)[0, 0] = 0.0
 
 
 def test_linear_mode_decays_exactly():
@@ -285,6 +293,23 @@ def test_half_grid_start_locks_the_same_state():
     assert record["start_residual"] == report.start_residual > report.steady_residual
 
 
+def test_report_carries_every_relaxation_field(monkeypatch):
+    # run_to_steady forwards the relaxation's record by field name
+    runs = []
+    real = spectral._relax
+
+    def relax(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(spectral, "_relax", relax)
+    _, report = run_to_steady(_locked_config(64, 50.0))
+    names = {f.name for f in dataclasses.fields(SteadyStateReport)}
+    assert set(Relaxation._fields) - names == {"uhat"}
+    for name in Relaxation._fields[1:]:
+        assert getattr(report, name) == getattr(runs[-1], name), name
+
+
 @pytest.mark.parametrize("n,l,t_max", [(64, 50.0, 2000.0), (256, 100.0, 10.0)])
 def test_unresolved_half_grid_falls_back_to_the_eigen_start(n, l, t_max):
     # N=64: no half grid (32 < 64); N=256 L=100: its half grid has dx 0.78 > 0.5
@@ -307,10 +332,10 @@ def test_half_grid_that_cannot_lock_falls_back_to_the_eigen_start():
     run = _relax(cfg, _hopf_cole_start(cfg)[0], ladder=True)
     assert not run.converged and not report.converged
     # the whole half-grid pass is spent: t_max in fewer steps than t_max / dt
-    assert not spent.converged and spent.t == cfg.t_max
+    assert not spent.converged and spent.t_final == cfg.t_max
     assert report.coarse_steps == spent.steps < 40
     assert report.steps == run.steps
-    assert report.t_final == run.t == cfg.t_max
+    assert report.t_final == run.t_final == cfg.t_max
     assert np.array_equal(phi.values, np.fft.irfft2(run.uhat, s=(128, 128)))
     assert report.start == "hopf_cole"
 
@@ -467,7 +492,7 @@ def test_runs_from_rest_keep_the_constant_step(p):
     uhat, steps = _constant_dt_loop(cfg, np.zeros((64, 33), dtype=complex))
     run = _zero_start(cfg)
     assert run.steps == steps and np.array_equal(run.uhat, uhat)
-    assert run.t == steps * cfg.dt
+    assert run.t_final == steps * cfg.dt
     assert (run.dt_steps, run.dt_rejections, run.start_residual) == (
         [[cfg.dt, steps]], 0, None)
     if p <= SUBCRITICAL_P:
@@ -492,7 +517,7 @@ def test_ser_ladder_locks_to_the_fixed_step_state(l, p):
     assert ser.omega_drift == pytest.approx(fixed.omega_drift, rel=1e-5)
     assert max(dt for dt, _ in ser.dt_steps) == 4 * cfg.dt  # the ceiling is reached
     assert sum(n for _, n in ser.dt_steps) == ser.steps
-    assert ser.t == sum(dt * n for dt, n in ser.dt_steps)
+    assert ser.t_final == sum(dt * n for dt, n in ser.dt_steps)
 
 
 @pytest.mark.parametrize("amplitude,p,dt", [(2.5, 0.8, 1.5), (3.0, 1.5, 2.0)])
@@ -506,7 +531,7 @@ def test_marginal_dt_runs_out_its_time_on_the_ladder(amplitude, p, dt):
     fixed = _relax(cfg, start)
     ladder = _relax(cfg, start, ladder=True)
     assert not fixed.converged and not ladder.converged
-    assert ladder.t == fixed.t == math.ceil(cfg.t_max / dt) * dt
+    assert ladder.t_final == fixed.t_final == math.ceil(cfg.t_max / dt) * dt
     assert ladder.dt_rejections == 0
 
 
@@ -532,7 +557,7 @@ def test_blow_up_on_the_top_level_rolls_back(monkeypatch):
     rolled = _relax(cfg, start, ladder=True)
     assert rolled.converged and rolled.dt_rejections == 1
     assert max(dt for dt, _ in rolled.dt_steps) == 2 * cfg.dt
-    assert rolled.t == sum(dt * n for dt, n in rolled.dt_steps)
+    assert rolled.t_final == sum(dt * n for dt, n in rolled.dt_steps)
     assert _k(cfg, rolled) == pytest.approx(_k(cfg, clean), rel=1e-5)
     assert rolled.omega_drift == pytest.approx(clean.omega_drift, rel=1e-5)
 
