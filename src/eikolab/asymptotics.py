@@ -1,10 +1,11 @@
 """First-order matched-asymptotics predictions for the pattern wavenumber.
 
 The far-field decay rate obeys lam = 2 e^{-gamma} exp(1/a) where a < 0 is the
-signed matching constant (theorem convention); the equivalent simulation
-convention writes exp(-1/a_sim) with a_sim = -a > 0.  The frequency always
-follows by squaring: b*omega = lam^2, and the selected wavenumber is lam/b.
-The overall prefactor C multiplying k is never derived, only fitted.
+signed matching constant; callers holding the positive defect mass a_sim pass
+a = -a_sim.  The frequency follows by squaring, b*omega = lam^2, and the
+selected wavenumber is lam/b.  branch_mass is the one rule that turns a defect
+A/(1+r^2)^p into a_sim.  The overall prefactor C multiplying k is never
+derived, only fitted.
 """
 from __future__ import annotations
 
@@ -21,11 +22,8 @@ from .errors import (
     OutOfRegimeError,
     StatisticsError,
 )
-from .profiles import SUBCRITICAL_P, InhomogeneitySpec, core_mass
+from .profiles import DEFAULT_R_CUT, SUBCRITICAL_P, InhomogeneitySpec, core_mass
 from .specfun import EULER_GAMMA
-
-CONVENTION_THEOREM = "theorem"
-CONVENTION_SIMULATION = "simulation"
 
 BRANCH_CLOSED_FORM = "closed_form"
 BRANCH_TRUNCATED = "truncated"
@@ -49,70 +47,16 @@ def predict_lambda(a_signed: float) -> float:
     return LAW_PREFACTOR * math.exp(1.0 / a_signed)
 
 
-def predict_omega(a_signed: float, b: float, c_fitted: float = 1.0) -> float:
-    """Rotation frequency lam^2/b, optionally scaled by a fitted prefactor."""
-    if not b > 0.0:
-        raise ConfigError(f"b must be > 0, got {b}")
-    lam = predict_lambda(a_signed)
-    return c_fitted * lam * lam / b
+def branch_mass(amplitude: float, p: float, r_cut: float) -> tuple[float, str]:
+    """(mass, branch) of the unit-strength defect amplitude/(1+r^2)^p.
 
-
-@dataclass(frozen=True)
-class AsymptoticPrediction:
-    """Consistent (a, lam, omega, k) tuple under one sign convention.
-
-    Stored rates are the C = 1 shapes; c_fitted is carried as metadata so the
-    exact relations lam^2 = b*omega and k = lam/b hold on the stored fields.
+    The closed form amplitude/(2p-2) for p > 1; otherwise the integral
+    truncated at r_cut, since the infinite one diverges.
     """
-
-    a_signed: float
-    b: float
-    decay_rate: float
-    frequency: float
-    wavenumber: float
-    convention: str
-    c_fitted: float | None = None
-
-    def __post_init__(self):
-        if self.convention not in (CONVENTION_THEOREM, CONVENTION_SIMULATION):
-            raise ConfigError(f"unknown convention {self.convention!r}")
-        if not self.b > 0.0:
-            raise ConfigError(f"b must be > 0, got {self.b}")
-        if self.frequency != self.decay_rate**2 / self.b:
-            raise ConfigError("frequency must equal decay_rate^2 / b exactly")
-        if self.wavenumber != self.decay_rate / self.b:
-            raise ConfigError("wavenumber must equal decay_rate / b exactly")
-
-    @property
-    def a_sim(self) -> float:
-        return -self.a_signed
-
-
-def make_prediction(a_signed: float | None = None, a_sim: float | None = None,
-                    b: float = 1.0, c_fitted: float | None = None
-                    ) -> AsymptoticPrediction:
-    """Build a prediction from either sign convention (pass exactly one a)."""
-    if (a_signed is None) == (a_sim is None):
-        raise ConfigError("pass exactly one of a_signed or a_sim")
-    if a_sim is not None:
-        if not a_sim > 0.0:
-            raise ConventionError(
-                f"a_sim must be positive (simulation convention), got {a_sim}"
-            )
-        a_signed = -a_sim
-        convention = CONVENTION_SIMULATION
-    else:
-        convention = CONVENTION_THEOREM
-    lam = predict_lambda(a_signed)
-    return AsymptoticPrediction(
-        a_signed=a_signed,
-        b=b,
-        decay_rate=lam,
-        frequency=lam**2 / b,
-        wavenumber=lam / b,
-        convention=convention,
-        c_fitted=c_fitted,
-    )
+    spec = InhomogeneitySpec(amplitude, p, 1.0)
+    if p > 1.0:
+        return core_mass(spec, convention="closed_form"), BRANCH_CLOSED_FORM
+    return core_mass(spec, convention="truncated", r_cut=r_cut), BRANCH_TRUNCATED
 
 
 @dataclass(frozen=True)
@@ -126,22 +70,15 @@ class FamilyPrediction:
     truncation_radius: float | None
     k_shape: float
 
-    @property
-    def a_signed(self) -> float:
-        return -self.a_sim
-
-    def __float__(self) -> float:
-        return self.k_shape
-
 
 def predict_k_for_family(amplitude: float, decay_exponent: float,
-                         convention_R: float = 3.0,
+                         r_cut: float = DEFAULT_R_CUT,
                          prefactor: float = 1.0) -> FamilyPrediction:
     """k ~ prefactor * exp(-1/a_sim) for the family A/(1+r^2)^p.
 
     amplitude is the effective strength (fold eps and b in before calling).
-    The mass a_sim uses the closed form A/(2p-2) for p > 1 and the truncated
-    integral out to convention_R otherwise; the branch taken is recorded.
+    a_sim is branch_mass's; the branch taken is recorded, with r_cut on the
+    truncated one.
     """
     p = decay_exponent
     if not p > SUBCRITICAL_P:
@@ -152,19 +89,13 @@ def predict_k_for_family(amplitude: float, decay_exponent: float,
         raise ConventionError(
             f"amplitude must be positive for a positive mass, got {amplitude}"
         )
-    spec = InhomogeneitySpec(amplitude, p, 1.0)
-    if p > 1.0:
-        a_sim = core_mass(spec, convention="closed_form")
-        branch, radius = BRANCH_CLOSED_FORM, None
-    else:
-        a_sim = core_mass(spec, convention="truncated", r_cut=convention_R)
-        branch, radius = BRANCH_TRUNCATED, convention_R
+    a_sim, branch = branch_mass(amplitude, p, r_cut)
     return FamilyPrediction(
         amplitude=amplitude,
         decay_exponent=p,
         a_sim=a_sim,
         branch=branch,
-        truncation_radius=radius,
+        truncation_radius=r_cut if branch == BRANCH_TRUNCATED else None,
         k_shape=prefactor * math.exp(-1.0 / a_sim),
     )
 
@@ -199,18 +130,19 @@ class ComparisonTable:
     n_excluded: int
 
 
-def _resolve_run(params: Mapping, p: float, convention_R: float):
+def _resolve_run(params: Mapping, p: float, r_cut: float):
     """(a_sim, branch) for one sweep entry of defect exponent p."""
     if "a_sim" in params:
         return float(params["a_sim"]), "given"
-    amplitude = float(params["A"]) if "A" in params else float(params["amplitude"])
-    eff = amplitude * float(params.get("eps", 1.0)) * float(params.get("b", 1.0))
-    fam = predict_k_for_family(eff, p, convention_R=convention_R)
+    if "A" not in params:
+        raise ConfigError(f"run with p = {p} gives neither 'A' nor 'a_sim'")
+    eff = float(params["A"]) * float(params.get("eps", 1.0)) * float(params.get("b", 1.0))
+    fam = predict_k_for_family(eff, p, r_cut=r_cut)
     return fam.a_sim, fam.branch
 
 
 def compare_prediction_to_runs(sweep: Sequence[tuple[Mapping, object]],
-                               convention_R: float = 3.0) -> ComparisonTable:
+                               r_cut: float = DEFAULT_R_CUT) -> ComparisonTable:
     """Fit the one free prefactor C over steady runs and report log residuals.
 
     Runs with p <= SUBCRITICAL_P are outside the theorem: they stay in the
@@ -228,7 +160,7 @@ def compare_prediction_to_runs(sweep: Sequence[tuple[Mapping, object]],
             rows.append(ComparisonRow(p, a_sim, k_measured, math.nan, math.nan, steady,
                                       BRANCH_SUBCRITICAL))
             continue
-        a_sim, branch = _resolve_run(params, p, convention_R)
+        a_sim, branch = _resolve_run(params, p, r_cut)
         if not a_sim > 0.0:
             raise ConventionError(f"run has non-positive a_sim = {a_sim}")
         if steady and not k_measured > 0.0:

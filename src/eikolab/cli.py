@@ -27,13 +27,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .asymptotics import make_prediction, predict_k_for_family
-from .asymptotics import compare_prediction_to_runs
+from .asymptotics import branch_mass, compare_prediction_to_runs, predict_k_for_family
+from .asymptotics import predict_lambda
 from .errors import BlowUpError, ConfigError, NumericalError, StatisticsError
 from .measure import ANNULUS_FRACTIONS, fit_k_law, fit_log_k_vs_inv_a
 from .measure import measure_wavenumber, radial_gradient_profile
 from .profiles import CutoffSpec, InhomogeneitySpec, core_mass, evaluate_g
-from .profiles import SUBCRITICAL_P, smooth_cutoff, split_defect
+from .profiles import DEFAULT_R_CUT, SUBCRITICAL_P, smooth_cutoff, split_defect
 from .radial import RadialGrid, shoot_spiral_amplitude, solve_corrector_K, validate_shooting
 from .specfun import bessel_eval
 from .spectral import (
@@ -57,7 +57,6 @@ CONVENTIONS = {
     "mass_sign": "a_sim = +b*eps*integral(g r dr), a_signed = -a_sim",
     "wavenumber_law": "k = (2/b) exp(-euler_gamma) exp(-1/a_sim)",
     "frequency_route": "omega = lambda^2 / b",
-    "truncation_radius": 3.0,
     "annulus_fractions": list(ANNULUS_FRACTIONS),
     "dealias": "two_thirds",
     "transform": "y = 1/(log k - 1)",
@@ -140,7 +139,10 @@ class RunManifest:
             "command": self.command,
             "version": __version__,
             "config": self.config,
-            "conventions": CONVENTIONS,
+            # the mass truncation radius in effect: the command's r_cut, or the
+            # default that commands without one use
+            "conventions": {**CONVENTIONS, "truncation_radius": float(
+                self.config.get("r_cut", DEFAULT_R_CUT))},
             "started_at": self.started_at,
             "finished_at": _utcnow(),
             "files": files,
@@ -169,7 +171,7 @@ def _load_config_file(path: str) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     if p.suffix == ".json":
-        data = json.loads(p.read_text())
+        parse = json.loads
     elif p.suffix == ".toml":
         try:
             import tomllib
@@ -180,9 +182,13 @@ def _load_config_file(path: str) -> dict:
                 raise ConfigError(
                     "TOML config needs the tomli package on this interpreter"
                 ) from exc
-        data = tomllib.loads(p.read_text())
+        parse = tomllib.loads
     else:
         raise ConfigError(f"config file must be .json or .toml, got {p.suffix}")
+    try:  # JSON and TOML decode errors are both ValueErrors
+        data = parse(p.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a flat key/value table")
     return data
@@ -196,12 +202,28 @@ def _merge_config(args, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            _check_file_value(key, val)
         cfg.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None and val is not False:
             cfg[key] = val
     return cfg
+
+
+# the values a config file may give a key of each _CONFIG_FLAGS type; a text
+# key may also hold a list (of numbers, for the *_values and p_grid keys)
+_FILE_TYPES = {int: (int,), float: (int, float), bool: (bool,), None: (str, list)}
+
+
+def _check_file_value(key: str, val):
+    """ConfigError unless `val` has the type the command line gives `key`."""
+    kind = dict(_CONFIG_FLAGS)[key]
+    # bool is an int subclass: true/false may only set a switch
+    if not isinstance(val, _FILE_TYPES[kind]) or (isinstance(val, bool) and kind is not bool):
+        name = "text" if kind is None else kind.__name__
+        raise ConfigError(f"config key {key!r} must be {name}, got {val!r}")
 
 
 def _floats(text) -> list[float]:
@@ -225,7 +247,7 @@ _SIM_DEFAULTS = {
     "t_max": 5000.0, "steady_tol": 1e-5, "check_interval": 20,
     "save_field": False, "dry_run": False,
 }
-_SWEEP_DEFAULTS = {**_SIM_DEFAULTS, "r_cut": 3.0, "jobs": 1}
+_SWEEP_DEFAULTS = {**_SIM_DEFAULTS, "r_cut": DEFAULT_R_CUT, "jobs": 1}
 
 # Each table is the exact set of config keys (and flags) its command accepts.
 _DEFAULTS = {
@@ -244,18 +266,10 @@ del _DEFAULTS["figure1"]["eps"], _DEFAULTS["figure2"]["p"]
 # ----------------------------------------------------------- run primitives
 
 
-def _branch_mass(amplitude: float, p: float, r_cut: float) -> float:
-    """Unit-strength defect mass under the branch rule used for predictions."""
-    spec = InhomogeneitySpec(amplitude, p, 1.0)
-    if p > 1.0:
-        return core_mass(spec, convention="closed_form")
-    return core_mass(spec, convention="truncated", r_cut=r_cut)
-
-
 def _eps_for_target_a(a_sim: float, amplitude: float, p: float, b: float,
                       r_cut: float) -> float:
     """Solve eps from a_sim = eps * b * mass (linear)."""
-    mass = _branch_mass(amplitude, p, r_cut)
+    mass, _ = branch_mass(amplitude, p, r_cut)
     if not mass > 0.0:
         raise ConfigError(f"defect mass is not positive (A={amplitude}, p={p})")
     return a_sim / (b * mass)
@@ -325,8 +339,8 @@ def _member_a_sim(cfg, eps: float, p: float) -> float:
     """a_sim = eps * b * branch mass of a member; NaN for a subcritical p."""
     if p <= SUBCRITICAL_P:
         return math.nan
-    r_cut = float(cfg.get("r_cut", CONVENTIONS["truncation_radius"]))
-    return eps * float(cfg["b"]) * _branch_mass(float(cfg["A"]), p, r_cut)
+    mass, _ = branch_mass(float(cfg["A"]), p, float(cfg.get("r_cut", DEFAULT_R_CUT)))
+    return eps * float(cfg["b"]) * mass
 
 
 def _sweep_members(cfg, axis: str, values) -> list:
@@ -468,16 +482,17 @@ def cmd_measure(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    amplitude = float(args.A) * float(args.eps)
-    fam = predict_k_for_family(
-        amplitude * float(args.b), float(args.p), convention_R=float(args.R)
-    )
-    pred = make_prediction(a_sim=fam.a_sim, b=float(args.b))
+    b = float(args.b)
+    fam = predict_k_for_family(float(args.A) * float(args.eps) * b, float(args.p),
+                               r_cut=float(args.R))
+    if not b > 0.0:  # a negative A*eps hides a negative b from the amplitude check
+        raise ConfigError(f"b must be > 0, got {b}")
+    lam = predict_lambda(-fam.a_sim)
     payload = {
-        "a_signed": pred.a_signed,
-        "a_sim": pred.a_sim,
-        "lambda": pred.decay_rate,
-        "omega": pred.frequency,
+        "a_signed": -fam.a_sim,
+        "a_sim": fam.a_sim,
+        "lambda": lam,
+        "omega": lam**2 / b,
         "k_shape": fam.k_shape,
         "branch": fam.branch,
     }
@@ -491,17 +506,22 @@ def _load_runs(path: str) -> list:
         p = p / "runs.json"
     if not p.is_file():
         raise ConfigError(f"no runs.json found at {path}")
-    entries = json.loads(p.read_text())
-    sweep = []
-    for entry in entries:
-        report = SimpleNamespace(**entry["report"])
-        sweep.append((entry["params"], report))
-    return sweep
+    try:
+        entries = json.loads(p.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {p}: {exc}") from exc
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("params"), dict)
+            and isinstance(e.get("report"), dict) and "k_measured" in e["report"]
+            for e in entries):
+        raise ConfigError(f"{p} must be a list of runs, each with a 'params' "
+                          "object and a 'report' object holding k_measured")
+    return [(e["params"], SimpleNamespace(**e["report"])) for e in entries]
 
 
 def cmd_compare(args) -> int:
     sweep = _load_runs(args.runs)
-    table = compare_prediction_to_runs(sweep, convention_R=float(args.R))
+    table = compare_prediction_to_runs(sweep, r_cut=float(args.R))
     out = _out_dir(args.out or args.runs)
     write_csv(
         out / "compare.csv",
@@ -685,7 +705,7 @@ def _write_figure2(cfg, out: Path, members, results):
     profile_rows = []
     for (_eps, p, a, _name), (_entry, report) in zip(members, results):
         k_solid = (
-            predict_k_for_family(eff, p, convention_R=r_cut).k_shape
+            predict_k_for_family(eff, p, r_cut=r_cut).k_shape
             if p > 1.0 else math.nan
         )
         k_dashed = (
@@ -714,7 +734,7 @@ def _write_figure2(cfg, out: Path, members, results):
     try:
         table = compare_prediction_to_runs(
             [(entry["params"], SimpleNamespace(**entry["report"])) for entry, _ in results],
-            convention_R=r_cut)
+            r_cut=r_cut)
     except StatisticsError:  # fewer than 3 runs with p > SUBCRITICAL_P, or none steady
         pass
     else:
@@ -793,13 +813,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--b", type=float, default=1.0)
     sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--R", type=float, default=3.0)
+    sp.add_argument("--R", type=float, default=DEFAULT_R_CUT)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("compare", help="prediction vs stored sweep runs")
     sp.add_argument("--runs", required=True)
-    sp.add_argument("--R", type=float, default=3.0)
+    sp.add_argument("--R", type=float, default=DEFAULT_R_CUT)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_compare)
 

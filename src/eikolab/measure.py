@@ -180,10 +180,6 @@ class FitResult:
     slope: float
     intercept: float
     pearson_r: float
-    points: tuple[tuple[float, float], ...] = field(default=())
-
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -197,7 +193,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
     slope = cov / ss_x
     intercept = float(np.mean(y)) - slope * float(np.mean(x))
     pearson = cov / math.sqrt(ss_x * ss_y) if ss_y > 0.0 else 0.0
-    return FitResult(slope, intercept, pearson, tuple(zip(x.tolist(), y.tolist())))
+    return FitResult(slope, intercept, pearson)
 
 
 def fit_k_law(points: Sequence[tuple[float, float]]) -> FitResult:

@@ -24,6 +24,10 @@ from .radial import RadialGrid, RadialProfile
 # 140 steps); the subcritical verdict rests on the growing gradient.
 SUBCRITICAL_P = 0.5
 
+# Radius the mass integral is truncated at where the infinite one diverges
+# (p <= 1); every command's default.
+DEFAULT_R_CUT = 3.0
+
 
 @dataclass(frozen=True)
 class InhomogeneitySpec:
@@ -163,7 +167,7 @@ def split_defect(
 
 
 def core_mass(
-    spec: InhomogeneitySpec, convention: str = "truncated", r_cut: float = 3.0
+    spec: InhomogeneitySpec, convention: str = "truncated", r_cut: float = DEFAULT_R_CUT
 ) -> float:
     """Defect mass integral strength * integral of A (1+r^2)^-p r dr.
 

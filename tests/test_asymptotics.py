@@ -9,18 +9,12 @@ from hypothesis import given, strategies as st
 from eikolab.asymptotics import (
     BRANCH_CLOSED_FORM,
     BRANCH_TRUNCATED,
-    CONVENTION_SIMULATION,
-    CONVENTION_THEOREM,
     LAW_PREFACTOR,
-    AsymptoticPrediction,
     compare_prediction_to_runs,
-    make_prediction,
     predict_k_for_family,
     predict_lambda,
-    predict_omega,
 )
 from eikolab.errors import (
-    ConfigError,
     ConventionError,
     DomainError,
     OutOfRegimeError,
@@ -48,57 +42,10 @@ def test_lambda_graceful_underflow():
     assert predict_lambda(-1e-12) == 0.0
 
 
-def test_omega_at_unit_mass():
-    # square of the rate: 0.170650...
-    assert predict_omega(-1.0, b=1.0) == pytest.approx(
-        (2.0 * math.exp(-EULER_GAMMA - 1.0)) ** 2, rel=1e-15
-    )
-    assert predict_omega(-1.0, b=1.0) == pytest.approx(0.17065, abs=5e-5)
-    assert predict_omega(-1.0, b=2.0) == pytest.approx(0.17065 / 2.0, abs=5e-5)
-    assert predict_omega(-1.0, b=1.0, c_fitted=3.0) == pytest.approx(
-        3.0 * 0.17065, abs=2e-4
-    )
-
-
-def test_make_prediction_conventions():
-    p1 = make_prediction(a_signed=-0.8, b=2.0)
-    assert p1.convention == CONVENTION_THEOREM
-    assert p1.a_sim == 0.8
-    p2 = make_prediction(a_sim=0.8, b=2.0)
-    assert p2.convention == CONVENTION_SIMULATION
-    assert p2.decay_rate == p1.decay_rate
-    # stored fields satisfy the exact relations
-    assert p2.frequency == p2.decay_rate**2 / 2.0
-    assert p2.wavenumber == p2.decay_rate / 2.0
-
-
-def test_make_prediction_argument_guards():
-    with pytest.raises(ConfigError):
-        make_prediction()
-    with pytest.raises(ConfigError):
-        make_prediction(a_signed=-1.0, a_sim=1.0)
-    with pytest.raises(ConventionError):
-        make_prediction(a_sim=-1.0)
-
-
-def test_prediction_dataclass_consistency_enforced():
-    with pytest.raises(ConfigError):
-        AsymptoticPrediction(
-            a_signed=-1.0, b=1.0, decay_rate=0.4, frequency=0.2,
-            wavenumber=0.4, convention=CONVENTION_THEOREM,
-        )
-    with pytest.raises(ConfigError):
-        AsymptoticPrediction(
-            a_signed=-1.0, b=1.0, decay_rate=0.4, frequency=0.16,
-            wavenumber=0.4, convention="folklore",
-        )
-
-
 def test_spec_example_small_rate():
     # eps = 0.05 folded into A = 1.5 at p = 0.8: Lambda ~ 1.23e-4
     fam = predict_k_for_family(0.05 * 1.5, 0.8)
-    pred = make_prediction(a_sim=fam.a_sim)
-    assert pred.decay_rate == pytest.approx(1.23e-4, rel=5e-3)
+    assert predict_lambda(-fam.a_sim) == pytest.approx(1.23e-4, rel=5e-3)
 
 
 def test_family_branches():
@@ -111,8 +58,6 @@ def test_family_branches():
     assert trunc.truncation_radius == 3.0
     assert trunc.a_sim == pytest.approx(1.5 * 2.5 * (10.0**0.2 - 1.0), rel=1e-9)
     assert trunc.k_shape == pytest.approx(math.exp(-1.0 / trunc.a_sim), rel=1e-12)
-    assert float(trunc) == trunc.k_shape
-    assert trunc.a_signed == -trunc.a_sim
 
 
 def test_family_prefactor_and_guards():

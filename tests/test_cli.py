@@ -70,6 +70,13 @@ def test_predict_payload(tmp_path):
     assert payload["k_shape"] == pytest.approx(fam.k_shape, rel=1e-12)
     assert payload["lambda"] == pytest.approx(1.23e-4, rel=5e-3)
     assert payload["omega"] == pytest.approx(payload["lambda"] ** 2, rel=1e-12)
+    # b enters the mass with eps and divides the squared rate
+    assert main(["predict", "--A", "1.5", "--p", "0.8", "--eps", "0.05", "--b", "2",
+                 "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["a_sim"] == pytest.approx(predict_k_for_family(1.5 * 0.05 * 2, 0.8).a_sim,
+                                             rel=1e-12)
+    assert payload["omega"] == payload["lambda"] ** 2 / 2
 
 
 def test_predict_stdout(capsys):
@@ -184,6 +191,33 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+@pytest.mark.parametrize("name, text", [
+    ("run.json", '{"N": 64,'),
+    ("run.toml", "N = = 64\n"),
+    ("run.json", '{"N": "abc"}'),
+], ids=["bad-json", "bad-toml", "wrong-type"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, name, text, dry_run):
+    # rejected while merging, so a dry run refuses what the run would
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    argv = ["simulate", "--config", str(cfg), "--t-max", "1", "--out", str(tmp_path / "x")]
+    assert main(argv + ["--dry-run"] * dry_run) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv, radius", [
+    (["sweep", "--eps-values", "1", "--p", "0.8", "--r-cut", "5"], 5.0),
+    (["simulate"], 3.0),
+], ids=["sweep-r-cut", "simulate-default"])
+def test_manifest_records_the_radius_in_effect(tmp_path, argv, radius):
+    out = tmp_path / "m"
+    assert main(argv + ["--dry-run", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["conventions"]["truncation_radius"] == radius
+    assert manifest["config"].get("r_cut", radius) == radius
+
+
 def test_sweep_requires_exactly_one_axis(tmp_path, capsys):
     code = main(["sweep", "--a-values", "0.9", "--p-values", "0.8",
                  "--out", str(tmp_path / "s")])
@@ -252,6 +286,10 @@ def _close(x):
     (["--a-values", "0.9,1.5", "--p", "0.8"],
      [(_close(0.9 / MASS_P08), 0.8, 0.9, "run_00_a0.9"),
       (_close(1.5 / MASS_P08), 0.8, 1.5, "run_01_a1.5")]),
+    # p > 1 takes the closed-form mass A/(2p - 2): eps = a (2p - 2) / A
+    (["--a-values", "0.6,0.9", "--p", "1.5", "--A", "1.5"],
+     [(_close(0.6 * 1.0 / 1.5), 1.5, 0.6, "run_00_a0.6"),
+      (_close(0.9 * 1.0 / 1.5), 1.5, 0.9, "run_01_a0.9")]),
     (["--eps-values", "0.8,1.2", "--p", "0.8"],
      [(0.8, 0.8, _close(0.8 * MASS_P08), "run_00_eps0.8"),
       (1.2, 0.8, _close(1.2 * MASS_P08), "run_01_eps1.2")]),
@@ -263,7 +301,7 @@ def _close(x):
      [(0.5, 0.3, _close(math.nan), "run_00_p0.3"),
       (0.5, 0.8, _close(0.5 * 1.5 * MASS_P08), "run_01_p0.8"),
       (0.5, 1.5, _close(0.5 * 1.5 / 1.0), "run_02_p1.5")]),
-], ids=["a", "eps", "eps-subcritical", "p"])
+], ids=["a", "a-closed-form", "eps", "eps-subcritical", "p"])
 def test_sweep_dry_run_solves_eps_for_target_a(tmp_path, axis_args, expected):
     out = tmp_path / "plan"
     assert main(["sweep", *axis_args, "--dry-run", "--out", str(out)]) == EXIT_OK
@@ -390,6 +428,17 @@ def test_compare_on_synthetic_runs(tmp_path):
 
 def test_compare_missing_runs_exit_code(tmp_path, capsys):
     assert main(["compare", "--runs", str(tmp_path / "nope")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("runs", [
+    [{"params": {"p": p}, "report": {"k_measured": 0.1}} for p in (1.2, 1.5, 2.0)],
+    [{"report": {"k_measured": 0.1}}],
+    {"params": {"A": 1.5, "p": 1.5}, "report": {"k_measured": 0.1}},
+], ids=["no-mass", "no-params", "not-a-list"])
+def test_compare_malformed_runs_exits_2(tmp_path, capsys, runs):
+    (tmp_path / "runs.json").write_text(json.dumps(runs))
+    assert main(["compare", "--runs", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 @pytest.mark.slow
