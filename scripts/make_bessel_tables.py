@@ -1,20 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate the frozen Bessel reference data.
+"""Regenerate the frozen Bessel reference table.
 
-Two artifacts come out of this script, both computed from first principles
-with mpmath arbitrary-precision arithmetic (ascending series with explicit
-harmonic sums; never mpmath.besselk, so the reference stays independent of
-any library implementation):
-
-* tests/data/bessel_oracle.json -- the 200-point log-spaced test grid on
-  [1e-3, 50] plus regime probes, 32 significant digits each.
-* the Chebyshev coefficient tables for e^z sqrt(z) K_nu(z) on [2, 16] that
-  are frozen into eikolab/specfun.py (printed with --cheb for diffing).
+tests/data/bessel_oracle.json holds K0 and K1 on the 200-point log-spaced
+test grid on [1e-3, 50] plus probes, 32 significant digits each.  The values
+are computed from first principles with mpmath arbitrary-precision arithmetic
+(ascending series with explicit harmonic sums; never mpmath.besselk, so the
+reference stays independent of any library implementation).
 
 Run from the repository root:
 
-    python3 scripts/make_bessel_tables.py            # rewrite the JSON table
-    python3 scripts/make_bessel_tables.py --cheb     # print coefficient source
+    python3 scripts/make_bessel_tables.py
 """
 from __future__ import annotations
 
@@ -83,40 +78,13 @@ def k1_reference(z) -> mp.mpf:
         return 1 / z + mp.log(z / 2) * i1 - (z / 4) * s
 
 
-def chebyshev_fit(fn, lo: float, hi: float, degree: int):
-    """Chebyshev coefficients of fn on [lo, hi] by Gauss-Chebyshev quadrature."""
-    n = degree + 1
-    nodes = [mp.cos(mp.pi * (j + mp.mpf(1) / 2) / n) for j in range(n)]
-    vals = [fn((hi + lo) / 2 + (hi - lo) / 2 * x) for x in nodes]
-    coeffs = []
-    for m in range(n):
-        acc = mp.mpf(0)
-        for j, x in enumerate(nodes):
-            acc += vals[j] * mp.cos(m * mp.acos(x))
-        coeffs.append(acc * 2 / n)
-    coeffs[0] /= 2
-    return coeffs
-
-
-def emit_cheb_source(degree: int = 40) -> str:
-    lines = []
-    for name, ref in (("_CHEB_K0", k0_reference), ("_CHEB_K1", k1_reference)):
-        fn = lambda z: mp.exp(z) * mp.sqrt(z) * ref(z)
-        coeffs = chebyshev_fit(fn, 2.0, 16.0, degree)
-        # drop trailing terms below double-precision relevance
-        while len(coeffs) > 1 and abs(coeffs[-1]) < mp.mpf("1e-18"):
-            coeffs.pop()
-        body = "\n".join(f"    {mp.nstr(c, 17)}," for c in coeffs)
-        lines.append(f"{name} = (\n{body}\n)")
-    return "\n".join(lines)
-
-
 def grid_points() -> list[float]:
     return np.geomspace(1e-3, 50.0, 200).tolist()
 
 
 def probe_points() -> list[float]:
-    # tiny-argument log regime, regime boundaries, asymptotic tail, underflow edge
+    # tiny-argument log behaviour, points straddling z = 2 and 16, the asymptotic
+    # tail and the underflow edge
     return [1e-6, 1e-4, 0.5, 1.999, 2.0, 2.001, 15.999, 16.0, 16.001, 100.0, 700.0]
 
 
@@ -138,13 +106,8 @@ def build_table() -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--cheb", action="store_true",
-                    help="print the frozen Chebyshev coefficient source instead")
     ap.add_argument("--out", default="tests/data/bessel_oracle.json")
     args = ap.parse_args()
-    if args.cheb:
-        print(emit_cheb_source())
-        return 0
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(build_table(), indent=1) + "\n")

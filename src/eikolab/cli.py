@@ -516,6 +516,13 @@ def _load_runs(path: str) -> list:
             for e in entries):
         raise ConfigError(f"{p} must be a list of runs, each with a 'params' "
                           "object and a 'report' object holding k_measured")
+    for e in entries:
+        values = [(k, e["params"][k]) for k in ("A", "eps", "b", "p", "a_sim")
+                  if k in e["params"]]
+        for key, val in values + [("k_measured", e["report"]["k_measured"])]:
+            # bool is an int subclass, and float() would take it silently
+            if not isinstance(val, (int, float)) or isinstance(val, bool):
+                raise ConfigError(f"{p}: run value {key!r} must be a number, got {val!r}")
     return [(e["params"], SimpleNamespace(**e["report"])) for e in entries]
 
 
@@ -640,9 +647,9 @@ def cmd_special(args) -> int:
     rows = []
     for z in zs:
         ev = bessel_eval(z)
-        rows.append((ev.z, ev.k0, ev.k1, ev.regime, ev.underflow))
+        rows.append((ev.z, ev.k0, ev.k1, ev.underflow))
     if args.out:
-        write_csv(Path(args.out), ["z", "k0", "k1", "regime", "underflow"], rows)
+        write_csv(Path(args.out), ["z", "k0", "k1", "underflow"], rows)
     else:
         for row in rows:
             print(",".join(_fmt(c) for c in row))

@@ -106,15 +106,6 @@ def measure_wavenumber(field: Field2D,
     return float(np.mean(radial))
 
 
-def plateau_value(profile: RadialProfile, window: tuple[float, float]) -> float:
-    """Mean of the profile over a radius window (the plateau estimator)."""
-    r = profile.grid.nodes
-    sel = (r >= window[0]) & (r <= window[1])
-    if not np.any(sel):
-        raise StatisticsError(f"no profile nodes inside window {window}")
-    return float(np.mean(profile.values[sel]))
-
-
 @dataclass(frozen=True)
 class SteadyStateReport:
     """The record of one run: its observables and how the run got there.

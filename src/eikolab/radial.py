@@ -3,8 +3,7 @@
 Contents: the corrector K solving Laplacian_0 K + b g_far = 0, the explicit
 inverse of L_lam = d/dr + 1/r + lam, the far-field first-order approximation
 phi0 = -(1/b) chi(Lr) log K0(Lr) with its damped Newton correction, a
-Hopf-Cole residual check, the amplitude-equation shooting BVP, and the
-reduction of complex amplitude coefficients to eikonal coefficients.
+Hopf-Cole residual check and the amplitude-equation shooting BVP.
 
 All cumulative integrals run panel-by-panel with Gauss-Legendre nodes so the
 exponential weights of L_lam^{-1} stay bounded by one.  Finite differences for
@@ -723,33 +722,3 @@ def shoot_spiral_amplitude(
     tail = abs(float(vals[-1]) - 1.0)
     return ShootingSolution(profile, slope, tail, (lo, hi), n_bis)
 
-
-# ------------------------------------------------------- eikonal reduction
-
-
-@dataclass(frozen=True)
-class SpiralCoefficients:
-    """Real/imaginary parts of the complex amplitude coefficients.
-
-    beta_real/beta_imag: diffusion; lambda_real: linear rate; alpha_imag and
-    lambda_imag: the rotated imaginary parts entering the phase equation.
-    """
-
-    beta_real: float
-    beta_imag: float
-    lambda_real: float
-    alpha_imag: float
-    lambda_imag: float
-
-
-def eikonal_coefficients(c: SpiralCoefficients) -> tuple[float, float, float]:
-    """(b, omega, c_coef) of the reduced phase equation, as exact quotients."""
-    den = c.alpha_imag * c.beta_imag + c.lambda_real * c.beta_real
-    if den == 0.0:
-        raise ConfigError("singular parameters: alpha_i*beta_i + lambda_r*beta_r = 0")
-    b = (c.beta_imag * c.lambda_real - c.beta_real * c.alpha_imag) / den
-    omega = c.lambda_imag * c.lambda_real / den
-    if c.beta_real == 0.0:
-        raise ConfigError("c coefficient needs beta_real != 0")
-    c_coef = -(c.beta_imag * c.lambda_real + c.alpha_imag * c.beta_real) / (c.beta_real * den)
-    return b, omega, c_coef

@@ -46,7 +46,6 @@ def test_special_explicit_values(tmp_path):
         # 17 significant digits round-trip doubles exactly
         assert float(row["k0"]) == ev.k0
         assert float(row["k1"]) == ev.k1
-        assert row["regime"] == ev.regime
 
 
 def test_special_default_grid(tmp_path):
@@ -430,11 +429,23 @@ def test_compare_missing_runs_exit_code(tmp_path, capsys):
     assert main(["compare", "--runs", str(tmp_path / "nope")]) == EXIT_CONFIG
 
 
+def _runs_with(params=None, report=None):
+    """Three well-formed runs, the first one's params and report updated."""
+    runs = [{"params": {"A": 1.5, "p": p, "eps": 1.0, "b": 1.0},
+             "report": {"k_measured": 0.1}} for p in (1.2, 1.5, 2.0)]
+    runs[0]["params"].update(params or {})
+    runs[0]["report"].update(report or {})
+    return runs
+
+
 @pytest.mark.parametrize("runs", [
     [{"params": {"p": p}, "report": {"k_measured": 0.1}} for p in (1.2, 1.5, 2.0)],
     [{"report": {"k_measured": 0.1}}],
     {"params": {"A": 1.5, "p": 1.5}, "report": {"k_measured": 0.1}},
-], ids=["no-mass", "no-params", "not-a-list"])
+    _runs_with(params={"A": "x"}),
+    _runs_with(report={"k_measured": "bad"}),
+    _runs_with(params={"p": [0.8]}),
+], ids=["no-mass", "no-params", "not-a-list", "text-A", "text-k", "list-p"])
 def test_compare_malformed_runs_exits_2(tmp_path, capsys, runs):
     (tmp_path / "runs.json").write_text(json.dumps(runs))
     assert main(["compare", "--runs", str(tmp_path)]) == EXIT_CONFIG

@@ -15,7 +15,6 @@ from eikolab.measure import (
     fit_k_law,
     fit_log_k_vs_inv_a,
     measure_wavenumber,
-    plateau_value,
     radial_gradient_profile,
 )
 from eikolab.radial import RadialGrid, RadialProfile
@@ -83,14 +82,6 @@ def test_radial_gradient_profile_of_bump():
     sel = (r > 2.0) & (r < 12.0)
     expect = -(2.0 * r[sel] / 50.0) * np.exp(-r[sel] ** 2 / 50.0)
     assert np.max(np.abs(prof.values[sel] - expect)) < 5e-3
-
-
-def test_plateau_value():
-    grid = RadialGrid(np.linspace(0.0, 10.0, 101))
-    prof = RadialProfile(grid, np.where(grid.nodes > 5.0, 2.0, 0.0))
-    assert plateau_value(prof, (6.0, 9.0)) == 2.0
-    with pytest.raises(StatisticsError):
-        plateau_value(prof, (10.5, 11.0))
 
 
 def test_build_report_and_dict_round_trip():

@@ -20,13 +20,11 @@ from eikolab.radial import (
     FarFieldAnsatz,
     RadialGrid,
     RadialProfile,
-    SpiralCoefficients,
     _amplitude_rhs,
     _launch,
     _shot_classifier,
     apply_inverse_L_lambda,
     cumulative_integral,
-    eikonal_coefficients,
     far_field_phi0,
     far_field_phi0_grad,
     far_field_source,
@@ -511,24 +509,3 @@ def test_shooting_rejects_bad_input(kwargs):
         with pytest.raises(ConfigError):
             shoot_spiral_amplitude(**kwargs)
 
-
-# --------------------------------------------------------- eikonal reduction
-
-
-def test_eikonal_coefficients_quotients():
-    c = SpiralCoefficients(
-        beta_real=1.0, beta_imag=2.0, lambda_real=3.0, alpha_imag=4.0, lambda_imag=5.0
-    )
-    b, omega, c_coef = eikonal_coefficients(c)
-    assert b == pytest.approx((2 * 3 - 1 * 4) / 11, rel=1e-15)
-    assert omega == pytest.approx(15 / 11, rel=1e-15)
-    assert c_coef == pytest.approx(-(2 * 3 + 4 * 1) / 11, rel=1e-15)
-
-
-def test_eikonal_coefficients_singular():
-    with pytest.raises(ConfigError):
-        eikonal_coefficients(
-            SpiralCoefficients(1.0, 1.0, 1.0, -1.0, 2.0)  # denominator = 0
-        )
-    with pytest.raises(ConfigError):
-        eikonal_coefficients(SpiralCoefficients(0.0, 1.0, 1.0, 1.0, 2.0))
