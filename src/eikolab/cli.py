@@ -523,6 +523,10 @@ def _load_runs(path: str) -> list:
             # bool is an int subclass, and float() would take it silently
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError(f"{p}: run value {key!r} must be a number, got {val!r}")
+        # compare takes a run as steady by bool(converged): "false" would pass
+        if not isinstance(e["report"].get("converged", True), bool):
+            raise ConfigError(f"{p}: run value 'converged' must be true or false, "
+                              f"got {e['report']['converged']!r}")
     return [(e["params"], SimpleNamespace(**e["report"])) for e in entries]
 
 

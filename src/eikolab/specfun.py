@@ -3,7 +3,7 @@
 Values come from scipy.special.k0e/k1e, the exponentially scaled e^z K0(z)
 and e^z K1(z), which stay O(1/sqrt(z)) where the bare functions underflow.
 Against the frozen 60-digit series table in tests/data they agree to a few
-ulp on (0, 700].  K0 itself underflows to 0 around z ~ 745 and bessel_eval
+ulp on (0, 700].  K0 itself rounds to 0 from z = 742.09 on, and bessel_eval
 flags that case.
 
 Float/array contract: bessel_k0_scaled, bessel_k1_scaled and log_k0_ratio
@@ -23,13 +23,10 @@ from scipy.special import k0e, k1e
 
 EULER_GAMMA = 0.57721566490153286061
 
-# exp(-z) underflows to subnormal-free zero past this point
-_UNDERFLOW_Z = 746.0
-
 
 @dataclass(frozen=True)
 class BesselEval:
-    """One evaluation of K0 and K1, flagged when e^{-z} underflows."""
+    """One evaluation of K0 and K1, flagged when K0 underflows to 0."""
 
     z: float
     k0: float
@@ -81,20 +78,19 @@ def bessel_k1_scaled(z):
 def bessel_eval(z: float) -> BesselEval:
     """Evaluate K0 and K1 together, recording underflow."""
     z = _check_domain(float(z))
-    if z >= _UNDERFLOW_Z:
-        return BesselEval(z, 0.0, 0.0, underflow=True)
     s0, s1 = _scaled(z)
     damp = math.exp(-z)
-    return BesselEval(z, s0 * damp, s1 * damp)
+    k0 = s0 * damp
+    return BesselEval(z, k0, s1 * damp, underflow=k0 == 0.0)
 
 
 def bessel_k0(z: float) -> float:
-    """K0(z) for z > 0; returns 0.0 once e^{-z} underflows."""
+    """K0(z) for z > 0; returns 0.0 once it underflows."""
     return bessel_eval(z).k0
 
 
 def bessel_k1(z: float) -> float:
-    """K1(z) for z > 0; returns 0.0 once e^{-z} underflows."""
+    """K1(z) for z > 0; returns 0.0 once it underflows."""
     return bessel_eval(z).k1
 
 

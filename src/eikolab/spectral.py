@@ -1,29 +1,35 @@
 """Periodic 2D pseudo-spectral ETDRK4 simulator for phi_t = Lap(phi) - b|grad phi|^2 - eps g.
 
-State lives in (real) Fourier space; the diffusive part is integrated exactly
-by the exponential factors and only the quadratic term plus forcing enter the
-ETDRK4 stages.  phi-function coefficient tables are evaluated by averaging the
-analytic formulas over a 32-point unit circle around each -|k|^2 dt (Taylor
-series below |z| = 1e-2), which sidesteps the cancellation instability near 0.
-The quadratic product is dealiased with the 2/3 rule; the forcing enters as an
-exact spectral constant.  A plan depends on (grid, dt) alone, so make_plan
-keeps the last PLAN_CACHE_SIZE plans, read-only, for every run and thread of
-the process: the members of a sweep share one set per ladder step.
-run_to_steady warm-starts from the half grid's locked state where that grid
-resolves the defect core, else from the Hopf-Cole eigenstate continued along
-its far-field asymptote, and relaxes a warm start with a growing time step.
+The defect is always centred, so every field stepped is even-even (in x and
+y) and the one stepper path holds the real DCT-I spectrum of the quadrant
+[:n/2+1, :n/2+1], entered by to_spectrum (which rejects an odd part) and left
+by to_field.  Field2D.hat and the snapshots keep the full rfft2.  The diffusive
+part is integrated exactly by the exponential factors and only the
+quadratic term plus forcing enter the ETDRK4 stages.  phi-function
+coefficient tables are evaluated by averaging the analytic formulas over a
+32-point unit circle around each -|k|^2 dt (Taylor series below |z| = 1e-2),
+which sidesteps the cancellation instability near 0.  The quadratic product
+is dealiased with the 2/3 rule; the forcing enters as an exact spectral
+constant.  A plan depends on (grid, dt) alone, so make_plan keeps the last
+PLAN_CACHE_SIZE plans, read-only, for every run and thread of the process:
+the members of a sweep share one set per ladder step.  run_to_steady
+warm-starts from the half grid's locked state where that grid resolves the
+defect core, else from the Hopf-Cole eigenstate continued along its
+far-field asymptote, and relaxes a warm start with a growing time step.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh
 
@@ -91,26 +97,30 @@ class Field2D:
 
 @functools.lru_cache(maxsize=2)
 def _spectral_tools(grid: GridSpec2D):
-    """(ikx, iky, minus_ksq, dealias_mask) in rfft2 layout, read-only.
+    """(kx, ky, minus_ksq, dealias_mask) on the quadrant kx, ky = 0..n/2, read-only.
 
-    Cached for the last two grids (a half-grid ladder visits two), so every
-    plan of a relaxation shares one set of arrays.
+    kx (a column) and ky (a row) skip 0 and the Nyquist mode, which has no
+    signed derivative.  Cached for the last two grids (a half-grid ladder
+    visits two), so every plan of a relaxation shares one set of arrays.
     """
-    n, l = grid.n, grid.l
-    kx = 2.0 * np.pi * np.fft.fftfreq(n, d=l / n)
-    ky = 2.0 * np.pi * np.fft.rfftfreq(n, d=l / n)
-    ikx = 1j * kx.copy()
-    iky = 1j * ky.copy()
-    ikx[n // 2] = 0.0  # Nyquist has no signed derivative
-    iky[-1] = 0.0
-    minus_ksq = -(kx[:, None] ** 2 + ky[None, :] ** 2)
-    ix = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    iy = np.abs(np.fft.rfftfreq(n, d=1.0 / n))
-    mask = (ix[:, None] < n / 3.0) & (iy[None, :] < n / 3.0)  # the 2/3 rule
-    tools = (ikx[:, None], iky[None, :], minus_ksq, mask)
+    n, m = grid.n, grid.n // 2
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.l / n)
+    minus_ksq = -(k[:, None] ** 2 + k[None, :] ** 2)
+    i = np.arange(m + 1)
+    mask = (i[:, None] < n / 3.0) & (i[None, :] < n / 3.0)  # the 2/3 rule
+    tools = (k[1:m, None], k[None, 1:m], minus_ksq, mask)
     for a in tools:
         a.flags.writeable = False
     return tools
+
+
+@functools.lru_cache(maxsize=2)
+def _multiplicity(n: int) -> np.ndarray:
+    """n-grid cells per quadrant cell: rows and columns 0, n/2 mirror onto themselves."""
+    w = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]
+    weight = np.outer(w, w)
+    weight.flags.writeable = False
+    return weight
 
 
 _N_CONTOUR = 32  # contour points per phi-function value
@@ -143,18 +153,39 @@ def _phi_functions(z: np.ndarray, count: int = 3):
 
 
 def _mirror_kx(rows: np.ndarray) -> np.ndarray:
-    """Full rfft2-layout table from its rows 0..n/2 (kx >= 0).
+    """The n rows of an array even in its first index from its rows 0..n/2.
 
-    Rows n/2+1..n-1 hold kx = -(n/2-1)..-1; fftfreq's negative frequencies are
-    exact negatives of the positive ones, so a table even in kx is mirrored
-    bitwise.
+    Row n - j repeats row j: a spectrum even in kx takes the rfft2 layout
+    (rows n/2+1..n-1 hold kx = -(n/2-1)..-1), a field even in x its full grid.
     """
     return np.concatenate((rows, rows[-2:0:-1]))
 
 
+def _mirror(quadrant: np.ndarray) -> np.ndarray:
+    """The n x n array even in both indices from its quadrant [:n/2+1, :n/2+1]."""
+    return _mirror_kx(_mirror_kx(quadrant.T).T)
+
+
+def to_spectrum(values: np.ndarray) -> np.ndarray:
+    """The DCT-I of the quadrant of an n x n field even in x and y, ConfigError
+    for an odd part beyond rounding: its rfft2 coefficients with kx, ky >= 0."""
+    values = np.asarray(values, dtype=float)
+    m = values.shape[0] // 2
+    quadrant = values[: m + 1, : m + 1]
+    odd = np.max(np.abs(values - _mirror(quadrant)))
+    if odd > 1e-10 * np.max(np.abs(values)):
+        raise ConfigError(f"field is not even in x and y: its odd part reaches {odd:.3e}")
+    return scipy.fft.dctn(quadrant, type=1)
+
+
+def to_field(uhat: np.ndarray) -> np.ndarray:
+    """The n x n field of the stepper's spectrum uhat (see to_spectrum)."""
+    return _mirror(scipy.fft.idctn(uhat, type=1))
+
+
 @dataclass(frozen=True)
 class ETDRK4Plan:
-    """Precomputed exponential integrator tables for one (grid, dt) pair."""
+    """Precomputed exponential integrator tables (on the quadrant) for one (grid, dt) pair."""
 
     grid: GridSpec2D
     dt: float
@@ -165,8 +196,8 @@ class ETDRK4Plan:
     f1: np.ndarray
     f2: np.ndarray
     f3: np.ndarray
-    ikx: np.ndarray
-    iky: np.ndarray
+    kx: np.ndarray  # interior wavenumbers, see _spectral_tools
+    ky: np.ndarray
     dealias_mask: np.ndarray
 
 
@@ -178,14 +209,10 @@ PLAN_CACHE_SIZE = 8
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def make_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
-    """The ETDRK4 tables for (grid, dt), cached and read-only: runs share them."""
-    if not dt > 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    ikx, iky, minus_ksq, mask = _spectral_tools(grid)
-    # every table is even in kx: evaluate rows kx >= 0 and mirror the rest;
-    # the phi-functions depend on |k|^2 alone, so each distinct value once
-    z = minus_ksq[: grid.n // 2 + 1] * dt
+def _cached_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
+    kx, ky, minus_ksq, mask = _spectral_tools(grid)
+    # the phi-functions depend on |k|^2 alone: each distinct value once
+    z = minus_ksq * dt
     zu, inverse = np.unique(z, return_inverse=True)
     inverse = inverse.reshape(z.shape)  # flat before numpy 2
     phi1, phi2, phi3 = (t[inverse] for t in _phi_functions(zu))
@@ -198,10 +225,24 @@ def make_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
     f1 = dt * (phi1 - 3.0 * phi2 + 4.0 * phi3)
     f2 = dt * (phi2 - 2.0 * phi3)
     f3 = dt * (4.0 * phi3 - phi2)
-    tables = [_mirror_kx(t) for t in (e_full, e_half, q_half, f1, f2, f3)]
+    tables = (e_full, e_half, q_half, f1, f2, f3)
     for t in tables:
         t.flags.writeable = False
-    return ETDRK4Plan(grid, dt, minus_ksq, *tables, ikx, iky, mask)
+    return ETDRK4Plan(grid, dt, minus_ksq, *tables, kx, ky, mask)
+
+
+_plan_lock = threading.Lock()
+
+
+def make_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
+    """The ETDRK4 tables for (grid, dt), cached and read-only: runs share them."""
+    if not dt > 0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
+    with _plan_lock:  # threads that miss on one key together build it once
+        return _cached_plan(grid, dt)
+
+
+make_plan.cache_info, make_plan.cache_clear = _cached_plan.cache_info, _cached_plan.cache_clear
 
 
 def sample_defect(grid: GridSpec2D, defect: InhomogeneitySpec) -> Field2D:
@@ -226,10 +267,18 @@ def defect_corner_ratio(grid: GridSpec2D, defect: InhomogeneitySpec) -> float:
 
 def _nonlinear_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
                    ghat: np.ndarray | None) -> np.ndarray:
-    """Spectral -b|grad phi|^2 (dealiased) - eps g."""
-    px = np.fft.irfft2(plan.ikx * uhat, s=(plan.grid.n, plan.grid.n))
-    py = np.fft.irfft2(plan.iky * uhat, s=(plan.grid.n, plan.grid.n))
-    what = np.fft.rfft2(px * px + py * py)
+    """Spectral -b|grad phi|^2 (dealiased) - eps g on the quadrant.
+
+    phi_x, odd in x, is an inverse DST-I along x over rows 1..n/2-1 (it is 0 on
+    rows 0 and n/2; the square drops its sign) and an inverse DCT-I along y;
+    phi_y likewise with the axes swapped."""
+    m = plan.grid.n // 2
+    px = scipy.fft.idct(scipy.fft.idst(plan.kx * uhat[1:m], type=1, axis=0), type=1, axis=1)
+    py = scipy.fft.idct(scipy.fft.idst(plan.ky * uhat[:, 1:m], type=1, axis=1), type=1, axis=0)
+    sq = np.zeros_like(uhat)
+    sq[1:m] = px * px
+    sq[:, 1:m] += py * py
+    what = scipy.fft.dctn(sq, type=1)
     what *= plan.dealias_mask
     out = -b * what
     if ghat is not None and eps != 0.0:
@@ -316,14 +365,15 @@ class Relaxation(NamedTuple):
 
 def _relax(config: SimulationConfig, uhat: np.ndarray,
            ladder: bool = False) -> Relaxation:
-    """Step the spectrum uhat on config.grid until phi_t is steady or t_max.
+    """Step the quadrant spectrum uhat on config.grid until phi_t is steady or t_max.
 
     Steadiness: max |phi_t - mean(phi_t)| over the centered disk of radius
     0.45 L below steady_tol, with the exact instantaneous right-hand side
     L u + N(u); N(u) is the next step's first stage, so a check costs one
-    inverse FFT.  Without the ladder the step is config.dt and the check
-    comes after step 1, every check_interval steps and at t_max.  With it
-    (warm starts) the check comes after every step, and the step is
+    inverse DCT-I; the mean weighs each quadrant cell by its _multiplicity.
+    Without the ladder the step is config.dt and the check comes after step
+    1, every check_interval steps and at t_max.  With it (warm starts) the
+    check comes after every step, and the step is
     dt * 2**level by switched evolution relaxation: tau grows by
     min(2, r_prev / r), within [dt, dt * 2**LADDER_TOP], and the level is
     tau snapped down to the ladder.  A step above dt that blows up is
@@ -333,17 +383,19 @@ def _relax(config: SimulationConfig, uhat: np.ndarray,
     """
     grid, b, dt = config.grid, config.b, config.dt
     eps = config.defect.strength
-    ghat = np.fft.rfft2(sample_defect(grid, config.defect).values)
-    disk = grid.radius_grid() <= 0.45 * grid.l
+    ghat = to_spectrum(sample_defect(grid, config.defect).values)
+    m = grid.n // 2
+    disk = grid.radius_grid()[: m + 1, : m + 1] <= 0.45 * grid.l
+    weight = _multiplicity(grid.n)[disk]
     n_ticks = int(math.ceil(config.t_max / dt))  # time budget in units of dt
 
     def steady_residual(u, n, plan):
         """(residual, omega_drift) from phi_t = L u + n, None if not finite."""
-        phi_t = np.fft.irfft2(full_rhs_hat(u, plan, b, eps, ghat, n), s=(grid.n, grid.n))
+        phi_t = scipy.fft.idctn(full_rhs_hat(u, plan, b, eps, ghat, n), type=1)
         if not np.all(np.isfinite(phi_t)):
             return None
         sel = phi_t[disk]
-        mean_t = float(np.mean(sel))
+        mean_t = float(np.average(sel, weights=weight))
         return float(np.max(np.abs(sel - mean_t))), -mean_t
 
     ceiling = LADDER_TOP if ladder else 0
@@ -402,15 +454,14 @@ def _relax(config: SimulationConfig, uhat: np.ndarray,
 
 
 def _zero_pad(coarse_hat: np.ndarray, n: int) -> np.ndarray:
-    """An (n/2)-grid rfft2 spectrum on the n-grid layout.
+    """An (n/2)-grid quadrant spectrum on the n-grid quadrant.
 
-    numpy's transform is unnormalised, so the coefficients scale by 4; the
-    coarse Nyquist row and column have no signed counterpart and are dropped.
+    The transform is unnormalised, so the coefficients scale by 4; the coarse
+    Nyquist row and column have no signed counterpart and are dropped.
     """
     h = n // 4  # coarse Nyquist index
-    out = np.zeros((n, n // 2 + 1), dtype=complex)
+    out = np.zeros((n // 2 + 1, n // 2 + 1))
     out[:h, :h] = 4.0 * coarse_hat[:h, :h]
-    out[n - h + 1:, :h] = 4.0 * coarse_hat[h + 1:, :h]
     return out
 
 
@@ -419,9 +470,11 @@ EIGEN_MAXITER = 200
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """u . v by einsum's own loop: OpenBLAS would thread a dot of this size on
-    helper threads that busy-wait, taking the pool's second core."""
-    return float(np.einsum("i,i->", u.ravel(), v.ravel()))
+    """The grid's u . v from the quadrants, by einsum's own loop: OpenBLAS would
+    thread a dot of this size on helper threads that busy-wait, taking the
+    pool's second core."""
+    weight = _multiplicity(2 * u.shape[0] - 2)
+    return float(np.einsum("i,i,i->", u.ravel(), v.ravel(), weight.ravel()))
 
 
 def _deflate(v, basis, images, bv=None):
@@ -475,24 +528,26 @@ def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple[float, np.ndarray] | 
 
 
 def _hopf_cole_eigen(config: SimulationConfig) -> tuple[np.ndarray, float] | None:
-    """The Hopf-Cole eigenstate (w scaled to max 1, Omega = lambda/b), or None.
+    """The Hopf-Cole eigenstate (quadrant w scaled to max 1, Omega = lambda/b), or None.
 
     w = exp(-b phi) turns the PDE into w_t = Lap w + b eps g w, whose principal
     eigenpair (lambda, w) is the locked state.  _lobpcg (start vector g) solves
     B = -Lap - b eps g with the spectral Laplacian and the Fourier-diagonal
-    preconditioner (-Lap + sigma)^-1, sigma = max(b eps g)/2.  None for
+    preconditioner (-Lap + sigma)^-1, sigma = max(b eps g)/2, on the quadrant:
+    both are DCT-I diagonal and _dot is the grid's inner product.  None for
     p <= SUBCRITICAL_P (outside the theorem), a non-finite operator, a failed
     or unconverged solve, or a w that is nowhere positive.
     """
-    grid, n = config.grid, config.grid.n
+    grid, m = config.grid, config.grid.n // 2
     pot = config.b * config.defect.strength * sample_defect(grid, config.defect).values
+    pot = pot[: m + 1, : m + 1]
     sigma = 0.5 * float(np.max(pot))
     if config.defect.decay_exponent <= SUBCRITICAL_P or not 0.0 < sigma < math.inf:
         return None
     _, _, minus_ksq, _ = _spectral_tools(grid)
 
     def fourier(symbol):
-        return lambda x: np.fft.irfft2(symbol * np.fft.rfft2(x), s=(n, n))
+        return lambda x: scipy.fft.idctn(symbol * scipy.fft.dctn(x, type=1), type=1)
 
     laplacian = fourier(minus_ksq)
     with np.errstate(all="ignore"):
@@ -512,22 +567,24 @@ def _hopf_cole_eigen(config: SimulationConfig) -> tuple[np.ndarray, float] | Non
 
 
 def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.ndarray:
-    """phi0 from the eigenstate w, matched to its far-field asymptote.
+    """phi0 on the quadrant from the eigenstate w, matched to its far-field asymptote.
 
     On the trusted set, w >= 10 floor with floor = max(1e-7, 100 max(0, -min w))
     above the eigenvector's noise, phi0 = -log(w)/b.  Beyond r_f, the smallest
     periodic radius of an untrusted cell, phi0 follows the far field of
     w ~ exp(-int q)/sqrt(r), q^2 = b (Omega - eps g):
     phi0(r) = phibar + int_{r_f}^r sqrt(max(Omega - eps g, 0)/b) + 1/(2 b s) ds,
-    with phibar the mean of phi0 over trusted cells within one dx of r_f.
+    with phibar the mean of phi0 over the grid's trusted cells within one dx
+    of r_f (quadrant cells weighed by _multiplicity).
     """
-    grid, b = config.grid, config.b
+    grid, b, m = config.grid, config.b, config.grid.n // 2
     floor = max(1e-7, 100.0 * max(0.0, -float(np.min(w))))
     trusted = w >= 10.0 * floor
     near = -np.log(np.maximum(w, 10.0 * floor)) / b
-    r = grid.radius_grid(periodic=True)
+    r = grid.radius_grid(periodic=True)[: m + 1, : m + 1]
     r_f = float(np.min(r, where=~trusted, initial=np.max(r)))
-    phibar = float(np.mean(near, where=trusted & (np.abs(r - r_f) <= grid.dx)))
+    weight = _multiplicity(grid.n) * (trusted & (np.abs(r - r_f) <= grid.dx))
+    phibar = float(np.sum(weight * near) / np.sum(weight))
     s = np.linspace(r_f, np.max(r), grid.n + 1)
     # d phi0/dr = q/b + 1/(2 b r)
     slope = np.sqrt(np.maximum(omega - evaluate_g(config.defect, s), 0.0) / b) + 0.5 / (b * s)
@@ -545,10 +602,10 @@ def _hopf_cole_start(config: SimulationConfig) -> tuple[np.ndarray, float | None
     """
     eigen = _hopf_cole_eigen(config)
     if eigen is None:
-        n = config.grid.n
-        return np.zeros((n, n // 2 + 1), dtype=complex), None
+        m = config.grid.n // 2
+        return np.zeros((m + 1, m + 1)), None
     w, omega = eigen
-    return np.fft.rfft2(_matched_phi(config, w, omega)), omega
+    return scipy.fft.dctn(_matched_phi(config, w, omega), type=1), omega
 
 
 def _warm_start(config: SimulationConfig) -> tuple[np.ndarray, int, str, float | None]:
@@ -603,7 +660,7 @@ def run_to_steady(config: SimulationConfig):
     start, coarse_steps, start_kind, start_omega = _warm_start(config)
     run = _relax(config, start, ladder=start_kind != "rest")
 
-    phi = Field2D(grid, np.fft.irfft2(run.uhat, s=(grid.n, grid.n)), spectral=run.uhat)
+    phi = Field2D(grid, to_field(run.uhat), spectral=_mirror_kx(run.uhat))
     record = run._asdict()
     del record["uhat"]
     report = build_report(phi, **record, steady_tol=config.steady_tol,
@@ -614,12 +671,13 @@ def run_to_steady(config: SimulationConfig):
 
 def spectral_gradient(phi: Field2D) -> tuple[np.ndarray, np.ndarray]:
     """(d phi/dx, d phi/dy) via ik multipliers (Nyquist derivative zeroed)."""
-    ikx, iky, _, _ = _spectral_tools(phi.grid)
-    uhat = phi.hat()
     n = phi.grid.n
+    ik = 2j * np.pi * np.fft.fftfreq(n, d=phi.grid.l / n)
+    ik[n // 2] = 0.0  # Nyquist has no signed derivative
+    uhat = phi.hat()
     return (
-        np.fft.irfft2(ikx * uhat, s=(n, n)),
-        np.fft.irfft2(iky * uhat, s=(n, n)),
+        np.fft.irfft2(ik[:, None] * uhat, s=(n, n)),
+        np.fft.irfft2(ik[None, : n // 2 + 1] * uhat, s=(n, n)),
     )
 
 

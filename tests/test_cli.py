@@ -445,7 +445,8 @@ def _runs_with(params=None, report=None):
     _runs_with(params={"A": "x"}),
     _runs_with(report={"k_measured": "bad"}),
     _runs_with(params={"p": [0.8]}),
-], ids=["no-mass", "no-params", "not-a-list", "text-A", "text-k", "list-p"])
+    _runs_with(report={"converged": "false"}),
+], ids=["no-mass", "no-params", "not-a-list", "text-A", "text-k", "list-p", "text-converged"])
 def test_compare_malformed_runs_exits_2(tmp_path, capsys, runs):
     (tmp_path / "runs.json").write_text(json.dumps(runs))
     assert main(["compare", "--runs", str(tmp_path)]) == EXIT_CONFIG

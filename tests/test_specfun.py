@@ -82,14 +82,18 @@ def test_array_path_equals_float_path(bessel_table):
 
 
 def test_underflow_flag():
-    # flag keys on e^{-z} underflowing (z >= 746); the product with the O(1)
-    # scaled factor may round to zero in subnormals slightly earlier
+    # the flag keys on K0 rounding to 0, which the product of e^{-z} with the
+    # O(1/sqrt(z)) scaled factor does before e^{-z} itself underflows (z = 746)
     ev = bessel_eval(746.0)
     assert ev.underflow and ev.k0 == 0.0 and ev.k1 == 0.0
     ev = bessel_eval(745.0)
-    assert not ev.underflow
+    assert ev.underflow and ev.k0 == 0.0
     ev = bessel_eval(740.0)
     assert not ev.underflow and ev.k0 > 0.0
+    # the flag is set exactly where K0 reads 0, on both sides of the edge
+    for z in np.linspace(740.0, 746.0, 601):
+        ev = bessel_eval(float(z))
+        assert ev.underflow == (ev.k0 == 0.0), z
     # scaled evaluation survives far beyond the bare underflow point
     assert bessel_k0_scaled(5000.0) == pytest.approx(
         math.sqrt(math.pi / 10000.0), rel=1e-3

@@ -9,9 +9,11 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from eikolab.profiles import InhomogeneitySpec
-from eikolab.spectral import GridSpec2D, SimulationConfig, _hopf_cole_eigen
+from eikolab.spectral import GridSpec2D, SimulationConfig, _hopf_cole_eigen, _step_hat
+from eikolab.spectral import make_plan
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,9 +35,9 @@ def test_every_traced_entry_point_resolves():
     assert missing == []
 
 
-def test_eigen_solve_calls_numpy_fft_by_attribute(monkeypatch):
-    # the tracer's spectral.fft.* metrics wrap numpy.fft.rfft2/irfft2 by
-    # attribute, so the eigen start's transforms must be looked up there
+def test_quadrant_transforms_are_scipy_fft_attributes(monkeypatch):
+    # the eigen start's and the stepper's quadrant transforms must be looked
+    # up as scipy.fft attributes at call time, so a tracer can wrap them there
     calls = []
 
     def counted(name, original):
@@ -44,9 +46,13 @@ def test_eigen_solve_calls_numpy_fft_by_attribute(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("rfft2", "irfft2"):
-        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    for name in ("dctn", "idctn", "idct", "idst"):
+        monkeypatch.setattr(scipy.fft, name, counted(name, getattr(scipy.fft, name)))
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
                            defect=InhomogeneitySpec(1.5, 0.8, strength=1.0))
     assert _hopf_cole_eigen(cfg) is not None
-    assert calls.count("rfft2") > 0 and calls.count("irfft2") > 0
+    assert calls.count("dctn") > 0 and calls.count("idctn") > 0
+    calls.clear()
+    _step_hat(np.zeros((33, 33)), make_plan(cfg.grid, cfg.dt), 1.0, 1.0, None)
+    assert {name: calls.count(name) for name in ("dctn", "idct", "idst")} == {
+        "dctn": 4, "idct": 8, "idst": 8}
