@@ -31,7 +31,7 @@ from .asymptotics import branch_mass, compare_prediction_to_runs, predict_k_for_
 from .asymptotics import predict_lambda
 from .errors import BlowUpError, ConfigError, NumericalError, StatisticsError
 from .measure import ANNULUS_FRACTIONS, fit_k_law, fit_log_k_vs_inv_a
-from .measure import measure_wavenumber, radial_gradient_profile
+from .measure import measure_wavenumber, radial_gradient, radial_gradient_profile
 from .profiles import CutoffSpec, InhomogeneitySpec, core_mass, evaluate_g
 from .profiles import DEFAULT_R_CUT, SUBCRITICAL_P, smooth_cutoff, split_defect
 from .radial import RadialGrid, shoot_spiral_amplitude, solve_corrector_K, validate_shooting
@@ -466,8 +466,9 @@ def cmd_measure(args) -> int:
         if len(vals) != 2:
             raise ConfigError("--annulus takes r_in,r_out")
         annulus = (vals[0], vals[1])
-    k = measure_wavenumber(phi, annulus)
-    prof = radial_gradient_profile(phi, n_bins=args.n_bins)
+    radial = radial_gradient(phi)
+    k = measure_wavenumber(phi, annulus, radial)
+    prof = radial_gradient_profile(phi, n_bins=args.n_bins, radial=radial)
     payload = {
         "k_measured": k,
         "annulus": list(annulus) if annulus else CONVENTIONS["annulus_fractions"],

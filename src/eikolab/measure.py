@@ -2,8 +2,8 @@
 
 Everything here is a pure function of field snapshots.  The wavenumber
 estimate is the annulus mean of the radial component of the spectral
-gradient; the sweep law k = C exp(-1/a) is probed two ways, through the
-transform y = 1/(log k - 1) against a and through log k against -1/a.
+gradient, taken once per report; the sweep law k = C exp(-1/a) is probed
+two ways, through y = 1/(log k - 1) against a and log k against -1/a.
 """
 from __future__ import annotations
 
@@ -26,19 +26,17 @@ def default_annulus(grid) -> tuple[float, float]:
 
 
 def _center_offsets(grid):
-    """(dx, dy, r) of every cell relative to the domain center."""
+    """(dx, a column, dy, a row, r) of the cells relative to the domain center."""
     x = grid.axes()
     cx, cy = grid.center()
-    ox = (x - cx)[:, None] * np.ones(grid.n)[None, :]
-    oy = np.ones(grid.n)[:, None] * (x - cy)[None, :]
-    return ox, oy, np.hypot(ox, oy)
+    return (x - cx)[:, None], (x - cy)[None, :], grid.radius_grid()
 
 
 def _bin_average(grid, values: np.ndarray, n_bins: int,
                  center_value: float) -> RadialProfile:
     if n_bins < 16:
         raise ConfigError(f"n_bins must be >= 16, got {n_bins}")
-    _, _, r = _center_offsets(grid)
+    r = grid.radius_grid()
     r_max = 0.5 * grid.l
     width = r_max / n_bins
     idx = np.minimum((r / width).astype(int), n_bins - 1)
@@ -73,19 +71,25 @@ def azimuthal_average(field: Field2D, n_bins: int = 64) -> RadialProfile:
     return _bin_average(field.grid, field.values, n_bins, float(field.values[c, c]))
 
 
-def radial_gradient_profile(phi: Field2D, n_bins: int = 64) -> RadialProfile:
-    """Azimuthal average of the radial component of the spectral gradient."""
+def radial_gradient(phi: Field2D) -> np.ndarray:
+    """The radial component of the spectral gradient on every cell, 0 at the center."""
     px, py = spectral_gradient(phi)
     ox, oy, r = _center_offsets(phi.grid)
     with np.errstate(invalid="ignore", divide="ignore"):
-        radial = np.where(r > 0, (px * ox + py * oy) / np.where(r > 0, r, 1.0), 0.0)
+        return np.where(r > 0, (px * ox + py * oy) / np.where(r > 0, r, 1.0), 0.0)
+
+
+def radial_gradient_profile(phi: Field2D, n_bins: int = 64,
+                            radial: np.ndarray | None = None) -> RadialProfile:
+    """Azimuthal average of radial_gradient(phi), or of radial if given."""
+    radial = radial_gradient(phi) if radial is None else radial
     # the radial derivative vanishes at the center by symmetry
     return _bin_average(phi.grid, radial, n_bins, 0.0)
 
 
-def measure_wavenumber(field: Field2D,
-                       annulus: tuple[float, float] | None = None) -> float:
-    """Mean radial gradient component over an annulus around the center."""
+def measure_wavenumber(field: Field2D, annulus: tuple[float, float] | None = None,
+                       radial: np.ndarray | None = None) -> float:
+    """Mean of radial_gradient(field), or of radial if given, over an annulus."""
     grid = field.grid
     if annulus is None:
         annulus = default_annulus(grid)
@@ -94,16 +98,15 @@ def measure_wavenumber(field: Field2D,
         raise ConfigError(
             f"annulus must satisfy 0 < r_in < r_out <= 0.45 L, got {annulus}"
         )
-    px, py = spectral_gradient(field)
-    ox, oy, r = _center_offsets(grid)
+    r = grid.radius_grid()
     sel = (r >= r_in) & (r <= r_out)
     n_cells = int(np.count_nonzero(sel))
     if n_cells < MIN_ANNULUS_CELLS:
         raise StatisticsError(
             f"annulus {annulus} holds only {n_cells} cells (< {MIN_ANNULUS_CELLS})"
         )
-    radial = (px[sel] * ox[sel] + py[sel] * oy[sel]) / r[sel]
-    return float(np.mean(radial))
+    radial = radial_gradient(field) if radial is None else radial
+    return float(np.mean(radial[sel]))
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,7 @@ class SteadyStateReport:
     coarse_steps: int = 0  # half-grid warm-start steps, summed over levels
     start: str = "rest"  # "half_grid", "hopf_cole" or "rest"
     start_omega: float | None = None  # lambda/b of the eigen solve, if one ran
+    eigen_iterations: int | None = None  # that solve's LOBPCG iterations
     corner_ratio: float = math.nan
 
     def as_dict(self, include_profile: bool = True) -> dict:
@@ -153,12 +157,13 @@ class SteadyStateReport:
 
 def build_report(phi: Field2D, **run) -> SteadyStateReport:
     """The run record of phi: k over the default annulus and the radial
-    gradient profile are measured here, every other SteadyStateReport field
-    is passed through by name."""
+    gradient profile are measured here (from one gradient), every other
+    SteadyStateReport field is passed through by name."""
     annulus = default_annulus(phi.grid)
-    return SteadyStateReport(k_measured=measure_wavenumber(phi, annulus),
+    radial = radial_gradient(phi)
+    return SteadyStateReport(k_measured=measure_wavenumber(phi, annulus, radial),
                              annulus=annulus,
-                             radial_profile=radial_gradient_profile(phi), **run)
+                             radial_profile=radial_gradient_profile(phi, radial=radial), **run)
 
 
 # ------------------------------------------------------------------ fitting

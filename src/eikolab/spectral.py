@@ -1,21 +1,22 @@
 """Periodic 2D pseudo-spectral ETDRK4 simulator for phi_t = Lap(phi) - b|grad phi|^2 - eps g.
 
-The defect is always centred, so every field stepped is even-even (in x and
-y) and the one stepper path holds the real DCT-I spectrum of the quadrant
-[:n/2+1, :n/2+1], entered by to_spectrum (which rejects an odd part) and left
-by to_field.  Field2D.hat and the snapshots keep the full rfft2.  The diffusive
-part is integrated exactly by the exponential factors and only the
-quadratic term plus forcing enter the ETDRK4 stages.  phi-function
-coefficient tables are evaluated by averaging the analytic formulas over a
-32-point unit circle around each -|k|^2 dt (Taylor series below |z| = 1e-2),
-which sidesteps the cancellation instability near 0.  The quadratic product
-is dealiased with the 2/3 rule; the forcing enters as an exact spectral
-constant.  A plan depends on (grid, dt) alone, so make_plan keeps the last
-PLAN_CACHE_SIZE plans, read-only, for every run and thread of the process:
-the members of a sweep share one set per ladder step.  run_to_steady
-warm-starts from the half grid's locked state where that grid resolves the
-defect core, else from the Hopf-Cole eigenstate continued along its
-far-field asymptote, and relaxes a warm start with a growing time step.
+The box is square and the defect centred and radial, so every field stepped
+is even in x and y and symmetric under x <-> y: the one stepper path holds
+the real DCT-I spectrum of the quadrant [:n/2+1, :n/2+1], entered by
+to_spectrum (which rejects an odd or asymmetric part) and left by to_field.
+Field2D.hat and the snapshots keep the full rfft2.  The diffusive part is
+integrated exactly by the exponential factors and only the quadratic term
+plus forcing enter the ETDRK4 stages.  phi-function coefficient tables are
+evaluated by averaging the analytic formulas over a 32-point unit circle
+around each -|k|^2 dt (Taylor series below |z| = 1e-2), which sidesteps the
+cancellation instability near 0.  The quadratic term takes phi_x alone
+(phi_y^2 is the transpose of phi_x^2), dealiased by the 2/3 rule whose
+dropped rows its forward transform skips; the forcing is an exact spectral
+constant.  Plans, radius grids and the bare defect are cached read-only.
+run_to_steady warm-starts from the half grid's locked state where that grid
+resolves the defect core, else from the Hopf-Cole eigenstate (solved on
+DCT-I coefficients) continued along its far-field asymptote, and relaxes a
+warm start with a growing time step.
 """
 from __future__ import annotations
 
@@ -35,6 +36,13 @@ from scipy.linalg import eigh
 
 from .errors import BlowUpError, ConfigError
 from .profiles import SUBCRITICAL_P, InhomogeneitySpec, evaluate_g
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only: cached values that every run and thread shares."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,9 @@ class GridSpec2D:
     def center(self) -> tuple[float, float]:
         return (0.5 * self.l, 0.5 * self.l)
 
+    @functools.lru_cache(maxsize=4)  # two grids of a half-grid ladder, both kinds
     def radius_grid(self, periodic: bool = False) -> np.ndarray:
-        """Distance of each cell to the domain center (min-image if periodic)."""
+        """Distance of each cell to the domain center (min-image if periodic), read-only."""
         x = self.axes()
         cx, cy = self.center()
         dx = np.abs(x - cx)
@@ -70,7 +79,7 @@ class GridSpec2D:
         if periodic:
             dx = np.minimum(dx, self.l - dx)
             dy = np.minimum(dy, self.l - dy)
-        return np.hypot(dx[:, None], dy[None, :])
+        return _read_only(np.hypot(dx[:, None], dy[None, :]))[0]
 
 
 @dataclass
@@ -97,30 +106,22 @@ class Field2D:
 
 @functools.lru_cache(maxsize=2)
 def _spectral_tools(grid: GridSpec2D):
-    """(kx, ky, minus_ksq, dealias_mask) on the quadrant kx, ky = 0..n/2, read-only.
+    """(kx, minus_ksq) on the quadrant kx, ky = 0..n/2, read-only.
 
-    kx (a column) and ky (a row) skip 0 and the Nyquist mode, which has no
-    signed derivative.  Cached for the last two grids (a half-grid ladder
-    visits two), so every plan of a relaxation shares one set of arrays.
+    kx, a column, skips 0 and the Nyquist mode, which has no signed
+    derivative.  Cached for the last two grids (a half-grid ladder visits
+    two), so every plan of a relaxation shares one set of arrays.
     """
     n, m = grid.n, grid.n // 2
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.l / n)
-    minus_ksq = -(k[:, None] ** 2 + k[None, :] ** 2)
-    i = np.arange(m + 1)
-    mask = (i[:, None] < n / 3.0) & (i[None, :] < n / 3.0)  # the 2/3 rule
-    tools = (k[1:m, None], k[None, 1:m], minus_ksq, mask)
-    for a in tools:
-        a.flags.writeable = False
-    return tools
+    return _read_only(k[1:m, None], -(k[:, None] ** 2 + k[None, :] ** 2))
 
 
 @functools.lru_cache(maxsize=2)
 def _multiplicity(n: int) -> np.ndarray:
     """n-grid cells per quadrant cell: rows and columns 0, n/2 mirror onto themselves."""
     w = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]
-    weight = np.outer(w, w)
-    weight.flags.writeable = False
-    return weight
+    return _read_only(np.outer(w, w))[0]
 
 
 _N_CONTOUR = 32  # contour points per phi-function value
@@ -167,14 +168,16 @@ def _mirror(quadrant: np.ndarray) -> np.ndarray:
 
 
 def to_spectrum(values: np.ndarray) -> np.ndarray:
-    """The DCT-I of the quadrant of an n x n field even in x and y, ConfigError
-    for an odd part beyond rounding: its rfft2 coefficients with kx, ky >= 0."""
+    """The DCT-I of the quadrant of an n x n field even in x and y and symmetric
+    in x <-> y (ConfigError beyond rounding): its rfft2 coefficients, kx, ky >= 0."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0] // 2
     quadrant = values[: m + 1, : m + 1]
-    odd = np.max(np.abs(values - _mirror(quadrant)))
-    if odd > 1e-10 * np.max(np.abs(values)):
-        raise ConfigError(f"field is not even in x and y: its odd part reaches {odd:.3e}")
+    for name, part in (("odd", values - _mirror(quadrant)),
+                       ("asymmetric", quadrant - quadrant.T)):
+        if np.max(np.abs(part)) > 1e-10 * np.max(np.abs(values)):
+            raise ConfigError(f"field is not even in x and y and x <-> y symmetric: "
+                              f"its {name} part reaches {np.max(np.abs(part)):.3e}")
     return scipy.fft.dctn(quadrant, type=1)
 
 
@@ -197,8 +200,7 @@ class ETDRK4Plan:
     f2: np.ndarray
     f3: np.ndarray
     kx: np.ndarray  # interior wavenumbers, see _spectral_tools
-    ky: np.ndarray
-    dealias_mask: np.ndarray
+    dealias_keep: int  # the 2/3 rule keeps modes 0..dealias_keep-1 on each axis
 
 
 # The runs of a sweep revisit a few (grid, dt) pairs: the dt ladder
@@ -210,7 +212,7 @@ PLAN_CACHE_SIZE = 8
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _cached_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
-    kx, ky, minus_ksq, mask = _spectral_tools(grid)
+    kx, minus_ksq = _spectral_tools(grid)
     # the phi-functions depend on |k|^2 alone: each distinct value once
     z = minus_ksq * dt
     zu, inverse = np.unique(z, return_inverse=True)
@@ -225,10 +227,8 @@ def _cached_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
     f1 = dt * (phi1 - 3.0 * phi2 + 4.0 * phi3)
     f2 = dt * (phi2 - 2.0 * phi3)
     f3 = dt * (4.0 * phi3 - phi2)
-    tables = (e_full, e_half, q_half, f1, f2, f3)
-    for t in tables:
-        t.flags.writeable = False
-    return ETDRK4Plan(grid, dt, minus_ksq, *tables, kx, ky, mask)
+    tables = _read_only(e_full, e_half, q_half, f1, f2, f3)
+    return ETDRK4Plan(grid, dt, minus_ksq, *tables, kx, -(-grid.n // 3))  # modes < n/3
 
 
 _plan_lock = threading.Lock()
@@ -255,6 +255,14 @@ def sample_defect(grid: GridSpec2D, defect: InhomogeneitySpec) -> Field2D:
     return Field2D(grid, evaluate_g(bare, grid.radius_grid(periodic=True)))
 
 
+@functools.lru_cache(maxsize=2)
+def _bare_defect(grid: GridSpec2D, amplitude: float, decay_exponent: float):
+    """(g, ghat), read-only: the bare defect on the quadrant and its spectrum,
+    shared by the eigen start and _relax of every run with this grid and shape."""
+    values = sample_defect(grid, InhomogeneitySpec(amplitude, decay_exponent)).values
+    return _read_only(values[: grid.n // 2 + 1, : grid.n // 2 + 1].copy(), to_spectrum(values))
+
+
 def defect_corner_ratio(grid: GridSpec2D, defect: InhomogeneitySpec) -> float:
     """g(corner)/g(center): wrap-around contamination gauge (warn above 1e-3)."""
     corner = math.hypot(0.5 * grid.l, 0.5 * grid.l)
@@ -270,17 +278,18 @@ def _nonlinear_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
     """Spectral -b|grad phi|^2 (dealiased) - eps g on the quadrant.
 
     phi_x, odd in x, is an inverse DST-I along x over rows 1..n/2-1 (it is 0 on
-    rows 0 and n/2; the square drops its sign) and an inverse DCT-I along y;
-    phi_y likewise with the axes swapped."""
-    m = plan.grid.n // 2
+    rows 0 and n/2; the square drops its sign) and an inverse DCT-I along y.
+    phi_y^2 is (phi_x^2)^T by symmetry.  The forward DCT-I runs along x, and
+    along y on the rows the 2/3 rule keeps alone."""
+    m, keep = plan.grid.n // 2, plan.dealias_keep
     px = scipy.fft.idct(scipy.fft.idst(plan.kx * uhat[1:m], type=1, axis=0), type=1, axis=1)
-    py = scipy.fft.idct(scipy.fft.idst(plan.ky * uhat[:, 1:m], type=1, axis=1), type=1, axis=0)
+    px2 = px * px
     sq = np.zeros_like(uhat)
-    sq[1:m] = px * px
-    sq[:, 1:m] += py * py
-    what = scipy.fft.dctn(sq, type=1)
-    what *= plan.dealias_mask
-    out = -b * what
+    sq[1:m] = px2
+    sq[:, 1:m] += px2.T
+    rows = scipy.fft.dct(sq, type=1, axis=0)[:keep]
+    out = np.zeros_like(uhat)
+    out[:keep, :keep] = -b * scipy.fft.dct(rows, type=1, axis=1)[:, :keep]
     if ghat is not None and eps != 0.0:
         out -= eps * ghat
     return out
@@ -291,9 +300,10 @@ def _step_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
     """One ETDRK4 step; n0, the nonlinear term at uhat, is computed if not given."""
     if n0 is None:
         n0 = _nonlinear_hat(uhat, plan, b, eps, ghat)
-    a = plan.e_half * uhat + plan.q_half * n0
+    eu = plan.e_half * uhat
+    a = eu + plan.q_half * n0
     na = _nonlinear_hat(a, plan, b, eps, ghat)
-    bb = plan.e_half * uhat + plan.q_half * na
+    bb = eu + plan.q_half * na
     nb = _nonlinear_hat(bb, plan, b, eps, ghat)
     c = plan.e_half * a + plan.q_half * (2.0 * nb - n0)
     nc = _nonlinear_hat(c, plan, b, eps, ghat)
@@ -383,7 +393,7 @@ def _relax(config: SimulationConfig, uhat: np.ndarray,
     """
     grid, b, dt = config.grid, config.b, config.dt
     eps = config.defect.strength
-    ghat = to_spectrum(sample_defect(grid, config.defect).values)
+    _, ghat = _bare_defect(grid, config.defect.amplitude, config.defect.decay_exponent)
     m = grid.n // 2
     disk = grid.radius_grid()[: m + 1, : m + 1] <= 0.45 * grid.l
     weight = _multiplicity(grid.n)[disk]
@@ -470,9 +480,9 @@ EIGEN_MAXITER = 200
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """The grid's u . v from the quadrants, by einsum's own loop: OpenBLAS would
-    thread a dot of this size on helper threads that busy-wait, taking the
-    pool's second core."""
+    """n^2 times the grid's u . v from the quadrant DCT-I spectra (Parseval),
+    by einsum's own loop: OpenBLAS would thread a dot of this size on helper
+    threads that busy-wait, taking the pool's second core."""
     weight = _multiplicity(2 * u.shape[0] - 2)
     return float(np.einsum("i,i,i->", u.ravel(), v.ravel(), weight.ravel()))
 
@@ -489,12 +499,14 @@ def _deflate(v, basis, images, bv=None):
     return v, bv, math.sqrt(_dot(v, v))
 
 
-def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """The smallest eigenpair (lam, unit x) of the symmetric B, or None.
+def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple[float, np.ndarray, int] | None:
+    """The smallest eigenpair (lam, unit x) of the symmetric B and the iterations
+    taken (one application of B each), or None.
 
     LOBPCG with block size 1 (Knyazev, SIAM J. Sci. Comput. 23, 2001): each
-    step takes the lowest Ritz pair of B on span{x, w, p}, with w = T r the
-    preconditioned residual r = Bx - lam x and p the last step's update.  p and
+    step takes the lowest Ritz pair of B on span{x, w, p}, with w = T(r, lam)
+    the residual r = Bx - lam x preconditioned at the Ritz value lam and p the
+    last step's update.  p and
     then w are Gram-Schmidt'd twice against the basis and normalised, and p is
     dropped when nothing of it is left.  B is applied to w alone: Bx and Bp
     follow x and p as the same combinations.  Converged when
@@ -507,7 +519,7 @@ def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple[float, np.ndarray] | 
         lam = _dot(x, bx)
         r = bx - lam * x
         if math.sqrt(_dot(r, r)) <= EIGEN_TOL:
-            return lam, x
+            return lam, x, step + 1
         if step == EIGEN_MAXITER:
             break
         basis, images = [x], [bx]
@@ -516,7 +528,7 @@ def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple[float, np.ndarray] | 
             if norm > 0.0:  # else p lies in span{x}
                 basis.append(p / norm)
                 images.append(bp / norm)
-        w, _, norm = _deflate(precondition(r), basis, images)
+        w, _, norm = _deflate(precondition(r, lam), basis, images)
         basis.append(w / norm)
         images.append(apply_b(basis[-1]))
         gram = np.array([[_dot(s, bs) for bs in images] for s in basis])
@@ -527,43 +539,48 @@ def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple[float, np.ndarray] | 
     return None
 
 
-def _hopf_cole_eigen(config: SimulationConfig) -> tuple[np.ndarray, float] | None:
+class _Solved(tuple):
+    """A pair with the eigen solve's .iterations beyond its items, like os.stat_result."""
+
+    def __new__(cls, pair: tuple, iterations: int | None):
+        solved = super().__new__(cls, pair)
+        solved.iterations = iterations
+        return solved
+
+
+def _hopf_cole_eigen(config: SimulationConfig) -> _Solved | None:
     """The Hopf-Cole eigenstate (quadrant w scaled to max 1, Omega = lambda/b), or None.
 
     w = exp(-b phi) turns the PDE into w_t = Lap w + b eps g w, whose principal
     eigenpair (lambda, w) is the locked state.  _lobpcg (start vector g) solves
-    B = -Lap - b eps g with the spectral Laplacian and the Fourier-diagonal
-    preconditioner (-Lap + sigma)^-1, sigma = max(b eps g)/2, on the quadrant:
-    both are DCT-I diagonal and _dot is the grid's inner product.  None for
-    p <= SUBCRITICAL_P (outside the theorem), a non-finite operator, a failed
-    or unconverged solve, or a w that is nowhere positive.
+    B = -Lap - b eps g on the quadrant's DCT-I coefficients, where -Lap is
+    |k|^2 and the preconditioner is diagonal: (|k|^2 - lam)^-1 at a negative
+    Ritz value lam, else (|k|^2 + sigma)^-1 with sigma = max(b eps g)/2.  None
+    for p <= SUBCRITICAL_P (outside the theorem), a non-finite operator, a
+    failed or unconverged solve, or a w that is nowhere positive.
     """
-    grid, m = config.grid, config.grid.n // 2
-    pot = config.b * config.defect.strength * sample_defect(grid, config.defect).values
-    pot = pot[: m + 1, : m + 1]
+    g, ghat = _bare_defect(config.grid, config.defect.amplitude, config.defect.decay_exponent)
+    pot = config.b * config.defect.strength * g
     sigma = 0.5 * float(np.max(pot))
     if config.defect.decay_exponent <= SUBCRITICAL_P or not 0.0 < sigma < math.inf:
         return None
-    _, _, minus_ksq, _ = _spectral_tools(grid)
-
-    def fourier(symbol):
-        return lambda x: scipy.fft.idctn(symbol * scipy.fft.dctn(x, type=1), type=1)
-
-    laplacian = fourier(minus_ksq)
+    ksq = -_spectral_tools(config.grid)[1]
     with np.errstate(all="ignore"):
         try:
-            eigen = _lobpcg(lambda x: -laplacian(x) - pot * x,
-                            fourier(1.0 / (sigma - minus_ksq)), pot)
+            eigen = _lobpcg(
+                lambda x: ksq * x - scipy.fft.dctn(pot * scipy.fft.idctn(x, type=1), type=1),
+                lambda r, lam: r / (ksq - lam if lam < 0.0 else ksq + sigma), ghat)
         except (ValueError, ArithmeticError):  # eigh refuses a non-finite Gram matrix
             return None
     if eigen is None:
         return None
-    lam, vec = eigen  # finite: a non-finite x has a NaN residual
+    lam, x, iterations = eigen  # finite: a non-finite x has a NaN residual
+    vec = scipy.fft.idctn(x, type=1)
     w = vec * np.sign(np.sum(vec))
     peak = float(np.max(w))
     if not peak > 0.0:
         return None
-    return w / peak, -lam / config.b
+    return _Solved((w / peak, -lam / config.b), iterations)
 
 
 def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.ndarray:
@@ -592,7 +609,7 @@ def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.nd
     return np.where(trusted, near, far)
 
 
-def _hopf_cole_start(config: SimulationConfig) -> tuple[np.ndarray, float | None]:
+def _hopf_cole_start(config: SimulationConfig) -> _Solved:
     """Initial spectrum from the Hopf-Cole eigenstate and its Omega = lambda/b.
 
     phi0 is -log(w)/b where w is above its noise and the far-field asymptote
@@ -603,13 +620,14 @@ def _hopf_cole_start(config: SimulationConfig) -> tuple[np.ndarray, float | None
     eigen = _hopf_cole_eigen(config)
     if eigen is None:
         m = config.grid.n // 2
-        return np.zeros((m + 1, m + 1)), None
+        return _Solved((np.zeros((m + 1, m + 1)), None), None)
     w, omega = eigen
-    return scipy.fft.dctn(_matched_phi(config, w, omega), type=1), omega
+    return _Solved((scipy.fft.dctn(_matched_phi(config, w, omega), type=1), omega),
+                   eigen.iterations)
 
 
-def _warm_start(config: SimulationConfig) -> tuple[np.ndarray, int, str, float | None]:
-    """Initial spectrum for config.grid: (uhat, coarse_steps, start, start_omega).
+def _warm_start(config: SimulationConfig) -> tuple:
+    """Initial spectrum: (uhat, coarse_steps, start, start_omega, eigen_iterations).
 
     The half grid comes first: when it (n/2 >= 64) still resolves the defect
     core, spacing 2L/n <= 0.5, the same config is locked there, itself
@@ -617,22 +635,22 @@ def _warm_start(config: SimulationConfig) -> tuple[np.ndarray, int, str, float |
     config.grid ("half_grid"; coarse_steps sums the steps of all levels).  When
     the half grid is too coarse or does not lock by t_max, the start is the
     Hopf-Cole eigenstate ("hopf_cole"), else rest ("rest").  start_omega is
-    lambda/b of the eigen solve that seeded the run, None when none ran.  A
-    half-grid blow-up raises BlowUpError.
+    lambda/b of the eigen solve that seeded the run, eigen_iterations its
+    iterations, None when none ran.  A half-grid blow-up raises BlowUpError.
     """
     grid = config.grid
     half = grid.n // 2
     coarse_steps = 0
     if half >= HALF_GRID_MIN_N and grid.l / half <= HALF_GRID_MAX_DX:
         coarse = replace(config, grid=GridSpec2D(half, grid.l))
-        start, coarse_steps, kind, start_omega = _warm_start(coarse)
+        start, coarse_steps, kind, *seed = _warm_start(coarse)
         run = _relax(coarse, start, ladder=kind != "rest")
         coarse_steps += run.steps
         if run.converged:
-            return _zero_pad(run.uhat, grid.n), coarse_steps, "half_grid", start_omega
-    uhat, start_omega = _hopf_cole_start(config)
+            return _zero_pad(run.uhat, grid.n), coarse_steps, "half_grid", *seed
+    uhat, start_omega = eigen = _hopf_cole_start(config)
     start = "rest" if start_omega is None else "hopf_cole"
-    return uhat, coarse_steps, start, start_omega
+    return uhat, coarse_steps, start, start_omega, eigen.iterations
 
 
 def run_to_steady(config: SimulationConfig):
@@ -657,7 +675,7 @@ def run_to_steady(config: SimulationConfig):
             stacklevel=2,
         )
 
-    start, coarse_steps, start_kind, start_omega = _warm_start(config)
+    start, coarse_steps, start_kind, start_omega, iterations = _warm_start(config)
     run = _relax(config, start, ladder=start_kind != "rest")
 
     phi = Field2D(grid, to_field(run.uhat), spectral=_mirror_kx(run.uhat))
@@ -665,7 +683,8 @@ def run_to_steady(config: SimulationConfig):
     del record["uhat"]
     report = build_report(phi, **record, steady_tol=config.steady_tol,
                           coarse_steps=coarse_steps, start=start_kind,
-                          start_omega=start_omega, corner_ratio=corner_ratio)
+                          start_omega=start_omega, eigen_iterations=iterations,
+                          corner_ratio=corner_ratio)
     return phi, report
 
 

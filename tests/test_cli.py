@@ -365,6 +365,8 @@ def test_simulate_measure_round_trip(tmp_path):
     assert record["start_residual"] > record["steady_residual"]
     report = json.loads((out / "report.json").read_text())
     assert report["start_residual"] == record["start_residual"]
+    # and the iterations of the eigen solve that seeded it, a count
+    assert report["eigen_iterations"] == record["eigen_iterations"] > 0
     m_out = tmp_path / "meas.json"
     assert main(["measure", "--field", str(out / "field"),
                  "--out", str(m_out)]) == EXIT_OK

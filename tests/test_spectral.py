@@ -8,10 +8,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from eikolab.asymptotics import branch_mass
+from eikolab.cli import FIG1_A_VALUES
 from eikolab.errors import BlowUpError, ConfigError
-from eikolab.profiles import SUBCRITICAL_P, InhomogeneitySpec
+from eikolab.profiles import DEFAULT_R_CUT, SUBCRITICAL_P, InhomogeneitySpec
 from eikolab.measure import SteadyStateReport, measure_wavenumber
 from eikolab import spectral
 from eikolab.spectral import (
@@ -108,11 +111,12 @@ def _full_grid_step_hat(uhat, plan, b, eps, ghat):
 
 
 def test_quadrant_kernel_matches_the_full_grid_kernel():
-    # an even-even field with a defect, 20 steps on both kernels
+    # an even-even, x <-> y symmetric field with a defect, 20 steps on both kernels
     grid = GridSpec2D(128, 50.0)
     x, y = _xy(grid)
     g = sample_defect(grid, InhomogeneitySpec(1.5, 0.8)).values
-    start = 0.5 * g + 0.1 * np.cos(6.0 * np.pi * x / 50.0) * np.cos(4.0 * np.pi * y / 50.0)
+    start = 0.5 * g + 0.1 * (np.cos(6.0 * np.pi * x / 50.0) * np.cos(4.0 * np.pi * y / 50.0)
+                             + np.cos(4.0 * np.pi * x / 50.0) * np.cos(6.0 * np.pi * y / 50.0))
     plan = make_plan(grid, 0.5)
     full_plan = _full_grid_plan(plan)
     quadrant, full = to_spectrum(start), np.fft.rfft2(start)
@@ -127,7 +131,8 @@ def test_to_spectrum_takes_even_fields_alone():
     grid = GridSpec2D(64, 30.0)
     x, y = _xy(grid)
     kx = 2.0 * np.pi / 30.0
-    even = np.cos(kx * x) * np.cos(2.0 * kx * y) + np.cos(3.0 * kx * x)
+    even = (np.cos(kx * x) * np.cos(2.0 * kx * y) + np.cos(2.0 * kx * x) * np.cos(kx * y)
+            + np.cos(3.0 * kx * x) + np.cos(3.0 * kx * y))
     uhat = to_spectrum(even)
     # the rfft2 coefficients with kx, ky >= 0, and back to the same field
     rfft = np.fft.rfft2(even)[:33]
@@ -136,6 +141,19 @@ def test_to_spectrum_takes_even_fields_alone():
     for odd in (np.sin(kx * x) * np.cos(kx * y), np.cos(kx * x) * np.sin(kx * y)):
         with pytest.raises(ConfigError, match="not even"):
             to_spectrum(even + 1e-6 * odd)
+
+
+def test_to_spectrum_rejects_an_asymmetric_part():
+    # even in x and y but not symmetric under x <-> y: the stepper takes
+    # phi_y^2 as the transpose of phi_x^2, so such a field is refused
+    grid = GridSpec2D(64, 30.0)
+    x, y = _xy(grid)
+    kx = 2.0 * np.pi / 30.0
+    symmetric = np.cos(kx * x) + np.cos(kx * y)
+    to_spectrum(symmetric + 1e-12 * np.cos(kx * x))  # rounding passes
+    for asymmetric in (np.cos(kx * x), np.cos(kx * x) * np.cos(2.0 * kx * y)):
+        with pytest.raises(ConfigError, match="its asymmetric part"):
+            to_spectrum(symmetric + 1e-6 * asymmetric)
 
 
 def test_grid_validation():
@@ -182,7 +200,7 @@ def test_plan_tables_match_full_grid_evaluation(n, l, dt):
     # evaluation over the quadrant must give the same tables bit for bit, on
     # every step of the dt ladder
     grid = GridSpec2D(n, l)
-    _, _, minus_ksq, _ = _spectral_tools(grid)
+    _, minus_ksq = _spectral_tools(grid)
     for step in (dt * 2**j for j in range(LADDER_TOP + 1)):
         plan = make_plan(grid, step)
         z = minus_ksq * step
@@ -204,10 +222,11 @@ def test_plans_share_the_cached_spectral_tools():
     # one read-only set of arrays per grid serves every plan on the dt ladder
     grid = GridSpec2D(64, 10.0)
     coarse, fine = make_plan(grid, 0.5), make_plan(grid, 2.0)
-    for name in ("linear_symbol", "kx", "ky", "dealias_mask"):
+    for name in ("linear_symbol", "kx"):
         table = getattr(fine, name)
         assert table is getattr(coarse, name)
         assert not table.flags.writeable
+    assert fine.dealias_keep == coarse.dealias_keep == 22  # modes 0..21 < 64/3
     assert _spectral_tools(GridSpec2D(64, 10.0)) is _spectral_tools(grid)
     # the plans are cached too, and pool threads share them: no caller may
     # write to a table
@@ -247,11 +266,13 @@ def test_threads_that_miss_together_build_a_plan_once(monkeypatch):
 
 
 def test_linear_mode_decays_exactly():
-    # b = 0, eps = 0: a single Fourier mode must decay by e^{-k^2 dt} exactly
+    # b = 0, eps = 0: a single Fourier mode (with its x <-> y mirror) must
+    # decay by e^{-k^2 dt} exactly
     grid = GridSpec2D(64, 2.0 * math.pi)
-    x, _ = _xy(grid)
-    stepped = _advance(np.cos(3.0 * x), make_plan(grid, dt=0.2), b=0.0, eps=0.0)
-    expect = math.exp(-9.0 * 0.2) * np.cos(3.0 * x)
+    x, y = _xy(grid)
+    mode = np.cos(3.0 * x) + np.cos(3.0 * y)
+    stepped = _advance(mode, make_plan(grid, dt=0.2), b=0.0, eps=0.0)
+    expect = math.exp(-9.0 * 0.2) * mode
     assert np.max(np.abs(stepped.values - expect)) < 1e-12
 
 
@@ -283,8 +304,9 @@ def test_self_convergence_order():
 
 
 def _top_shell_energy_fraction(grid, uhat):
-    """Spectral energy fraction carried by the shell the 2/3 mask removes."""
-    top = ~_spectral_tools(grid)[3]
+    """Spectral energy fraction carried by the shell the 2/3 rule removes."""
+    i = np.arange(grid.n // 2 + 1)
+    top = (i[:, None] >= grid.n / 3.0) | (i[None, :] >= grid.n / 3.0)
     # the quadrant holds one of the mirror images of each mode: weight the
     # interior kx rows and ky columns twice
     w = np.full(grid.n // 2 + 1, 2.0)
@@ -301,12 +323,34 @@ def test_dealias_masks_quadratic_product():
     x, y = _xy(grid)
     start = 0.1 * (np.cos(12.0 * x) + np.cos(12.0 * y))
     plan = make_plan(grid, 0.05)
-    unmasked = replace(plan, dealias_mask=np.ones_like(plan.dealias_mask))
+    unmasked = replace(plan, dealias_keep=grid.n // 2 + 1)
     masked, bare = (_top_shell_energy_fraction(grid, _advance_hat(start, p, b=1.0, eps=0.0,
                                                                   steps=5))
                     for p in (plan, unmasked))
     assert masked < 1e-20
     assert bare > 1e3 * max(masked, 1e-300)
+
+
+def test_pruned_nonlinear_hat_matches_the_masked_transform():
+    # a random even, x <-> y symmetric field: phi_y^2 as the transpose of
+    # phi_x^2 and the row-pruned forward DCT-I against both gradients, a full
+    # dctn and the 2/3 mask
+    grid = GridSpec2D(64, 30.0)
+    plan = make_plan(grid, 0.5)
+    quadrant = np.random.default_rng(5).standard_normal((33, 33))
+    uhat = to_spectrum(_mirror(quadrant + quadrant.T))
+    px = scipy.fft.idct(scipy.fft.idst(plan.kx * uhat[1:32], type=1, axis=0), type=1, axis=1)
+    py = scipy.fft.idct(scipy.fft.idst(plan.kx.T * uhat[:, 1:32], type=1, axis=1), type=1,
+                        axis=0)
+    sq = np.zeros_like(uhat)
+    sq[1:32] = px * px
+    sq[:, 1:32] += py * py
+    i = np.arange(33)
+    mask = (i[:, None] < 64 / 3.0) & (i[None, :] < 64 / 3.0)
+    expect = -2.0 * scipy.fft.dctn(sq, type=1) * mask
+    got = _nonlinear_hat(uhat, plan, 2.0, 0.0, None)
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+    assert not np.any(got[~mask])
 
 
 def test_nonlinear_hat_matches_analytic_gradient():
@@ -437,6 +481,7 @@ def test_unresolved_half_grid_falls_back_to_the_eigen_start(n, l, t_max):
     assert report.steps == run.steps
     assert np.array_equal(phi.values, to_field(run.uhat))
     assert (report.start, report.start_omega) == ("hopf_cole", omega)
+    assert report.eigen_iterations == _hopf_cole_start(cfg).iterations > 0
     assert report.start_residual == run.start_residual > cfg.steady_tol
 
 
@@ -498,6 +543,17 @@ def test_eigenpair_matches_arpack(n, p):
     assert np.max(np.abs(_mirror(w) - oracle / np.max(oracle))) <= 1e-8
 
 
+def test_eigen_solve_takes_few_iterations_on_the_figure1_presets():
+    # the Ritz-shifted preconditioner (|k|^2 - lam)^-1: 9-10 iterations per
+    # figure-1 member at N=256, where the fixed shift sigma took 14-28
+    mass, _ = branch_mass(1.0, 0.8, DEFAULT_R_CUT)
+    for a in FIG1_A_VALUES:
+        cfg = SimulationConfig(GridSpec2D(256, 100.0), dt=0.5, b=1.0,
+                               defect=InhomogeneitySpec(1.0, 0.8, strength=a / mass))
+        eigen = _hopf_cole_eigen(cfg)
+        assert eigen is not None and eigen.iterations <= 12, a
+
+
 @pytest.mark.parametrize("amplitude,p", [(1.5, 0.5), (1.5, 0.3), (1e300, 1.5)])
 def test_eigen_start_stays_at_rest(amplitude, p):
     # p <= 1/2 lies outside the theorem and must not be steered to lock;
@@ -505,7 +561,7 @@ def test_eigen_start_stays_at_rest(amplitude, p):
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
                            defect=InhomogeneitySpec(amplitude, p, strength=1.0))
     start, omega = _hopf_cole_start(cfg)
-    assert omega is None
+    assert omega is None and _hopf_cole_start(cfg).iterations is None
     assert start.shape == (33, 33) and not np.any(start)
 
 
@@ -618,6 +674,7 @@ def test_runs_from_rest_keep_the_constant_step(p):
             phi, report = run_to_steady(cfg)
         assert (report.start, report.steps, report.start_residual) == ("rest", steps, None)
         assert report.as_dict()["start_residual"] is None
+        assert report.as_dict()["eigen_iterations"] is None
         assert np.array_equal(phi.values, to_field(uhat))
 
 

@@ -46,13 +46,19 @@ def test_quadrant_transforms_are_scipy_fft_attributes(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("dctn", "idctn", "idct", "idst"):
-        monkeypatch.setattr(scipy.fft, name, counted(name, getattr(scipy.fft, name)))
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
                            defect=InhomogeneitySpec(1.5, 0.8, strength=1.0))
-    assert _hopf_cole_eigen(cfg) is not None
-    assert calls.count("dctn") > 0 and calls.count("idctn") > 0
+    # the first solve also fills the cached defect spectrum (one dctn)
+    iterations = _hopf_cole_eigen(cfg).iterations
+    for name in ("dctn", "idctn", "dct", "idct", "idst"):
+        monkeypatch.setattr(scipy.fft, name, counted(name, getattr(scipy.fft, name)))
+    assert _hopf_cole_eigen(cfg).iterations == iterations
+    # one idctn/dctn pair per iteration (B on DCT-I coefficients), and one
+    # idctn for the eigenvector's field
+    assert (calls.count("dctn"), calls.count("idctn")) == (iterations, iterations + 1)
     calls.clear()
+    # per step: four nonlinear terms, one inverse DST-I and DCT-I pair each
+    # (phi_x alone) and a forward DCT-I along each axis
     _step_hat(np.zeros((33, 33)), make_plan(cfg.grid, cfg.dt), 1.0, 1.0, None)
-    assert {name: calls.count(name) for name in ("dctn", "idct", "idst")} == {
-        "dctn": 4, "idct": 8, "idst": 8}
+    assert {name: calls.count(name) for name in ("idst", "idct", "dct", "dctn")} == {
+        "idst": 4, "idct": 4, "dct": 8, "dctn": 0}
