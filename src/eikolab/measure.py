@@ -1,9 +1,13 @@
 """Observable extraction: azimuthal averages, wavenumber, drift, tail fits.
 
-Everything here is a pure function of field snapshots.  The wavenumber
-estimate is the annulus mean of the radial component of the spectral
-gradient, taken once per report; the sweep law k = C exp(-1/a) is probed
-two ways, through y = 1/(log k - 1) against a and log k against -1/a.
+Everything here is a pure function of field snapshots, which are even in x
+and y and symmetric under x <-> y (spectral.to_spectrum rejects any other),
+so fields are measured on the stepper's quadrant [:n/2+1, :n/2+1], each cell
+weighted by the full-grid cells it stands for.  The wavenumber estimate is
+the annulus mean of the radial component of the spectral gradient, taken
+once per report from the quadrant's DCT-I spectrum; the sweep law
+k = C exp(-1/a) is probed two ways, through y = 1/(log k - 1) against a and
+log k against -1/a.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, StatisticsError
 from .radial import RadialGrid, RadialProfile
-from .spectral import Field2D, spectral_gradient
+from .spectral import Field2D, _multiplicity, _phi_x, _spectral_tools, quadrant, to_spectrum
 
 ANNULUS_FRACTIONS = (0.35, 0.45)
 MIN_ANNULUS_CELLS = 100
@@ -25,26 +29,21 @@ def default_annulus(grid) -> tuple[float, float]:
     return (ANNULUS_FRACTIONS[0] * grid.l, ANNULUS_FRACTIONS[1] * grid.l)
 
 
-def _center_offsets(grid):
-    """(dx, a column, dy, a row, r) of the cells relative to the domain center."""
-    x = grid.axes()
-    cx, cy = grid.center()
-    return (x - cx)[:, None], (x - cy)[None, :], grid.radius_grid()
-
-
 def _bin_average(grid, values: np.ndarray, n_bins: int,
                  center_value: float) -> RadialProfile:
+    """Bin means of quadrant values, each cell counted as its _multiplicity
+    full-grid cells."""
     if n_bins < 16:
         raise ConfigError(f"n_bins must be >= 16, got {n_bins}")
     r = grid.radius_grid()
     r_max = 0.5 * grid.l
     width = r_max / n_bins
-    idx = np.minimum((r / width).astype(int), n_bins - 1)
-    keep = (r <= r_max).ravel()
-    idx = idx.ravel()[keep]
-    vals = np.asarray(values, dtype=float).ravel()[keep]
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=vals, minlength=n_bins)
+    keep = r <= r_max
+    idx = np.minimum((r[keep] / width).astype(int), n_bins - 1)
+    weight = _multiplicity(grid.n)[keep]
+    counts = np.bincount(idx, weights=weight, minlength=n_bins).astype(int)
+    sums = np.bincount(idx, weights=weight * np.asarray(values, dtype=float)[keep],
+                       minlength=n_bins)
     empty = counts == 0
     means = np.where(empty, 0.0, sums / np.maximum(counts, 1))
     centers = (np.arange(n_bins) + 0.5) * width
@@ -64,19 +63,29 @@ def _bin_average(grid, values: np.ndarray, n_bins: int,
 def azimuthal_average(field: Field2D, n_bins: int = 64) -> RadialProfile:
     """Mean of the field over circular bins out to the inscribed radius L/2.
 
-    A node at r = 0 holding the exact center-cell value is prepended; empty
+    The field must be even in x and y and x <-> y symmetric (ConfigError).  A
+    node at r = 0 holding the exact center-cell value is prepended; empty
     bins are filled by linear interpolation and flagged.
     """
+    values = quadrant(field.values)
     c = field.grid.n // 2
-    return _bin_average(field.grid, field.values, n_bins, float(field.values[c, c]))
+    return _bin_average(field.grid, values, n_bins, float(values[c, c]))
 
 
 def radial_gradient(phi: Field2D) -> np.ndarray:
-    """The radial component of the spectral gradient on every cell, 0 at the center."""
-    px, py = spectral_gradient(phi)
-    ox, oy, r = _center_offsets(phi.grid)
+    """The radial component of the spectral gradient on the quadrant
+    [:n/2+1, :n/2+1], 0 at the center; ConfigError unless phi is even in x
+    and y and x <-> y symmetric (see spectral.to_spectrum)."""
+    grid = phi.grid
+    m = grid.n // 2
+    px = np.zeros((m + 1, m + 1))
+    px[1:m] = _phi_x(to_spectrum(phi.values), _spectral_tools(grid)[0])
+    offset = grid.axes()[: m + 1] - grid.center()[0]
+    r = grid.radius_grid()
+    # phi_y is phi_x transposed
+    radial = px * offset[:, None] + px.T * offset[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(r > 0, (px * ox + py * oy) / np.where(r > 0, r, 1.0), 0.0)
+        return np.where(r > 0, radial / np.where(r > 0, r, 1.0), 0.0)
 
 
 def radial_gradient_profile(phi: Field2D, n_bins: int = 64,
@@ -100,13 +109,14 @@ def measure_wavenumber(field: Field2D, annulus: tuple[float, float] | None = Non
         )
     r = grid.radius_grid()
     sel = (r >= r_in) & (r <= r_out)
-    n_cells = int(np.count_nonzero(sel))
+    weight = _multiplicity(grid.n)[sel]  # full-grid cells per quadrant cell
+    n_cells = int(np.sum(weight))
     if n_cells < MIN_ANNULUS_CELLS:
         raise StatisticsError(
             f"annulus {annulus} holds only {n_cells} cells (< {MIN_ANNULUS_CELLS})"
         )
     radial = radial_gradient(field) if radial is None else radial
-    return float(np.mean(radial[sel]))
+    return float(np.average(radial[sel], weights=weight))
 
 
 @dataclass(frozen=True)
@@ -130,8 +140,8 @@ class SteadyStateReport:
     start_residual: float | None = None  # residual of the warm start, None from rest
     coarse_steps: int = 0  # half-grid warm-start steps, summed over levels
     start: str = "rest"  # "half_grid", "hopf_cole" or "rest"
-    start_omega: float | None = None  # lambda/b of the eigen solve, if one ran
-    eigen_iterations: int | None = None  # that solve's LOBPCG iterations
+    start_omega: float | None = None  # lambda/b of the eigen solve that seeded the run
+    eigen_iterations: int | None = None  # LOBPCG iterations of the solve, if one ran
     corner_ratio: float = math.nan
 
     def as_dict(self, include_profile: bool = True) -> dict:

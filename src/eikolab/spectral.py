@@ -3,8 +3,9 @@
 The box is square and the defect centred and radial, so every field stepped
 is even in x and y and symmetric under x <-> y: the one stepper path holds
 the real DCT-I spectrum of the quadrant [:n/2+1, :n/2+1], entered by
-to_spectrum (which rejects an odd or asymmetric part) and left by to_field.
-Field2D.hat and the snapshots keep the full rfft2.  The diffusive part is
+to_spectrum (which rejects an odd or asymmetric part) and left by to_field;
+measure reads its gradient from the same quadrant spectrum, and a snapshot
+holds the full grid's values.  The diffusive part is
 integrated exactly by the exponential factors and only the quadratic term
 plus forcing enter the ETDRK4 stages.  phi-function coefficient tables are
 evaluated by averaging the analytic formulas over a 32-point unit circle
@@ -25,7 +26,7 @@ import json
 import math
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,17 +70,13 @@ class GridSpec2D:
     def center(self) -> tuple[float, float]:
         return (0.5 * self.l, 0.5 * self.l)
 
-    @functools.lru_cache(maxsize=4)  # two grids of a half-grid ladder, both kinds
-    def radius_grid(self, periodic: bool = False) -> np.ndarray:
-        """Distance of each cell to the domain center (min-image if periodic), read-only."""
-        x = self.axes()
-        cx, cy = self.center()
-        dx = np.abs(x - cx)
-        dy = np.abs(x - cy)
-        if periodic:
-            dx = np.minimum(dx, self.l - dx)
-            dy = np.minimum(dy, self.l - dy)
-        return _read_only(np.hypot(dx[:, None], dy[None, :]))[0]
+    @functools.lru_cache(maxsize=2)  # the two grids of a half-grid ladder
+    def radius_grid(self) -> np.ndarray:
+        """Distance of each quadrant cell [:n/2+1, :n/2+1] to the domain center,
+        read-only; no cell is farther than L/2 along an axis, so it is also the
+        periodic (min-image) distance."""
+        d = np.abs(self.axes()[: self.n // 2 + 1] - self.center()[0])
+        return _read_only(np.hypot(d[:, None], d[None, :]))[0]
 
 
 @dataclass
@@ -88,7 +85,6 @@ class Field2D:
 
     grid: GridSpec2D
     values: np.ndarray
-    spectral: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -97,11 +93,6 @@ class Field2D:
                 f"field shape {vals.shape} does not match grid n={self.grid.n}"
             )
         self.values = vals
-
-    def hat(self) -> np.ndarray:
-        if self.spectral is None:
-            self.spectral = np.fft.rfft2(self.values)
-        return self.spectral
 
 
 @functools.lru_cache(maxsize=2)
@@ -153,32 +144,30 @@ def _phi_functions(z: np.ndarray, count: int = 3):
     return tuple(phis)
 
 
-def _mirror_kx(rows: np.ndarray) -> np.ndarray:
-    """The n rows of an array even in its first index from its rows 0..n/2.
-
-    Row n - j repeats row j: a spectrum even in kx takes the rfft2 layout
-    (rows n/2+1..n-1 hold kx = -(n/2-1)..-1), a field even in x its full grid.
-    """
-    return np.concatenate((rows, rows[-2:0:-1]))
-
-
 def _mirror(quadrant: np.ndarray) -> np.ndarray:
-    """The n x n array even in both indices from its quadrant [:n/2+1, :n/2+1]."""
-    return _mirror_kx(_mirror_kx(quadrant.T).T)
+    """The n x n array even in both indices from its quadrant [:n/2+1, :n/2+1]:
+    row (column) n - j repeats row (column) j."""
+    rows = np.concatenate((quadrant, quadrant[-2:0:-1]))
+    return np.concatenate((rows, rows[:, -2:0:-1]), axis=1)
+
+
+def quadrant(values: np.ndarray) -> np.ndarray:
+    """The quadrant [:n/2+1, :n/2+1] of an n x n field even in x and y and
+    symmetric in x <-> y; ConfigError if it is not, beyond rounding."""
+    values = np.asarray(values, dtype=float)
+    m = values.shape[0] // 2
+    q = values[: m + 1, : m + 1]
+    for name, part in (("odd", values - _mirror(q)), ("asymmetric", q - q.T)):
+        if np.max(np.abs(part)) > 1e-10 * np.max(np.abs(values)):
+            raise ConfigError(f"field is not even in x and y and x <-> y symmetric: "
+                              f"its {name} part reaches {np.max(np.abs(part)):.3e}")
+    return q
 
 
 def to_spectrum(values: np.ndarray) -> np.ndarray:
     """The DCT-I of the quadrant of an n x n field even in x and y and symmetric
     in x <-> y (ConfigError beyond rounding): its rfft2 coefficients, kx, ky >= 0."""
-    values = np.asarray(values, dtype=float)
-    m = values.shape[0] // 2
-    quadrant = values[: m + 1, : m + 1]
-    for name, part in (("odd", values - _mirror(quadrant)),
-                       ("asymmetric", quadrant - quadrant.T)):
-        if np.max(np.abs(part)) > 1e-10 * np.max(np.abs(values)):
-            raise ConfigError(f"field is not even in x and y and x <-> y symmetric: "
-                              f"its {name} part reaches {np.max(np.abs(part)):.3e}")
-    return scipy.fft.dctn(quadrant, type=1)
+    return scipy.fft.dctn(quadrant(values), type=1)
 
 
 def to_field(uhat: np.ndarray) -> np.ndarray:
@@ -251,16 +240,15 @@ def sample_defect(grid: GridSpec2D, defect: InhomogeneitySpec) -> Field2D:
     The strength factor is NOT applied here; pass it separately as eps so the
     sweep bookkeeping keeps amplitude and strength apart.
     """
-    bare = InhomogeneitySpec(defect.amplitude, defect.decay_exponent, 1.0)
-    return Field2D(grid, evaluate_g(bare, grid.radius_grid(periodic=True)))
+    return Field2D(grid, _mirror(_bare_defect(grid, defect.amplitude, defect.decay_exponent)[0]))
 
 
 @functools.lru_cache(maxsize=2)
 def _bare_defect(grid: GridSpec2D, amplitude: float, decay_exponent: float):
     """(g, ghat), read-only: the bare defect on the quadrant and its spectrum,
     shared by the eigen start and _relax of every run with this grid and shape."""
-    values = sample_defect(grid, InhomogeneitySpec(amplitude, decay_exponent)).values
-    return _read_only(values[: grid.n // 2 + 1, : grid.n // 2 + 1].copy(), to_spectrum(values))
+    g = evaluate_g(InhomogeneitySpec(amplitude, decay_exponent), grid.radius_grid())
+    return _read_only(g, scipy.fft.dctn(g, type=1))
 
 
 def defect_corner_ratio(grid: GridSpec2D, defect: InhomogeneitySpec) -> float:
@@ -273,16 +261,24 @@ def defect_corner_ratio(grid: GridSpec2D, defect: InhomogeneitySpec) -> float:
     )
 
 
+def _phi_x(uhat: np.ndarray, kx: np.ndarray) -> np.ndarray:
+    """d phi/dx on quadrant rows 1..n/2-1 from the quadrant spectrum uhat.
+
+    phi_x, odd in x, is 0 on rows 0 and n/2: an inverse DST-I along x of
+    -kx uhat over modes 1..n/2-1 (the Nyquist derivative is zeroed) and an
+    inverse DCT-I along y.  By x <-> y symmetry phi_y is its transpose."""
+    m = uhat.shape[0] - 1
+    return scipy.fft.idct(scipy.fft.idst(-kx * uhat[1:m], type=1, axis=0), type=1, axis=1)
+
+
 def _nonlinear_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
                    ghat: np.ndarray | None) -> np.ndarray:
     """Spectral -b|grad phi|^2 (dealiased) - eps g on the quadrant.
 
-    phi_x, odd in x, is an inverse DST-I along x over rows 1..n/2-1 (it is 0 on
-    rows 0 and n/2; the square drops its sign) and an inverse DCT-I along y.
-    phi_y^2 is (phi_x^2)^T by symmetry.  The forward DCT-I runs along x, and
-    along y on the rows the 2/3 rule keeps alone."""
+    phi_y^2 is (phi_x^2)^T by symmetry (see _phi_x).  The forward DCT-I runs
+    along x, and along y on the rows the 2/3 rule keeps alone."""
     m, keep = plan.grid.n // 2, plan.dealias_keep
-    px = scipy.fft.idct(scipy.fft.idst(plan.kx * uhat[1:m], type=1, axis=0), type=1, axis=1)
+    px = _phi_x(uhat, plan.kx)
     px2 = px * px
     sq = np.zeros_like(uhat)
     sq[1:m] = px2
@@ -394,8 +390,7 @@ def _relax(config: SimulationConfig, uhat: np.ndarray,
     grid, b, dt = config.grid, config.b, config.dt
     eps = config.defect.strength
     _, ghat = _bare_defect(grid, config.defect.amplitude, config.defect.decay_exponent)
-    m = grid.n // 2
-    disk = grid.radius_grid()[: m + 1, : m + 1] <= 0.45 * grid.l
+    disk = grid.radius_grid() <= 0.45 * grid.l
     weight = _multiplicity(grid.n)[disk]
     n_ticks = int(math.ceil(config.t_max / dt))  # time budget in units of dt
 
@@ -499,9 +494,10 @@ def _deflate(v, basis, images, bv=None):
     return v, bv, math.sqrt(_dot(v, v))
 
 
-def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple[float, np.ndarray, int] | None:
-    """The smallest eigenpair (lam, unit x) of the symmetric B and the iterations
-    taken (one application of B each), or None.
+def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple:
+    """(lam, unit x, iterations): the smallest eigenpair of the symmetric B and
+    the iterations taken (one application of B each); lam and x are None when
+    the solve fails.
 
     LOBPCG with block size 1 (Knyazev, SIAM J. Sci. Comput. 23, 2001): each
     step takes the lowest Ritz pair of B on span{x, w, p}, with w = T(r, lam)
@@ -510,7 +506,8 @@ def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple[float, np.ndarray, in
     then w are Gram-Schmidt'd twice against the basis and normalised, and p is
     dropped when nothing of it is left.  B is applied to w alone: Bx and Bp
     follow x and p as the same combinations.  Converged when
-    ||r|| <= EIGEN_TOL; None after EIGEN_MAXITER steps.
+    ||r|| <= EIGEN_TOL; failed after EIGEN_MAXITER steps or on a non-finite
+    Gram matrix, which eigh refuses.
     """
     x = x / math.sqrt(_dot(x, x))
     bx = apply_b(x)
@@ -532,55 +529,48 @@ def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple[float, np.ndarray, in
         basis.append(w / norm)
         images.append(apply_b(basis[-1]))
         gram = np.array([[_dot(s, bs) for bs in images] for s in basis])
-        c = eigh(0.5 * (gram + gram.T), subset_by_index=(0, 0))[1][:, 0]
+        try:
+            c = eigh(0.5 * (gram + gram.T), subset_by_index=(0, 0))[1][:, 0]
+        except ValueError:  # eigh refuses a non-finite Gram matrix
+            return None, None, step + 2  # with this step's application of B
         p = sum(cj * s for cj, s in zip(c[1:], basis[1:]))
         bp = sum(cj * bs for cj, bs in zip(c[1:], images[1:]))
         x, bx = c[0] * x + p, c[0] * bx + bp
-    return None
+    return None, None, step + 1
 
 
-class _Solved(tuple):
-    """A pair with the eigen solve's .iterations beyond its items, like os.stat_result."""
-
-    def __new__(cls, pair: tuple, iterations: int | None):
-        solved = super().__new__(cls, pair)
-        solved.iterations = iterations
-        return solved
-
-
-def _hopf_cole_eigen(config: SimulationConfig) -> _Solved | None:
-    """The Hopf-Cole eigenstate (quadrant w scaled to max 1, Omega = lambda/b), or None.
+def _hopf_cole_eigen(config: SimulationConfig) -> tuple:
+    """(w, Omega, iterations): the Hopf-Cole eigenstate (quadrant w scaled to
+    max 1, Omega = lambda/b) and the iterations its solve took.
 
     w = exp(-b phi) turns the PDE into w_t = Lap w + b eps g w, whose principal
     eigenpair (lambda, w) is the locked state.  _lobpcg (start vector g) solves
     B = -Lap - b eps g on the quadrant's DCT-I coefficients, where -Lap is
     |k|^2 and the preconditioner is diagonal: (|k|^2 - lam)^-1 at a negative
-    Ritz value lam, else (|k|^2 + sigma)^-1 with sigma = max(b eps g)/2.  None
-    for p <= SUBCRITICAL_P (outside the theorem), a non-finite operator, a
-    failed or unconverged solve, or a w that is nowhere positive.
+    Ritz value lam, else (|k|^2 + sigma)^-1 with sigma = max(b eps g)/2.  w and
+    Omega are None for p <= SUBCRITICAL_P (outside the theorem), an operator
+    whose square overflows (the solve squares it in its inner products), a
+    failed or unconverged solve, or a w that is nowhere positive; iterations
+    is None when no solve ran.
     """
     g, ghat = _bare_defect(config.grid, config.defect.amplitude, config.defect.decay_exponent)
     pot = config.b * config.defect.strength * g
     sigma = 0.5 * float(np.max(pot))
-    if config.defect.decay_exponent <= SUBCRITICAL_P or not 0.0 < sigma < math.inf:
-        return None
+    if config.defect.decay_exponent <= SUBCRITICAL_P or not 0.0 < sigma * sigma < math.inf:
+        return None, None, None
     ksq = -_spectral_tools(config.grid)[1]
     with np.errstate(all="ignore"):
-        try:
-            eigen = _lobpcg(
-                lambda x: ksq * x - scipy.fft.dctn(pot * scipy.fft.idctn(x, type=1), type=1),
-                lambda r, lam: r / (ksq - lam if lam < 0.0 else ksq + sigma), ghat)
-        except (ValueError, ArithmeticError):  # eigh refuses a non-finite Gram matrix
-            return None
-    if eigen is None:
-        return None
-    lam, x, iterations = eigen  # finite: a non-finite x has a NaN residual
-    vec = scipy.fft.idctn(x, type=1)
+        lam, x, iterations = _lobpcg(
+            lambda x: ksq * x - scipy.fft.dctn(pot * scipy.fft.idctn(x, type=1), type=1),
+            lambda r, lam: r / (ksq - lam if lam < 0.0 else ksq + sigma), ghat)
+    if x is None:
+        return None, None, iterations
+    vec = scipy.fft.idctn(x, type=1)  # finite: a non-finite x has a NaN residual
     w = vec * np.sign(np.sum(vec))
     peak = float(np.max(w))
     if not peak > 0.0:
-        return None
-    return _Solved((w / peak, -lam / config.b), iterations)
+        return None, None, iterations
+    return w / peak, -lam / config.b, iterations
 
 
 def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.ndarray:
@@ -594,11 +584,11 @@ def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.nd
     with phibar the mean of phi0 over the grid's trusted cells within one dx
     of r_f (quadrant cells weighed by _multiplicity).
     """
-    grid, b, m = config.grid, config.b, config.grid.n // 2
+    grid, b = config.grid, config.b
     floor = max(1e-7, 100.0 * max(0.0, -float(np.min(w))))
     trusted = w >= 10.0 * floor
     near = -np.log(np.maximum(w, 10.0 * floor)) / b
-    r = grid.radius_grid(periodic=True)[: m + 1, : m + 1]
+    r = grid.radius_grid()
     r_f = float(np.min(r, where=~trusted, initial=np.max(r)))
     weight = _multiplicity(grid.n) * (trusted & (np.abs(r - r_f) <= grid.dx))
     phibar = float(np.sum(weight * near) / np.sum(weight))
@@ -609,48 +599,58 @@ def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.nd
     return np.where(trusted, near, far)
 
 
-def _hopf_cole_start(config: SimulationConfig) -> _Solved:
-    """Initial spectrum from the Hopf-Cole eigenstate and its Omega = lambda/b.
+class Start(NamedTuple):
+    """A run's initial quadrant spectrum and how it was found.
+
+    Every field but uhat is the SteadyStateReport field of the same name.
+    """
+
+    uhat: np.ndarray
+    coarse_steps: int  # half-grid steps, summed over levels
+    start: str  # "half_grid", "hopf_cole" or "rest"
+    start_omega: float | None  # lambda/b of the eigen solve that seeded the run
+    eigen_iterations: int | None  # that solve's iterations, None when none ran
+
+
+def _hopf_cole_start(config: SimulationConfig) -> Start:
+    """The start from the Hopf-Cole eigenstate and its Omega = lambda/b.
 
     phi0 is -log(w)/b where w is above its noise and the far-field asymptote
-    beyond (see _matched_phi).  The start stays at rest, (zero, None), where
-    _hopf_cole_eigen finds no usable eigenstate; for p <= SUBCRITICAL_P such
-    runs must not be steered to lock.
+    beyond (see _matched_phi).  The start stays at rest (zero, start_omega
+    None) where _hopf_cole_eigen finds no usable eigenstate; for
+    p <= SUBCRITICAL_P such runs must not be steered to lock.
     """
-    eigen = _hopf_cole_eigen(config)
-    if eigen is None:
+    w, omega, iterations = _hopf_cole_eigen(config)
+    if w is None:
         m = config.grid.n // 2
-        return _Solved((np.zeros((m + 1, m + 1)), None), None)
-    w, omega = eigen
-    return _Solved((scipy.fft.dctn(_matched_phi(config, w, omega), type=1), omega),
-                   eigen.iterations)
+        return Start(np.zeros((m + 1, m + 1)), 0, "rest", None, iterations)
+    uhat = scipy.fft.dctn(_matched_phi(config, w, omega), type=1)
+    return Start(uhat, 0, "hopf_cole", omega, iterations)
 
 
-def _warm_start(config: SimulationConfig) -> tuple:
-    """Initial spectrum: (uhat, coarse_steps, start, start_omega, eigen_iterations).
+def _warm_start(config: SimulationConfig) -> Start:
+    """The run's start: the half grid's locked state, else the Hopf-Cole start.
 
     The half grid comes first: when it (n/2 >= 64) still resolves the defect
     core, spacing 2L/n <= 0.5, the same config is locked there, itself
     warm-started the same way, and its spectrum is zero-padded onto
-    config.grid ("half_grid"; coarse_steps sums the steps of all levels).  When
-    the half grid is too coarse or does not lock by t_max, the start is the
-    Hopf-Cole eigenstate ("hopf_cole"), else rest ("rest").  start_omega is
-    lambda/b of the eigen solve that seeded the run, eigen_iterations its
-    iterations, None when none ran.  A half-grid blow-up raises BlowUpError.
+    config.grid ("half_grid"; coarse_steps sums the steps of all levels, and
+    start_omega and eigen_iterations are those of the coarsest level's
+    solve).  When the half grid is too coarse or does not lock by t_max, the
+    start is _hopf_cole_start's.  A half-grid blow-up raises BlowUpError.
     """
     grid = config.grid
     half = grid.n // 2
     coarse_steps = 0
     if half >= HALF_GRID_MIN_N and grid.l / half <= HALF_GRID_MAX_DX:
         coarse = replace(config, grid=GridSpec2D(half, grid.l))
-        start, coarse_steps, kind, *seed = _warm_start(coarse)
-        run = _relax(coarse, start, ladder=kind != "rest")
-        coarse_steps += run.steps
+        seed = _warm_start(coarse)
+        run = _relax(coarse, seed.uhat, ladder=seed.start != "rest")
+        coarse_steps = seed.coarse_steps + run.steps
         if run.converged:
-            return _zero_pad(run.uhat, grid.n), coarse_steps, "half_grid", *seed
-    uhat, start_omega = eigen = _hopf_cole_start(config)
-    start = "rest" if start_omega is None else "hopf_cole"
-    return uhat, coarse_steps, start, start_omega, eigen.iterations
+            return seed._replace(uhat=_zero_pad(run.uhat, grid.n),
+                                 coarse_steps=coarse_steps, start="half_grid")
+    return _hopf_cole_start(config)._replace(coarse_steps=coarse_steps)
 
 
 def run_to_steady(config: SimulationConfig):
@@ -675,29 +675,15 @@ def run_to_steady(config: SimulationConfig):
             stacklevel=2,
         )
 
-    start, coarse_steps, start_kind, start_omega, iterations = _warm_start(config)
-    run = _relax(config, start, ladder=start_kind != "rest")
+    start = _warm_start(config)
+    run = _relax(config, start.uhat, ladder=start.start != "rest")
 
-    phi = Field2D(grid, to_field(run.uhat), spectral=_mirror_kx(run.uhat))
-    record = run._asdict()
+    phi = Field2D(grid, to_field(run.uhat))
+    record = {**start._asdict(), **run._asdict()}
     del record["uhat"]
     report = build_report(phi, **record, steady_tol=config.steady_tol,
-                          coarse_steps=coarse_steps, start=start_kind,
-                          start_omega=start_omega, eigen_iterations=iterations,
                           corner_ratio=corner_ratio)
     return phi, report
-
-
-def spectral_gradient(phi: Field2D) -> tuple[np.ndarray, np.ndarray]:
-    """(d phi/dx, d phi/dy) via ik multipliers (Nyquist derivative zeroed)."""
-    n = phi.grid.n
-    ik = 2j * np.pi * np.fft.fftfreq(n, d=phi.grid.l / n)
-    ik[n // 2] = 0.0  # Nyquist has no signed derivative
-    uhat = phi.hat()
-    return (
-        np.fft.irfft2(ik[:, None] * uhat, s=(n, n)),
-        np.fft.irfft2(ik[None, : n // 2 + 1] * uhat, s=(n, n)),
-    )
 
 
 # ------------------------------------------------------------- snapshot I/O

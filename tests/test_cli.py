@@ -24,7 +24,7 @@ from eikolab.cli import (
     verify_manifest,
 )
 from eikolab.specfun import bessel_eval
-from eikolab.spectral import Field2D, GridSpec2D, write_field_snapshot
+from eikolab.spectral import Field2D, GridSpec2D, read_field_snapshot, write_field_snapshot
 
 
 def read_csv(path):
@@ -257,6 +257,23 @@ def test_malformed_outside_input_exits_2(tmp_path, capsys):
     assert exc.value.code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("part", ["odd", "asymmetric"])
+def test_measure_rejects_an_asymmetric_snapshot(tmp_path, capsys, part):
+    # measurement runs on the quadrant: a snapshot that is not even in x and y
+    # and x <-> y symmetric is refused with to_spectrum's message
+    grid = GridSpec2D(64, 50.0)
+    c = np.cos(2.0 * np.pi * grid.axes() / 50.0)
+    s = np.sin(2.0 * np.pi * grid.axes() / 50.0)
+    symmetric = np.add.outer(c, c)
+    extra = {"odd": np.outer(s, c), "asymmetric": np.outer(c, np.ones_like(c))}
+    snap = tmp_path / "field"
+    write_field_snapshot(Field2D(grid, symmetric + 1e-6 * extra[part]), snap)
+    assert main(["measure", "--field", str(snap)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: field is not even in x and y and x <-> y symmetric: "
+        f"its {part} part reaches")
+
+
 def test_corner_warning_printed_once_per_sweep(tmp_path):
     # four members over the wrap-around threshold on two pool threads, each
     # seeded by an eigen solve: the once-per-location warning shows once
@@ -371,7 +388,13 @@ def test_simulate_measure_round_trip(tmp_path):
     assert main(["measure", "--field", str(out / "field"),
                  "--out", str(m_out)]) == EXIT_OK
     measured = json.loads(m_out.read_text())
-    assert measured["k_measured"] == pytest.approx(k_run, rel=1e-12)
+    # one measurement path: the report and the snapshot give the same k
+    assert measured["k_measured"] == k_run
+    # the snapshot is even in x and y, bit for bit, and x <-> y symmetric to rounding
+    values = read_field_snapshot(out / "field").values
+    assert np.array_equal(values[1:], values[:0:-1])
+    assert np.array_equal(values[:, 1:], values[:, :0:-1])
+    assert np.max(np.abs(values - values.T)) <= 1e-12 * np.max(np.abs(values))
     assert main(["measure", "--field", str(out / "field"),
                  "--annulus", "1,2,3"]) == EXIT_CONFIG
 

@@ -15,10 +15,11 @@ from eikolab.measure import (
     fit_k_law,
     fit_log_k_vs_inv_a,
     measure_wavenumber,
+    radial_gradient,
     radial_gradient_profile,
 )
 from eikolab.radial import RadialGrid, RadialProfile
-from eikolab.spectral import Field2D, GridSpec2D
+from eikolab.spectral import Field2D, GridSpec2D, _mirror
 
 
 def _bump_field(n=128, l=40.0, sigma2=50.0):
@@ -82,6 +83,54 @@ def test_radial_gradient_profile_of_bump():
     sel = (r > 2.0) & (r < 12.0)
     expect = -(2.0 * r[sel] / 50.0) * np.exp(-r[sel] ** 2 / 50.0)
     assert np.max(np.abs(prof.values[sel] - expect)) < 5e-3
+
+
+def _full_grid_radial_gradient(grid, values):
+    """(r, radial gradient) on every cell by the full-grid path the quadrant
+    one replaced: rfft2, ik multipliers with the Nyquist derivative zeroed,
+    two irfft2 and the projection on the offsets from the center."""
+    n = grid.n
+    ik = 2j * np.pi * np.fft.fftfreq(n, d=grid.l / n)
+    ik[n // 2] = 0.0
+    uhat = np.fft.rfft2(values)
+    px = np.fft.irfft2(ik[:, None] * uhat, s=(n, n))
+    py = np.fft.irfft2(ik[None, : n // 2 + 1] * uhat, s=(n, n))
+    o = grid.axes() - 0.5 * grid.l
+    r = np.hypot(o[:, None], o[None, :])
+    radial = px * o[:, None] + py * o[None, :]
+    return r, np.where(r > 0, radial / np.where(r > 0, r, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_quadrant_measurement_matches_the_full_grid(n):
+    # a random field, even in x and y and x <-> y symmetric, on a radial
+    # ramp: every cell of the full grid counts once, each quadrant cell as
+    # the cells it mirrors onto
+    grid = GridSpec2D(n, 50.0)
+    noise = np.random.default_rng(n).standard_normal((n // 2 + 1, n // 2 + 1))
+    field = Field2D(grid, _mirror(np.sqrt(1.0 + grid.radius_grid() ** 2) + 0.1 * (noise + noise.T)))
+    r, radial = _full_grid_radial_gradient(grid, field.values)
+    quadrant = radial_gradient(field)
+    assert quadrant.shape == (n // 2 + 1, n // 2 + 1)
+    assert np.max(np.abs(quadrant - radial[: n // 2 + 1, : n // 2 + 1])) <= 1e-12 * np.max(
+        np.abs(radial))
+
+    annulus = default_annulus(grid)
+    sel = (r >= annulus[0]) & (r <= annulus[1])
+    k = float(np.mean(radial[sel]))
+    assert measure_wavenumber(field, annulus) == pytest.approx(k, rel=1e-12, abs=0.0)
+
+    n_bins = 64
+    width = 0.5 * grid.l / n_bins
+    keep = r <= 0.5 * grid.l
+    idx = np.minimum((r[keep] / width).astype(int), n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins)
+    means = np.bincount(idx, weights=radial[keep], minlength=n_bins) / np.maximum(counts, 1)
+    prof = radial_gradient_profile(field, n_bins=n_bins)
+    assert np.array_equal(prof.bin_counts[1:], counts)
+    filled = counts > 0
+    assert np.max(np.abs(prof.values[1:][filled] - means[filled])) <= 1e-12 * np.max(
+        np.abs(means))
 
 
 def test_build_report_and_dict_round_trip():

@@ -18,6 +18,7 @@ from eikolab.profiles import DEFAULT_R_CUT, SUBCRITICAL_P, InhomogeneitySpec
 from eikolab.measure import SteadyStateReport, measure_wavenumber
 from eikolab import spectral
 from eikolab.spectral import (
+    EIGEN_MAXITER,
     LADDER_TOP,
     Field2D,
     GridSpec2D,
@@ -27,12 +28,12 @@ from eikolab.spectral import (
     _hopf_cole_start,
     _matched_phi,
     _mirror,
-    _mirror_kx,
     _nonlinear_hat,
     _phi_functions,
     _relax,
     _spectral_tools,
     _step_hat,
+    _warm_start,
     defect_corner_ratio,
     full_rhs_hat,
     make_plan,
@@ -69,6 +70,11 @@ def _advance(values, plan, b, eps, g=None, steps=1):
 # the full n x (n/2+1) spectrum, with the plan's tables mirrored onto kx < 0.
 
 
+def _mirror_rows(rows):
+    """The rfft2 layout of a quadrant table even in kx: row n - j repeats row j."""
+    return np.concatenate((rows, rows[-2:0:-1]))
+
+
 def _full_grid_plan(plan):
     n, l = plan.grid.n, plan.grid.l
     kx = 2.0 * np.pi * np.fft.fftfreq(n, d=l / n)
@@ -80,7 +86,7 @@ def _full_grid_plan(plan):
     ix = np.abs(np.fft.fftfreq(n, d=1.0 / n))
     iy = np.abs(np.fft.rfftfreq(n, d=1.0 / n))
     mask = (ix[:, None] < n / 3.0) & (iy[None, :] < n / 3.0)
-    tables = {name: _mirror_kx(getattr(plan, name))
+    tables = {name: _mirror_rows(getattr(plan, name))
               for name in ("e_full", "e_half", "q_half", "f1", "f2", "f3")}
     return SimpleNamespace(grid=plan.grid, ikx=ikx[:, None], iky=iky[None, :],
                            dealias_mask=mask, **tables)
@@ -176,9 +182,12 @@ def test_field_shape_checked():
 
 def test_radius_grid_min_image():
     g = GridSpec2D(64, 10.0)
-    r = g.radius_grid(periodic=True)
-    # corner cell is half a diagonal away under min-image, not 1.5 diagonals
+    r = g.radius_grid()
+    # the quadrant [:33, :33]: the corner cell is half a diagonal away, the
+    # min-image distance, and the last cell is the center
+    assert r.shape == (33, 33) and not r.flags.writeable
     assert r[0, 0] == pytest.approx(math.hypot(5.0, 5.0))
+    assert r[32, 32] == 0.0
     assert np.max(r) <= math.hypot(5.0, 5.0) + 1e-12
 
 
@@ -475,13 +484,13 @@ def test_unresolved_half_grid_falls_back_to_the_eigen_start(n, l, t_max):
     # N=64: no half grid (32 < 64); N=256 L=100: its half grid has dx 0.78 > 0.5
     cfg = _locked_config(n, l, t_max=t_max)
     phi, report = run_to_steady(cfg)
-    start, omega = _hopf_cole_start(cfg)
-    run = _relax(cfg, start, ladder=True)
+    start = _hopf_cole_start(cfg)
+    run = _relax(cfg, start.uhat, ladder=True)
     assert report.coarse_steps == 0
     assert report.steps == run.steps
     assert np.array_equal(phi.values, to_field(run.uhat))
-    assert (report.start, report.start_omega) == ("hopf_cole", omega)
-    assert report.eigen_iterations == _hopf_cole_start(cfg).iterations > 0
+    assert (report.start, report.start_omega) == ("hopf_cole", start.start_omega)
+    assert report.eigen_iterations == _hopf_cole_start(cfg).eigen_iterations > 0
     assert report.start_residual == run.start_residual > cfg.steady_tol
 
 
@@ -489,8 +498,8 @@ def test_half_grid_that_cannot_lock_falls_back_to_the_eigen_start():
     cfg = _locked_config(128, 25.0, t_max=20.0, steady_tol=1e-12)
     phi, report = run_to_steady(cfg)
     coarse = replace(cfg, grid=GridSpec2D(64, 25.0))
-    spent = _relax(coarse, _hopf_cole_start(coarse)[0], ladder=True)
-    run = _relax(cfg, _hopf_cole_start(cfg)[0], ladder=True)
+    spent = _relax(coarse, _hopf_cole_start(coarse).uhat, ladder=True)
+    run = _relax(cfg, _hopf_cole_start(cfg).uhat, ladder=True)
     assert not run.converged and not report.converged
     # the whole half-grid pass is spent: t_max in fewer steps than t_max / dt
     assert not spent.converged and spent.t_final == cfg.t_max
@@ -510,9 +519,10 @@ def test_eigenvalue_matches_locked_omega(n, l, p):
     # frequency the stepper locks to from rest
     cfg = SimulationConfig(GridSpec2D(n, l), dt=0.5, b=1.0, t_max=2000.0,
                            defect=InhomogeneitySpec(1.5, p, strength=1.0))
-    start, omega = _hopf_cole_start(cfg)
+    start = _hopf_cole_start(cfg)
+    omega = start.start_omega
     cold = _zero_start(cfg)
-    warm = _relax(cfg, start, ladder=True)
+    warm = _relax(cfg, start.uhat, ladder=True)
     assert cold.converged and warm.converged
     assert omega == pytest.approx(cold.omega_drift, rel=1e-4)
     assert warm.omega_drift == pytest.approx(cold.omega_drift, rel=1e-4)
@@ -538,7 +548,7 @@ def test_eigenpair_matches_arpack(n, p):
     lam, vec = eigsh(LinearOperator((n * n, n * n), matvec=apply_b, dtype=float),
                      k=1, which="SA", v0=np.ones(n * n))
     oracle = vec[:, 0].reshape(n, n) * np.sign(np.sum(vec))
-    w, omega = _hopf_cole_eigen(cfg)
+    w, omega, _ = _hopf_cole_eigen(cfg)
     assert -omega * cfg.b == pytest.approx(lam[0], rel=1e-11)
     assert np.max(np.abs(_mirror(w) - oracle / np.max(oracle))) <= 1e-8
 
@@ -550,8 +560,8 @@ def test_eigen_solve_takes_few_iterations_on_the_figure1_presets():
     for a in FIG1_A_VALUES:
         cfg = SimulationConfig(GridSpec2D(256, 100.0), dt=0.5, b=1.0,
                                defect=InhomogeneitySpec(1.0, 0.8, strength=a / mass))
-        eigen = _hopf_cole_eigen(cfg)
-        assert eigen is not None and eigen.iterations <= 12, a
+        w, _, iterations = _hopf_cole_eigen(cfg)
+        assert w is not None and iterations <= 12, a
 
 
 @pytest.mark.parametrize("amplitude,p", [(1.5, 0.5), (1.5, 0.3), (1e300, 1.5)])
@@ -560,9 +570,9 @@ def test_eigen_start_stays_at_rest(amplitude, p):
     # A = 1e300 overflows the operator
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
                            defect=InhomogeneitySpec(amplitude, p, strength=1.0))
-    start, omega = _hopf_cole_start(cfg)
-    assert omega is None and _hopf_cole_start(cfg).iterations is None
-    assert start.shape == (33, 33) and not np.any(start)
+    start = _hopf_cole_start(cfg)
+    assert start.start_omega is None and _hopf_cole_start(cfg).eigen_iterations is None
+    assert start.uhat.shape == (33, 33) and not np.any(start.uhat)
 
 
 @pytest.mark.parametrize("amplitude,at_rest", [(1.5, False), (1e150, True)])
@@ -573,8 +583,25 @@ def test_eigen_solve_leaks_no_warning(amplitude, at_rest):
                            defect=InhomogeneitySpec(amplitude, 0.8, strength=1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, omega = _hopf_cole_start(cfg)
+        omega = _hopf_cole_start(cfg).start_omega
     assert (omega is None) == at_rest
+
+
+def test_unconverged_eigen_solve_records_its_iterations(monkeypatch):
+    # A = 1e150 leaves the solve short of its tolerance after EIGEN_MAXITER
+    # steps: the run starts from rest, and its record shows the iterations
+    # spent, where a p <= 1/2 run, which solves nothing, shows null
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(1e150, 0.8, strength=1.0))
+    start = _warm_start(cfg)
+    assert (start.start, start.start_omega) == ("rest", None) and not np.any(start.uhat)
+    assert start.eigen_iterations == EIGEN_MAXITER + 1
+    # run_to_steady forwards the start by field name; this run blows up at
+    # step 1, so a calm one carries the record to its report
+    monkeypatch.setattr(spectral, "_warm_start", lambda config: start)
+    _, report = run_to_steady(_locked_config(64, 50.0))
+    assert report.as_dict()["eigen_iterations"] == EIGEN_MAXITER + 1
+    assert (report.start, report.start_omega, report.coarse_steps) == ("rest", None, 0)
 
 
 def _noise_floor(w):
@@ -594,10 +621,11 @@ def test_far_field_match_locks_in_fewer_steps(amplitude, p, eps):
     # beyond it, and the ladder must walk the front out to the disk edge
     cfg = SimulationConfig(GridSpec2D(128, 50.0), dt=0.5, b=1.0, t_max=2000.0,
                            defect=InhomogeneitySpec(amplitude, p, strength=eps))
-    w, omega = _hopf_cole_eigen(cfg)
+    w, omega, _ = _hopf_cole_eigen(cfg)
     assert np.min(w) < 10.0 * _noise_floor(w)
-    start, start_omega = _hopf_cole_start(cfg)
-    assert start_omega == omega
+    hopf_cole = _hopf_cole_start(cfg)
+    start = hopf_cole.uhat
+    assert hopf_cole.start_omega == omega
     assert np.array_equal(start, to_spectrum(_mirror(_matched_phi(cfg, w, omega))))
     floor_start = _floor_start(cfg)
     fixed = _relax(cfg, floor_start)
@@ -613,14 +641,14 @@ def test_far_field_match_locks_in_fewer_steps(amplitude, p, eps):
 def test_far_field_match_keeps_log_w_where_w_is_trusted(amplitude, p, eps):
     cfg = SimulationConfig(GridSpec2D(128, 50.0), dt=0.5, b=1.0,
                            defect=InhomogeneitySpec(amplitude, p, strength=eps))
-    w, omega = _hopf_cole_eigen(cfg)
+    w, omega, _ = _hopf_cole_eigen(cfg)
     phi0 = _mirror(_matched_phi(cfg, w, omega))
     w = _mirror(w)
     trusted = w >= 10.0 * _noise_floor(w)
     assert np.array_equal(phi0[trusted], -np.log(w[trusted]) / cfg.b)
     # beyond the cut phi0 keeps rising with r, at about the far-field slope
     # sqrt(Omega/b) along the x axis (g is below 1e-2 of Omega out there)
-    r = cfg.grid.radius_grid(periodic=True)
+    r = _mirror(cfg.grid.radius_grid())
     row = r[:, 64]
     far = ~trusted[:, 64] & (np.arange(128) >= 64)
     slope = np.diff(phi0[far, 64]) / np.diff(row[far])
@@ -632,7 +660,7 @@ def test_weak_defect_gets_no_far_field_continuation():
     # a weak defect's w stays far above its noise over the whole box
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
                            defect=InhomogeneitySpec(1.0, 0.8, strength=0.5))
-    w, omega = _hopf_cole_eigen(cfg)
+    w, omega, _ = _hopf_cole_eigen(cfg)
     assert np.min(w) >= 10.0 * _noise_floor(w)
     assert np.array_equal(_matched_phi(cfg, w, omega), -np.log(w) / cfg.b)
 
@@ -646,7 +674,7 @@ def _constant_dt_loop(cfg, uhat):
     grid, b, eps = cfg.grid, cfg.b, cfg.defect.strength
     plan = make_plan(grid, cfg.dt)
     ghat = to_spectrum(sample_defect(grid, cfg.defect).values)
-    disk = grid.radius_grid() <= 0.45 * grid.l
+    disk = _mirror(grid.radius_grid()) <= 0.45 * grid.l
     n_max = math.ceil(cfg.t_max / cfg.dt)
     for step in range(1, n_max + 1):
         uhat = _step_hat(uhat, plan, b, eps, ghat)
@@ -702,7 +730,7 @@ def test_marginal_dt_runs_out_its_time_on_the_ladder(amplitude, p, dt):
     # start it runs out the time as the fixed step does
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=dt, b=1.0, t_max=200.0,
                            defect=InhomogeneitySpec(amplitude, p, strength=1.0))
-    start, _ = _hopf_cole_start(cfg)
+    start = _hopf_cole_start(cfg).uhat
     fixed = _relax(cfg, start)
     ladder = _relax(cfg, start, ladder=True)
     assert not fixed.converged and not ladder.converged
@@ -726,7 +754,7 @@ def test_blow_up_on_the_top_level_rolls_back(monkeypatch):
     # level and ceiling come down, so the run still locks to the same state
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0, t_max=2000.0,
                            defect=InhomogeneitySpec(1.5, 0.8, strength=1.0))
-    start, _ = _hopf_cole_start(cfg)
+    start = _hopf_cole_start(cfg).uhat
     clean = _relax(cfg, start, ladder=True)
     _failing_steps(monkeypatch, lambda dt: dt == 4 * cfg.dt)
     rolled = _relax(cfg, start, ladder=True)
@@ -740,7 +768,7 @@ def test_blow_up_on_the_top_level_rolls_back(monkeypatch):
 def test_blow_up_at_the_base_step_reports_where(monkeypatch):
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0, t_max=2000.0,
                            defect=InhomogeneitySpec(1.5, 0.8, strength=1.0))
-    start, _ = _hopf_cole_start(cfg)
+    start = _hopf_cole_start(cfg).uhat
     _failing_steps(monkeypatch, lambda dt: True)
     with pytest.raises(BlowUpError) as info:
         _relax(cfg, start, ladder=True)
