@@ -129,6 +129,36 @@ def cumulative_integral(f: Callable, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
+_SCAN_SPAN = 32.0  # exponent range per scan block; e^{+-32} is far from over- and underflow
+
+
+def _decay_scan(panel: np.ndarray, x: np.ndarray, scale: float) -> np.ndarray:
+    """acc with acc[0] = 0 and acc[i] = e^{-(E_i - E_{i-1})} acc[i-1] + panel[i-1], E = scale x.
+
+    Solved in closed form block by block: with t the block's last node and s
+    its first (whose acc is the carry),
+
+        acc_i = e^{E_t - E_i} (e^{-(E_t - E_s)} acc_s + sum_{s <= j < i} panel_j e^{-(E_t - E_{j+1})}),
+
+    where a block adds steps until the variation of E past its first step
+    reaches _SCAN_SPAN.  Every factor but the carry's is then within e^{+-32},
+    so nothing overflows unless the recurrence itself does, and each exponent
+    is formed as scale (x_t - x_i) from nodes within the block, so it carries
+    no rounding from far-away nodes.
+    """
+    acc = np.empty(x.size)
+    acc[0] = 0.0
+    var = np.cumsum(np.abs(scale * np.diff(x)))
+    s = 0
+    while s < panel.size:
+        t = int(np.searchsorted(var, var[s] + _SCAN_SPAN, side="right"))
+        to_end = scale * (x[t] - x[s : t + 1])  # E_t - E_i for i = s .. t
+        acc[s + 1 : t + 1] = np.exp(to_end[1:]) * (
+            np.exp(-to_end[0]) * acc[s] + np.cumsum(panel[s:t] * np.exp(-to_end[1:])))
+        s = t
+    return acc
+
+
 # -------------------------------------------------------- finite differences
 
 
@@ -237,7 +267,7 @@ def apply_inverse_L_lambda(f, lam: float, grid: RadialGrid | None = None) -> Rad
 
     u(r) = (1/r) e^{-lam r} integral_0^r e^{lam s} f(s) s ds, accumulated
     panelwise with the factor e^{lam (s - r_panel_end)} kept inside each panel
-    so nothing overflows.
+    and the panels summed by a blocked scan (_decay_scan), so nothing overflows.
     """
     if not lam > 0.0:
         raise DomainError(f"L_lambda inverse needs lam > 0, got {lam}")
@@ -254,12 +284,8 @@ def apply_inverse_L_lambda(f, lam: float, grid: RadialGrid | None = None) -> Rad
     xs, ws = _panel_nodes(nodes[:-1], nodes[1:])
     # integral over panel i of e^{lam (s - nodes[i+1])} f(s) s ds; exponent <= 0
     panel = np.sum(np.exp(lam * (xs - nodes[1:, None])) * np.asarray(fc(xs)) * xs * ws, axis=1)
-    decay = np.exp(-lam * np.diff(nodes))
-
-    acc = np.empty_like(nodes)  # acc[i] = e^{-lam r_i} integral_0^{r_i} e^{lam s} f s ds
-    acc[0] = 0.0
-    for i in range(1, len(nodes)):
-        acc[i] = acc[i - 1] * decay[i - 1] + panel[i - 1]
+    # acc[i] = e^{-lam r_i} integral_0^{r_i} e^{lam s} f s ds
+    acc = _decay_scan(panel, nodes, lam)
     u = np.empty_like(nodes)
     u[0] = 0.0
     u[1:] = acc[1:] / nodes[1:]
@@ -403,8 +429,11 @@ def solve_far_field_correction(
             "branch grows like 1/r toward the origin"
         )
     nodes = grid.nodes
-    coef = -2.0 * b * far_field_phi0_grad(ansatz, nodes)
-    src = np.asarray(far_field_source(ansatz, nodes), dtype=float)
+    # the ansatz once per grid: (phi0, phi0', Laplacian_0 phi0) on the nodes
+    # and on the panel nodes, with S as in far_field_source
+    phi0, dphi0, lap0 = _phi0_terms(ansatz, nodes)
+    coef = -2.0 * b * dphi0
+    src = lap0 - b * dphi0**2 + ansatz.frequency
     if g is not None and eps != 0.0:
         src = src - eps * np.asarray(_as_callable(g, "g")(nodes), dtype=float)
     # restrict smoothly to the far region with the same cut-off shape the
@@ -421,11 +450,11 @@ def solve_far_field_correction(
     # only the quadratic term is not enough: its feedback gain scales like
     # eps A Lambda^{2p-2}/2 near the collar and exceeds one in exactly the
     # slowly-decaying regimes this family is about.
-    w_phi0_nodes = 2.0 * b * far_field_phi0(ansatz, nodes)
+    w_phi0_nodes = 2.0 * b * phi0
     xs, ws = _panel_nodes(nodes[:-1], nodes[1:])
     xs_flat = xs.ravel()
-    w_phi0_xs = 2.0 * b * far_field_phi0(ansatz, xs_flat).reshape(xs.shape)
-    dphi0_xs = far_field_phi0_grad(ansatz, xs_flat).reshape(xs.shape)
+    phi0_xs, dphi0_xs, _ = (t.reshape(xs.shape) for t in _phi0_terms(ansatz, xs_flat))
+    w_phi0_xs = 2.0 * b * phi0_xs
     src_xs = CubicSpline(nodes, src)(xs)
 
     def newton_step(psi: np.ndarray) -> np.ndarray:
@@ -441,10 +470,8 @@ def solve_far_field_correction(
         # resulting non-finite update into a NonContractionError
         with np.errstate(over="ignore", invalid="ignore"):
             panel = np.sum(np.exp(w_nodes[:-1, None] - w_xs) * xs * ws * resid, axis=1)
-            decay = np.exp(w_nodes[:-1] - w_nodes[1:])
-        bb = np.zeros_like(nodes)
-        for i in range(len(nodes) - 2, -1, -1):
-            bb[i] = decay[i] * bb[i + 1] + panel[i]
+            # bb[i] = e^{w_i - w_{i+1}} bb[i+1] + panel[i] from bb[-1] = 0
+            bb = _decay_scan(panel[::-1], w_nodes[::-1], -1.0)[::-1]
         return bb / nodes
 
     psi = np.zeros_like(nodes)
@@ -553,6 +580,13 @@ def _amplitude_rhs(r, y):
     return (drho, rho / (r * r) - drho / r - rho + rho**3)
 
 
+def _amplitude_rhs_point(r: float, y: np.ndarray) -> tuple[float, float]:
+    """_amplitude_rhs at one point on Python floats: the same IEEE operations,
+    bit for bit, without numpy scalar overhead in the compiled shots' callbacks."""
+    rho, drho = y.tolist()
+    return (drho, rho / (r * r) - drho / r - rho + rho**3)
+
+
 def _far_series(r):
     """Three-term far-field series (rho, rho') of the rho(inf) = 1 solution."""
     rho = 1.0 - sum(c / r ** (2 * k + 2) for k, c in enumerate(_FAR_SERIES))
@@ -586,9 +620,10 @@ def _shot_classifier(r_end: float, r0: float, rtol: float,
     verdict = []
 
     def classify(r, y):
-        if y[0] >= _RHO_HIGH:
+        rho, drho = y.tolist()
+        if rho >= _RHO_HIGH:
             verdict.append(True)
-        elif y[1] < 0.0:
+        elif drho < 0.0:
             verdict.append(False)
         else:
             return 0
@@ -596,7 +631,7 @@ def _shot_classifier(r_end: float, r0: float, rtol: float,
 
     # one solver serves every shot: scipy's dop853 wrapper keeps a reference to
     # each integrator it has run, so a solver per shot would leak about 1.4 kB
-    solver = ode(_amplitude_rhs).set_integrator(
+    solver = ode(_amplitude_rhs_point).set_integrator(
         "dop853", rtol=rtol, atol=atol, nsteps=_MAX_STEPS)
     solver.set_solout(classify)
 

@@ -234,15 +234,6 @@ def make_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
 make_plan.cache_info, make_plan.cache_clear = _cached_plan.cache_info, _cached_plan.cache_clear
 
 
-def sample_defect(grid: GridSpec2D, defect: InhomogeneitySpec) -> Field2D:
-    """Bare defect shape A/(1+r^2)^p at periodic distance from the center.
-
-    The strength factor is NOT applied here; pass it separately as eps so the
-    sweep bookkeeping keeps amplitude and strength apart.
-    """
-    return Field2D(grid, _mirror(_bare_defect(grid, defect.amplitude, defect.decay_exponent)[0]))
-
-
 @functools.lru_cache(maxsize=2)
 def _bare_defect(grid: GridSpec2D, amplitude: float, decay_exponent: float):
     """(g, ghat), read-only: the bare defect on the quadrant and its spectrum,

@@ -162,6 +162,68 @@ def test_inverse_l_lambda_round_trip():
         assert np.max(np.abs(resid[10:-10])) < 1e-6
 
 
+def _forward_loop(panel, decay):
+    """Reference for apply_inverse_L_lambda: acc[i] = acc[i-1] decay[i-1] + panel[i-1]."""
+    acc = np.zeros(panel.size + 1)
+    for i in range(1, acc.size):
+        acc[i] = acc[i - 1] * decay[i - 1] + panel[i - 1]
+    return acc
+
+
+def _backward_loop(panel, decay):
+    """Reference for the Newton sweep: bb[i] = decay[i] bb[i+1] + panel[i], bb[-1] = 0."""
+    bb = np.zeros(panel.size + 1)
+    for i in range(panel.size - 1, -1, -1):
+        bb[i] = decay[i] * bb[i + 1] + panel[i]
+    return bb
+
+
+_UNIFORM = np.linspace(0.0, 20.0, 4001)
+_GRADED = np.concatenate(([0.0], np.geomspace(1e-3, 60.0, 3000)))
+
+
+@pytest.mark.parametrize("nodes", [_UNIFORM, _GRADED], ids=["uniform", "graded"])
+@pytest.mark.parametrize("lam", [0.05, 0.7, 2.0])
+def test_forward_scan_matches_the_loop(nodes, lam):
+    # the L_lambda recurrence; its exponent lam r spans 1 to 120, so 1 to 4 blocks
+    panel = np.random.default_rng(3).normal(size=nodes.size - 1)
+    expect = _forward_loop(panel, np.exp(-lam * np.diff(nodes)))
+    got = radial._decay_scan(panel, nodes, lam)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("nodes", [_UNIFORM[1:], _GRADED[1:]], ids=["uniform", "graded"])
+@pytest.mark.parametrize("dip", [0.0, 3.0])
+def test_backward_scan_matches_the_loop(nodes, dip):
+    # the Newton sweep's recurrence with w = 2 b (phi0 + int psi): increasing,
+    # or with a dip where psi < 0 makes some factors e^{w_i - w_{i+1}} exceed 1
+    w = 1.2 * nodes + np.log(nodes) - dip * np.exp(-((nodes - 10.0) ** 2))
+    panel = np.random.default_rng(5).normal(size=nodes.size - 1)
+    expect = _backward_loop(panel, np.exp(w[:-1] - w[1:]))
+    got = radial._decay_scan(panel[::-1], w[::-1], -1.0)[::-1]
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_scan_spans_many_blocks_without_overflow():
+    # lam r_max = 5000: a single block's e^{lam r} overflows, the blocked scan
+    # neither overflows nor loses accuracy, in the helper and in L_lambda^{-1}
+    lam, nodes = 2.0, np.linspace(0.0, 2500.0, 50001)
+    with np.errstate(over="ignore"):
+        assert np.exp(lam * nodes[-1]) == np.inf
+    panel = np.random.default_rng(11).normal(size=nodes.size - 1)
+    expect = _forward_loop(panel, np.exp(-lam * np.diff(nodes)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = radial._decay_scan(panel, nodes, lam)
+        u = apply_inverse_L_lambda(lambda s: np.ones_like(np.asarray(s)), lam,
+                                   RadialGrid(nodes))
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    r = nodes[1:]
+    exact = ((lam * r - 1.0) + np.exp(-lam * r)) / (lam * lam * r)
+    assert np.max(np.abs(u.values[1:] - exact)) < 1e-12
+
+
 def test_inverse_l_lambda_validation():
     grid = RadialGrid(np.linspace(0.0, 5.0, 501))
     with pytest.raises(DomainError):
@@ -429,6 +491,32 @@ def test_shot_stopped_at_its_turning_point_keeps_its_class(amplitude_solution):
                     (0.5, False), (0.6, True), (1.0, True), (5.0, True)]:
         assert full_length_is_high(s) == high, s
         assert early_exit_is_high(s) == high, s
+
+
+@pytest.mark.parametrize("offset", [-1e-3, -1e-9, 1e-9, 1e-3])
+def test_point_rhs_shoots_bit_for_bit_as_the_array_rhs(amplitude_solution, offset):
+    # the classifier's float right-hand side against _amplitude_rhs: every
+    # accepted step end of a compiled DOP853 shot is the same double
+    s, r0 = amplitude_solution.slope_origin + offset, 1e-3
+
+    def shot(rhs):
+        steps = []
+
+        def record(r, y):
+            steps.append((r, *y.tolist()))
+            return -1 if y[0] >= 1.3 or y[1] < 0.0 else 0
+
+        solver = ode(rhs).set_integrator("dop853", rtol=1e-12, atol=1e-14,
+                                          nsteps=radial._MAX_STEPS)
+        solver.set_solout(record)
+        solver.set_initial_value(_launch(s, r0), r0)
+        solver.integrate(30.0)
+        assert solver.successful(), s
+        return steps
+
+    array, point = shot(_amplitude_rhs), shot(radial._amplitude_rhs_point)
+    assert len(array) > 40
+    assert point == array
 
 
 def _event_located_is_high(s, r_far=30.0, r0=1e-3, rtol=1e-12, atol=1e-14):

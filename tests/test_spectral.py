@@ -14,7 +14,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from eikolab.asymptotics import branch_mass
 from eikolab.cli import FIG1_A_VALUES
 from eikolab.errors import BlowUpError, ConfigError
-from eikolab.profiles import DEFAULT_R_CUT, SUBCRITICAL_P, InhomogeneitySpec
+from eikolab.profiles import DEFAULT_R_CUT, SUBCRITICAL_P, InhomogeneitySpec, evaluate_g
 from eikolab.measure import SteadyStateReport, measure_wavenumber
 from eikolab import spectral
 from eikolab.spectral import (
@@ -39,7 +39,6 @@ from eikolab.spectral import (
     make_plan,
     read_field_snapshot,
     run_to_steady,
-    sample_defect,
     to_field,
     to_spectrum,
     write_field_snapshot,
@@ -49,6 +48,13 @@ from eikolab.spectral import (
 def _xy(grid):
     ax = grid.axes()
     return np.meshgrid(ax, ax, indexing="ij")
+
+
+def _defect_field(grid, defect):
+    """The bare defect A/(1+r^2)^p, strength not applied, on the full grid at
+    periodic distance from the center."""
+    bare = InhomogeneitySpec(defect.amplitude, defect.decay_exponent)
+    return evaluate_g(bare, _mirror(grid.radius_grid()))
 
 
 def _advance_hat(values, plan, b, eps, g=None, steps=1):
@@ -120,7 +126,7 @@ def test_quadrant_kernel_matches_the_full_grid_kernel():
     # an even-even, x <-> y symmetric field with a defect, 20 steps on both kernels
     grid = GridSpec2D(128, 50.0)
     x, y = _xy(grid)
-    g = sample_defect(grid, InhomogeneitySpec(1.5, 0.8)).values
+    g = _defect_field(grid, InhomogeneitySpec(1.5, 0.8))
     start = 0.5 * g + 0.1 * (np.cos(6.0 * np.pi * x / 50.0) * np.cos(4.0 * np.pi * y / 50.0)
                              + np.cos(4.0 * np.pi * x / 50.0) * np.cos(6.0 * np.pi * y / 50.0))
     plan = make_plan(grid, 0.5)
@@ -191,13 +197,15 @@ def test_radius_grid_min_image():
     assert np.max(r) <= math.hypot(5.0, 5.0) + 1e-12
 
 
-def test_sample_defect_values_and_strength_separation():
+def test_bare_defect_values_and_strength_separation():
     g = GridSpec2D(64, 20.0)
     spec = InhomogeneitySpec(1.5, 0.8, strength=0.25)
-    f = sample_defect(g, spec)
+    f, fhat = spectral._bare_defect(g, spec.amplitude, spec.decay_exponent)
+    assert not (f.flags.writeable or fhat.flags.writeable)
+    assert np.array_equal(_mirror(f), _defect_field(g, spec))
     # strength deliberately not applied: center cell carries the bare amplitude
-    i = 32  # axes()[32] = 10.0 = center
-    assert f.values[i, i] == pytest.approx(1.5)
+    i = 32  # axes()[32] = 10.0 = center, the quadrant's last cell
+    assert f[i, i] == pytest.approx(1.5)
     assert defect_corner_ratio(g, spec) == pytest.approx(
         (1.0 + 200.0) ** -0.8, rel=1e-12
     )
@@ -366,7 +374,7 @@ def test_nonlinear_hat_matches_analytic_gradient():
     grid = GridSpec2D(64, 30.0)
     x, y = _xy(grid)
     phi = np.cos(2.0 * np.pi * x / 30.0) * np.cos(2.0 * np.pi * y / 30.0)
-    g = sample_defect(grid, InhomogeneitySpec(1.0, 1.0)).values
+    g = _defect_field(grid, InhomogeneitySpec(1.0, 1.0))
     nhat = _nonlinear_hat(to_spectrum(phi), make_plan(grid, 0.5), 2.0, 0.3, to_spectrum(g))
     # gradient-squared of the analytic field (its modes are far below the cut)
     kx = 2.0 * np.pi / 30.0
@@ -537,7 +545,7 @@ def test_eigenpair_matches_arpack(n, p):
     # no preconditioner
     cfg = SimulationConfig(GridSpec2D(n, 50.0), dt=0.5, b=1.0,
                            defect=InhomogeneitySpec(1.5, p, strength=1.0))
-    pot = cfg.b * cfg.defect.strength * sample_defect(cfg.grid, cfg.defect).values
+    pot = cfg.b * cfg.defect.strength * _defect_field(cfg.grid, cfg.defect)
     kx = 2.0 * np.pi * np.fft.fftfreq(n, d=50.0 / n)
     minus_ksq = -(kx[:, None] ** 2 + kx[None, : n // 2 + 1] ** 2)
 
@@ -673,7 +681,7 @@ def _constant_dt_loop(cfg, uhat):
     steps and at t_max; returns (uhat, steps)."""
     grid, b, eps = cfg.grid, cfg.b, cfg.defect.strength
     plan = make_plan(grid, cfg.dt)
-    ghat = to_spectrum(sample_defect(grid, cfg.defect).values)
+    ghat = to_spectrum(_defect_field(grid, cfg.defect))
     disk = _mirror(grid.radius_grid()) <= 0.45 * grid.l
     n_max = math.ceil(cfg.t_max / cfg.dt)
     for step in range(1, n_max + 1):
