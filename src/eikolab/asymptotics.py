@@ -72,9 +72,8 @@ class FamilyPrediction:
 
 
 def predict_k_for_family(amplitude: float, decay_exponent: float,
-                         r_cut: float = DEFAULT_R_CUT,
-                         prefactor: float = 1.0) -> FamilyPrediction:
-    """k ~ prefactor * exp(-1/a_sim) for the family A/(1+r^2)^p.
+                         r_cut: float = DEFAULT_R_CUT) -> FamilyPrediction:
+    """The shape k ~ exp(-1/a_sim) for the family A/(1+r^2)^p.
 
     amplitude is the effective strength (fold eps and b in before calling).
     a_sim is branch_mass's; the branch taken is recorded, with r_cut on the
@@ -96,7 +95,7 @@ def predict_k_for_family(amplitude: float, decay_exponent: float,
         a_sim=a_sim,
         branch=branch,
         truncation_radius=r_cut if branch == BRANCH_TRUNCATED else None,
-        k_shape=prefactor * math.exp(-1.0 / a_sim),
+        k_shape=math.exp(-1.0 / a_sim),
     )
 
 

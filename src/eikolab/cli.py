@@ -244,8 +244,7 @@ def _out_dir(path) -> Path:
 
 _SIM_DEFAULTS = {
     "N": 256, "L": 100.0, "dt": 0.5, "b": 1.0, "A": 1.0, "p": 0.8, "eps": 0.5,
-    "t_max": 5000.0, "steady_tol": 1e-5, "check_interval": 20,
-    "save_field": False, "dry_run": False,
+    "t_max": 5000.0, "steady_tol": 1e-5, "save_field": False, "dry_run": False,
 }
 _SWEEP_DEFAULTS = {**_SIM_DEFAULTS, "r_cut": DEFAULT_R_CUT, "jobs": 1}
 
@@ -285,7 +284,6 @@ def _sim_config(cfg, eps: float, p: float) -> SimulationConfig:
         defect=defect,
         t_max=float(cfg["t_max"]),
         steady_tol=float(cfg["steady_tol"]),
-        check_interval=int(cfg["check_interval"]),
     )
 
 
@@ -367,7 +365,7 @@ def _sweep(command: str, cfg, axis: str, values, write_tables,
     """The sweep engine behind sweep, figure1 and figure2.
 
     Runs the members along `axis`, writes runs.json and flags every unsteady
-    member in the manifest; only those with p > SUBCRITICAL_P fail the sweep.
+    member in the manifest, where any one fails the sweep (exit 4).
     `write_tables(cfg, out, members, results)` then writes the command's own
     files.  A dry run writes the manifest, and plan.json when `plan` is set.
     """
@@ -385,18 +383,12 @@ def _sweep(command: str, cfg, axis: str, values, write_tables,
     members = _sweep_members(cfg, axis, values)
     results = _run_members(cfg, members, out, bool(cfg["save_field"]), int(cfg["jobs"]))
     write_json(out / "runs.json", [entry for entry, _ in results])
-    n_bad = 0
-    for (_eps, p, _a, name), (_entry, report) in zip(members, results):
-        if report.converged:
-            continue
-        if p > SUBCRITICAL_P:
-            n_bad += 1
+    for (*_, name), (_entry, report) in zip(members, results):
+        if not report.converged:
             manifest.flag_failure(f"{name} unsteady at t_max")
-        else:
-            manifest.flag_failure(f"{name} unsteady (expected: p <= {SUBCRITICAL_P})")
     write_tables(cfg, out, members, results)
     manifest.finalize(out)
-    return EXIT_PARTIAL if n_bad else EXIT_OK
+    return EXIT_PARTIAL if manifest.failures else EXIT_OK
 
 
 def _transform_y(k: float) -> float:
@@ -408,9 +400,11 @@ def _transform_y(k: float) -> float:
 def _profile_growth(profile, l: float, r_core: float = 6.0) -> float:
     """Relative gradient growth from just outside the core to mid-annulus.
 
-    A selected pattern has already locked its wavenumber by twice the mass
-    truncation radius, so its gradient is flat-to-falling from there; a
-    subcritical tail keeps feeding the gradient and shows up as growth.
+    Where b eps g is small against Omega by twice the mass truncation radius,
+    the gradient is flat-to-falling from there.  A heavy tail keeps it
+    climbing slowly towards its far value: the p = 0.3 control locks, and
+    its growth (> 20%) is the plane profile's own (+24.98%), a slow approach
+    to kappa/b, not a failure to lock.
     """
     f = profile.interpolator()
     v_in = float(f(r_core))
@@ -780,11 +774,10 @@ def cmd_figure3(args) -> int:
 # (None keeps the text); a command gets each flag whose key is in its defaults
 _CONFIG_FLAGS = (
     ("out", None), ("N", int), ("L", float), ("dt", float), ("b", float),
-    ("t_max", float), ("steady_tol", float), ("check_interval", int),
-    ("rmax", float), ("tol", float), ("save_field", bool), ("dry_run", bool),
-    ("A", float), ("p", float), ("eps", float), ("a_values", None),
-    ("eps_values", None), ("p_values", None), ("p_grid", None), ("r_cut", float),
-    ("jobs", int),
+    ("t_max", float), ("steady_tol", float), ("rmax", float), ("tol", float),
+    ("save_field", bool), ("dry_run", bool), ("A", float), ("p", float),
+    ("eps", float), ("a_values", None), ("eps_values", None), ("p_values", None),
+    ("p_grid", None), ("r_cut", float), ("jobs", int),
 )
 
 

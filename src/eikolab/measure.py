@@ -137,7 +137,7 @@ class SteadyStateReport:
     steps: int = 0
     dt_steps: list = field(default_factory=list)  # [dt, steps at that dt]
     dt_rejections: int = 0  # steps dropped after a blow-up on the dt ladder
-    start_residual: float | None = None  # residual of the warm start, None from rest
+    start_residual: float | None = None  # residual of the start, None if not finite
     coarse_steps: int = 0  # half-grid warm-start steps, summed over levels
     start: str = "rest"  # "half_grid", "hopf_cole" or "rest"
     start_omega: float | None = None  # lambda/b of the eigen solve that seeded the run

@@ -18,10 +18,11 @@ from scipy import integrate
 from .errors import ConfigError, DivergentMassError, ResolutionError
 from .radial import RadialGrid, RadialProfile
 
-# Tails g ~ r^-m with m = 2p <= 1 lie outside the paper's theorem (m in (1, 2]):
-# no target pattern is predicted, and no eigen start steers such runs to lock.
-# They may still lock on their own (p = 0.3 at N=256 does, from rest, after
-# 140 steps); the subcritical verdict rests on the growing gradient.
+# Tails g ~ r^-m with m = 2p <= 1 lie outside the paper's theorem (m in (1, 2]),
+# so no law is predicted for them.  The model still locks such runs (in 2D
+# every attractive defect binds): they start from their eigenstate like any
+# other.  Their growing gradient (+24.98% at p = 0.3 in the plane profile
+# itself) is a slow approach to kappa/b, not a failure to lock.
 SUBCRITICAL_P = 0.5
 
 # Radius the mass integral is truncated at where the infinite one diverges

@@ -314,25 +314,11 @@ class FarFieldAnsatz:
         return self.decay_rate**2 / self.b
 
 
-def far_field_phi0(ansatz: FarFieldAnsatz, r):
-    """phi0(r); zero inside the cut-off, -(1/b) log K0(L r) far out."""
-    from .profiles import CutoffSpec, smooth_cutoff
-
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    z = ansatz.decay_rate * r
-    out = np.zeros_like(z)
-    act = z > 1.0
-    if np.any(act):
-        za = z[act]
-        chi = smooth_cutoff(CutoffSpec("chi"), za)
-        # log K0 through the scaled evaluation, which does not underflow
-        out[act] = -(1.0 / ansatz.b) * chi * (np.log(bessel_k0_scaled(za)) - za)
-    return float(out[0]) if scalar else out
-
-
 def _phi0_terms(ansatz: FarFieldAnsatz, r: np.ndarray):
-    """(phi0, phi0', Laplacian_0 phi0) on r > 0, analytic except chi-derivatives."""
+    """(phi0, phi0', Laplacian_0 phi0) on r > 0, analytic except chi-derivatives.
+
+    phi0 is zero inside the cut-off and -(1/b) log K0(L r) far out.
+    """
     from .profiles import CutoffSpec, cutoff_derivatives
 
     lam, b = ansatz.decay_rate, ansatz.b
@@ -368,6 +354,11 @@ def far_field_phi0_grad(ansatz: FarFieldAnsatz, r):
     return float(dphi[0]) if scalar else dphi
 
 
+def _source(ansatz: FarFieldAnsatz, dphi: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """S = Laplacian_0 phi0 - b (phi0')^2 + Omega from two of _phi0_terms."""
+    return lap - ansatz.b * dphi**2 + ansatz.frequency
+
+
 def far_field_source(ansatz: FarFieldAnsatz, r):
     """S = Laplacian_0 phi0 - b (phi0')^2 + Omega.
 
@@ -376,11 +367,9 @@ def far_field_source(ansatz: FarFieldAnsatz, r):
     """
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    omega = ansatz.frequency
-    out = np.full_like(r, omega)
+    out = np.full_like(r, ansatz.frequency)
     pos = r > 0.0
-    _, dphi, lap = _phi0_terms(ansatz, r[pos])
-    out[pos] = lap - ansatz.b * dphi**2 + omega
+    out[pos] = _source(ansatz, *_phi0_terms(ansatz, r[pos])[1:])
     return float(out[0]) if scalar else out
 
 
@@ -430,10 +419,10 @@ def solve_far_field_correction(
         )
     nodes = grid.nodes
     # the ansatz once per grid: (phi0, phi0', Laplacian_0 phi0) on the nodes
-    # and on the panel nodes, with S as in far_field_source
+    # and on the panel nodes
     phi0, dphi0, lap0 = _phi0_terms(ansatz, nodes)
     coef = -2.0 * b * dphi0
-    src = lap0 - b * dphi0**2 + ansatz.frequency
+    src = _source(ansatz, dphi0, lap0)
     if g is not None and eps != 0.0:
         src = src - eps * np.asarray(_as_callable(g, "g")(nodes), dtype=float)
     # restrict smoothly to the far region with the same cut-off shape the

@@ -16,8 +16,8 @@ dropped rows its forward transform skips; the forcing is an exact spectral
 constant.  Plans, radius grids and the bare defect are cached read-only.
 run_to_steady warm-starts from the half grid's locked state where that grid
 resolves the defect core, else from the Hopf-Cole eigenstate (solved on
-DCT-I coefficients) continued along its far-field asymptote, and relaxes a
-warm start with a growing time step.
+DCT-I coefficients) continued along its far-field asymptote, and relaxes
+every start with a growing time step.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh
 
 from .errors import BlowUpError, ConfigError
-from .profiles import SUBCRITICAL_P, InhomogeneitySpec, evaluate_g
+from .profiles import InhomogeneitySpec, evaluate_g
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -245,11 +245,8 @@ def _bare_defect(grid: GridSpec2D, amplitude: float, decay_exponent: float):
 def defect_corner_ratio(grid: GridSpec2D, defect: InhomogeneitySpec) -> float:
     """g(corner)/g(center): wrap-around contamination gauge (warn above 1e-3)."""
     corner = math.hypot(0.5 * grid.l, 0.5 * grid.l)
-    return float(
-        evaluate_g(defect, corner) / evaluate_g(defect, 0.0)
-        if defect.amplitude > 0
-        else 0.0
-    )
+    center = evaluate_g(defect, 0.0)  # 0 for a zero amplitude or strength
+    return float(evaluate_g(defect, corner) / center if center > 0 else 0.0)
 
 
 def _phi_x(uhat: np.ndarray, kx: np.ndarray) -> np.ndarray:
@@ -317,7 +314,6 @@ class SimulationConfig:
     defect: InhomogeneitySpec
     t_max: float = 5000.0
     steady_tol: float = 1e-5
-    check_interval: int = 20
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -326,8 +322,6 @@ class SimulationConfig:
             raise ConfigError(f"t_max must be > 0, got {self.t_max}")
         if not self.steady_tol > 0:
             raise ConfigError(f"steady_tol must be > 0, got {self.steady_tol}")
-        if self.check_interval < 1:
-            raise ConfigError("check_interval must be >= 1")
 
 
 # Nested iteration (the full-multigrid start): a grid that resolves the unit
@@ -337,7 +331,7 @@ HALF_GRID_MIN_N = 64
 HALF_GRID_MAX_DX = 0.5
 
 
-# Warm-started runs relax on the dt ladder dt * 2**level, level <= LADDER_TOP:
+# Runs relax on the dt ladder dt * 2**level, level <= LADDER_TOP:
 # the locked state is a fixed point of ETDRK4 whatever the step, and a ceiling
 # of 4 dt keeps the strong figure-1 members stable (8 dt blows up at a = 2.85).
 LADDER_TOP = 2
@@ -357,20 +351,17 @@ class Relaxation(NamedTuple):
     t_final: float  # sum of the time steps taken
     dt_steps: list  # [dt, steps taken at that dt], by ascending dt
     dt_rejections: int  # steps dropped after a blow-up above config.dt
-    start_residual: float | None  # the start's residual, taken on the ladder only
+    start_residual: float | None  # the start's residual, None if not finite
 
 
-def _relax(config: SimulationConfig, uhat: np.ndarray,
-           ladder: bool = False) -> Relaxation:
+def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
     """Step the quadrant spectrum uhat on config.grid until phi_t is steady or t_max.
 
     Steadiness: max |phi_t - mean(phi_t)| over the centered disk of radius
     0.45 L below steady_tol, with the exact instantaneous right-hand side
     L u + N(u); N(u) is the next step's first stage, so a check costs one
     inverse DCT-I; the mean weighs each quadrant cell by its _multiplicity.
-    Without the ladder the step is config.dt and the check comes after step
-    1, every check_interval steps and at t_max.  With it (warm starts) the
-    check comes after every step, and the step is
+    The check comes after every step, and the step is
     dt * 2**level by switched evolution relaxation: tau grows by
     min(2, r_prev / r), within [dt, dt * 2**LADDER_TOP], and the level is
     tau snapped down to the ladder.  A step above dt that blows up is
@@ -394,35 +385,25 @@ def _relax(config: SimulationConfig, uhat: np.ndarray,
         mean_t = float(np.average(sel, weights=weight))
         return float(np.max(np.abs(sel - mean_t))), -mean_t
 
-    ceiling = LADDER_TOP if ladder else 0
+    ceiling = LADDER_TOP
     counts = [0] * (ceiling + 1)
     tau = 1.0  # in units of dt
     level = ticks = step = rejections = 0
     converged = False
-    residual = None
     omega_drift = 0.0
     # overflow on the way to a blow-up is reported by BlowUpError alone
     with np.errstate(over="ignore", invalid="ignore"):
         plan = make_plan(grid, dt)
         n0 = _nonlinear_hat(uhat, plan, b, eps, ghat)
-        if ladder:  # the start's residual is the first r_prev
-            start = steady_residual(uhat, n0, plan)
-            residual = None if start is None else start[0]
-        start_residual = residual
+        start = steady_residual(uhat, n0, plan)  # the first r_prev
+        residual = start_residual = None if start is None else start[0]
         while ticks < n_ticks:
             level = min(level, (n_ticks - ticks).bit_length() - 1)
             plan = make_plan(grid, dt * 2**level)
             new = _step_hat(uhat, plan, b, eps, ghat, n0)
             n_new = _nonlinear_hat(new, plan, b, eps, ghat)
-            ends = ticks + (1 << level) >= n_ticks
-            finite = bool(np.isfinite(new[0, 0]))
-            checked = None
-            # from rest: after step 1, every check_interval steps and at t_max
-            if finite and (ladder or step == 0 or (step + 1) % config.check_interval == 0
-                           or ends):
-                checked = steady_residual(new, n_new, plan)
-                finite = checked is not None
-            if not finite:
+            checked = steady_residual(new, n_new, plan) if np.isfinite(new[0, 0]) else None
+            if checked is None:
                 if level == 0:
                     raise BlowUpError(f"non-finite field after step {step + 1}",
                                       step + 1, t=(ticks + 1) * dt, residual=residual)
@@ -434,13 +415,11 @@ def _relax(config: SimulationConfig, uhat: np.ndarray,
             step += 1
             ticks += 1 << level
             counts[level] += 1
-            if checked is None:
-                continue
             r, omega_drift = checked
             if r < config.steady_tol:
                 residual, converged = r, True
                 break
-            if ladder and residual is not None:
+            if residual is not None:
                 tau = min(max(tau * min(2.0, residual / r), 1.0), float(1 << ceiling))
                 level = math.frexp(tau)[1] - 1  # floor(log2(tau))
             residual = r
@@ -539,15 +518,15 @@ def _hopf_cole_eigen(config: SimulationConfig) -> tuple:
     B = -Lap - b eps g on the quadrant's DCT-I coefficients, where -Lap is
     |k|^2 and the preconditioner is diagonal: (|k|^2 - lam)^-1 at a negative
     Ritz value lam, else (|k|^2 + sigma)^-1 with sigma = max(b eps g)/2.  w and
-    Omega are None for p <= SUBCRITICAL_P (outside the theorem), an operator
-    whose square overflows (the solve squares it in its inner products), a
-    failed or unconverged solve, or a w that is nowhere positive; iterations
-    is None when no solve ran.
+    Omega are None for a zero-strength defect, an operator whose square
+    overflows (the solve squares it in its inner products), a failed or
+    unconverged solve, or a w that is nowhere positive; iterations is None
+    when no solve ran.
     """
     g, ghat = _bare_defect(config.grid, config.defect.amplitude, config.defect.decay_exponent)
     pot = config.b * config.defect.strength * g
     sigma = 0.5 * float(np.max(pot))
-    if config.defect.decay_exponent <= SUBCRITICAL_P or not 0.0 < sigma * sigma < math.inf:
+    if not 0.0 < sigma * sigma < math.inf:
         return None, None, None
     ksq = -_spectral_tools(config.grid)[1]
     with np.errstate(all="ignore"):
@@ -608,8 +587,7 @@ def _hopf_cole_start(config: SimulationConfig) -> Start:
 
     phi0 is -log(w)/b where w is above its noise and the far-field asymptote
     beyond (see _matched_phi).  The start stays at rest (zero, start_omega
-    None) where _hopf_cole_eigen finds no usable eigenstate; for
-    p <= SUBCRITICAL_P such runs must not be steered to lock.
+    None) where _hopf_cole_eigen finds no usable eigenstate.
     """
     w, omega, iterations = _hopf_cole_eigen(config)
     if w is None:
@@ -636,7 +614,7 @@ def _warm_start(config: SimulationConfig) -> Start:
     if half >= HALF_GRID_MIN_N and grid.l / half <= HALF_GRID_MAX_DX:
         coarse = replace(config, grid=GridSpec2D(half, grid.l))
         seed = _warm_start(coarse)
-        run = _relax(coarse, seed.uhat, ladder=seed.start != "rest")
+        run = _relax(coarse, seed.uhat)
         coarse_steps = seed.coarse_steps + run.steps
         if run.converged:
             return seed._replace(uhat=_zero_pad(run.uhat, grid.n),
@@ -649,10 +627,9 @@ def run_to_steady(config: SimulationConfig):
 
     The run starts from the half grid's locked state where that grid resolves
     the defect core, else from the Hopf-Cole eigenstate, else from phi = 0
-    (see _warm_start); a warm start relaxes on the dt ladder, a start from
-    rest keeps config.dt, and steadiness is judged on config.grid alone (see
-    _relax).  Returns (Field2D, SteadyStateReport); a timeout is reported,
-    not raised.
+    (see _warm_start); every start relaxes on the dt ladder, and steadiness
+    is judged on config.grid alone (see _relax).  Returns (Field2D,
+    SteadyStateReport); a timeout is reported, not raised.
     """
     from .measure import build_report  # late import; measure depends on this module
 
@@ -667,7 +644,7 @@ def run_to_steady(config: SimulationConfig):
         )
 
     start = _warm_start(config)
-    run = _relax(config, start.uhat, ladder=start.start != "rest")
+    run = _relax(config, start.uhat)
 
     phi = Field2D(grid, to_field(run.uhat))
     record = {**start._asdict(), **run._asdict()}

@@ -61,9 +61,9 @@ def test_family_branches():
 
 
 def test_family_prefactor_and_guards():
+    # the bare shape: no prefactor is applied, C is fitted by compare alone
     base = predict_k_for_family(1.0, 2.0)
-    scaled = predict_k_for_family(1.0, 2.0, prefactor=2.5)
-    assert scaled.k_shape == pytest.approx(2.5 * base.k_shape, rel=1e-15)
+    assert base.k_shape == math.exp(-1.0 / base.a_sim)
     with pytest.raises(OutOfRegimeError):
         predict_k_for_family(1.0, 0.5)
     with pytest.raises(ConventionError):

@@ -190,6 +190,18 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+def test_check_interval_is_gone(tmp_path, capsys):
+    # every run checks after every step: neither the flag nor the key exists
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--check-interval", "5", "--dry-run", "--out", str(tmp_path / "x")])
+    assert info.value.code == EXIT_CONFIG
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"check_interval": 5}')
+    assert main(["simulate", "--config", str(cfg), "--dry-run",
+                 "--out", str(tmp_path / "y")]) == EXIT_CONFIG
+    assert "unknown config keys: ['check_interval']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
 @pytest.mark.parametrize("name, text", [
     ("run.json", '{"N": 64,'),
@@ -331,8 +343,8 @@ def test_blow_up_exit_code(tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure" in err
-    # a run from rest takes no residual before its first check
-    assert "at step 1, t = 0.5, last residual None" in err
+    # the start's residual is taken before step 1, also from rest
+    assert "at step 1, t = 0.5, last residual 4.87757" in err
 
 
 @pytest.mark.parametrize("p,a_sim", [(1.5, 1.0), (0.3, math.nan)])
@@ -552,17 +564,24 @@ def test_sweep_builds_each_plan_once(tmp_path):
 
 
 def test_figure1_subcritical_members_do_not_fail(tmp_path):
-    # the same p <= SUBCRITICAL_P rule as sweep and figure2: flagged, not failed
+    # p <= 1/2 members start from their eigenstate and lock like any other
     out = tmp_path / "fig1sub"
     code = main(["figure1", "--p", "0.5", "--a-values", "0.75,0.9", "--N", "64",
                  "--L", "50", "--t-max", "20", "--out", str(out)])
     assert code == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["failures"] == [
-        "run_00_a0.75 unsteady (expected: p <= 0.5)",
-        "run_01_a0.9 unsteady (expected: p <= 0.5)",
-    ]
+    assert manifest["failures"] == []
+    runs = json.loads((out / "runs.json").read_text())
+    assert [(r["report"]["start"], r["report"]["converged"]) for r in runs] == [
+        ("hopf_cole", True)] * 2
     assert len(read_csv(out / "fig1b_points.csv")) == 2
+    # and one that does not lock fails the sweep, as at every p
+    out = tmp_path / "fig1stuck"
+    code = main(["figure1", "--p", "0.5", "--a-values", "0.75", "--N", "64", "--L", "50",
+                 "--t-max", "1", "--steady-tol", "1e-14", "--out", str(out)])
+    assert code == EXIT_PARTIAL
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == ["run_00_a0.75 unsteady at t_max"]
 
 
 def test_figure_dry_runs(tmp_path):
