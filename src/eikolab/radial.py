@@ -16,11 +16,12 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import ode, solve_bvp, solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import (
     BracketError,
@@ -30,7 +31,7 @@ from .errors import (
     NumericalError,
     RangeError,
 )
-from .specfun import bessel_k0_scaled, log_k0_ratio
+from .specfun import bessel_k0_scaled, bessel_k1_scaled
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -110,6 +111,7 @@ def _as_callable(f, name: str = "f") -> Callable[[np.ndarray], np.ndarray]:
 # ---------------------------------------------------------------- quadrature
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+_GL_T = 0.5 * (1.0 + _GL_X)  # the nodes' offsets as fractions of their panel
 
 
 def _panel_nodes(a: np.ndarray, b: np.ndarray):
@@ -119,8 +121,49 @@ def _panel_nodes(a: np.ndarray, b: np.ndarray):
     return mid + half * _GL_X[None, :], half * _GL_W[None, :]
 
 
+def _at_panel_nodes(pp: PPoly) -> np.ndarray:
+    """pp at the Gauss-Legendre nodes of each interval between its breakpoints; shape (n, 10).
+
+    Those nodes sit at the offsets h_i t_q with the same t_q in every
+    interval, so the value is sum_p c[d-p, i] h_i^p t_q^p: per-interval
+    coefficients times a fixed table of offset powers, with no interval
+    search.  Serves a CubicSpline, its derivative() and its antiderivative().
+    The terms are summed by ufuncs, so no BLAS call is made, on a (10, n)
+    layout whose inner loops run along the intervals, then transposed once.
+    """
+    c = pp.c
+    h = np.diff(pp.x)
+    out = np.empty((_GL_T.size, h.size))
+    out[:] = c[-1]
+    term = np.empty_like(out)
+    hp = np.ones_like(h)
+    for p in range(1, c.shape[0]):
+        hp *= h
+        np.multiply((_GL_T**p)[:, None], c[-1 - p] * hp, out=term)
+        out += term
+    result = term.reshape(h.size, _GL_T.size)  # term's buffer, laid out (n, 10)
+    np.copyto(result, out.T)
+    return result
+
+
+def _at_breakpoints(pp: PPoly) -> np.ndarray:
+    """pp at its breakpoints: the constant row of its coefficients, then its end value."""
+    return np.append(pp.c[-1], pp(pp.x[-1]))
+
+
+def _on_panel_nodes(f, xs: np.ndarray, name: str = "f") -> np.ndarray:
+    """f at the panel nodes xs of its own grid: a RadialProfile's spline by
+    _at_panel_nodes, a callable called on xs."""
+    if isinstance(f, RadialProfile):
+        return _at_panel_nodes(f.interpolator())
+    return np.asarray(_as_callable(f, name)(xs))
+
+
 def cumulative_integral(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """F(nodes[i]) = integral_{nodes[0]}^{nodes[i]} f, panelwise Gauss-Legendre."""
+    """F(nodes[i]) = integral_{nodes[0]}^{nodes[i]} f, panelwise Gauss-Legendre.
+
+    f is called once, on the (n - 1, 10) array of panel nodes.
+    """
     xs, ws = _panel_nodes(nodes[:-1], nodes[1:])
     panels = np.sum(np.asarray(f(xs)) * ws, axis=1)
     out = np.empty_like(nodes)
@@ -198,13 +241,31 @@ def fd_weights(xs: np.ndarray, x0, m: int) -> np.ndarray:
 _STENCIL = 7  # nodes per finite-difference stencil
 
 
-def fd_derivative(nodes: np.ndarray, values: np.ndarray, order: int) -> np.ndarray:
-    """m-th derivative on an arbitrary grid via sliding 7-node Fornberg stencils."""
-    n = len(nodes)
+def _stencils(n: int) -> np.ndarray:
+    """Node indices of each node's sliding stencil; shape (n, min(7, n))."""
     stencil = min(_STENCIL, n)
     lo = np.clip(np.arange(n) - stencil // 2, 0, n - stencil)
-    idx = lo[:, None] + np.arange(stencil)
-    return np.sum(fd_weights(nodes[idx], nodes, order) * values[idx], axis=1)
+    return lo[:, None] + np.arange(stencil)
+
+
+@lru_cache(maxsize=8)
+def _stencil_weights(nodes_key: bytes, order: int) -> np.ndarray:
+    """Read-only fd_derivative weights for the float nodes whose bytes are nodes_key."""
+    nodes = np.frombuffer(nodes_key)
+    weights = np.ascontiguousarray(fd_weights(nodes[_stencils(nodes.size)], nodes, order))
+    weights.flags.writeable = False
+    return weights
+
+
+def fd_derivative(nodes: np.ndarray, values: np.ndarray, order: int) -> np.ndarray:
+    """m-th derivative on an arbitrary grid via sliding 7-node Fornberg stencils.
+
+    The weights are built once per (node values, order) and kept in a small
+    cache, so repeated derivatives on one grid share them.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    weights = _stencil_weights(nodes.tobytes(), order)
+    return np.sum(weights * np.asarray(values)[_stencils(nodes.size)], axis=1)
 
 
 def radial_laplacian_fd(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -237,24 +298,16 @@ def solve_corrector_K(g_far, b: float, grid: RadialGrid | None = None) -> Radial
             raise DomainError("corrector source must vanish for r < 1")
     elif grid is None:
         raise ConfigError("callable source needs an explicit grid")
-    gf = _as_callable(g_far, "g_far")
     nodes = grid.nodes
     if not grid.has_origin:
         raise ConfigError("corrector grid must be anchored at r = 0")
     if grid.r_max <= 1.0:
         raise ConfigError("corrector grid must extend past r = 1")
 
-    m_nodes = cumulative_integral(lambda s: np.asarray(gf(s)) * s, nodes)
-    m_of = CubicSpline(nodes, m_nodes)
-
-    def outer(s):
-        s = np.asarray(s)
-        out = np.zeros_like(s)
-        pos = s > 0
-        out[pos] = m_of(s[pos]) / s[pos]
-        return out
-
-    k_raw = -b * cumulative_integral(outer, nodes)
+    m_nodes = cumulative_integral(lambda s: _on_panel_nodes(g_far, s, "g_far") * s, nodes)
+    m_panels = _at_panel_nodes(CubicSpline(nodes, m_nodes))
+    # m(s)/s at the panel nodes, all of which are > 0
+    k_raw = -b * cumulative_integral(lambda s: m_panels / s, nodes)
     k_raw -= CubicSpline(nodes, k_raw)(1.0)
     return RadialProfile(grid, k_raw)
 
@@ -278,12 +331,11 @@ def apply_inverse_L_lambda(f, lam: float, grid: RadialGrid | None = None) -> Rad
     if not grid.has_origin:
         raise ConfigError("L_lambda inverse integrates from the origin; "
                           "the grid must start at r = 0")
-    fc = _as_callable(f)
     nodes = grid.nodes
 
     xs, ws = _panel_nodes(nodes[:-1], nodes[1:])
     # integral over panel i of e^{lam (s - nodes[i+1])} f(s) s ds; exponent <= 0
-    panel = np.sum(np.exp(lam * (xs - nodes[1:, None])) * np.asarray(fc(xs)) * xs * ws, axis=1)
+    panel = np.sum(np.exp(lam * (xs - nodes[1:, None])) * _on_panel_nodes(f, xs) * xs * ws, axis=1)
     # acc[i] = e^{-lam r_i} integral_0^{r_i} e^{lam s} f s ds
     acc = _decay_scan(panel, nodes, lam)
     u = np.empty_like(nodes)
@@ -331,14 +383,15 @@ def _phi0_terms(ansatz: FarFieldAnsatz, r: np.ndarray):
         return phi, dphi, lap
     za = z[act]
     ra = r[act]
-    chi, dchi, d2chi = cutoff_derivatives(CutoffSpec("chi"), za)
-    u = np.log(bessel_k0_scaled(za)) - za  # log K0
-    rat = log_k0_ratio(za)  # K0'/K0
+    # chi and its r-derivatives; each rebinding frees the array it replaces
+    c, dc, d2c = cutoff_derivatives(CutoffSpec("chi"), za)
+    dc = lam * dc
+    d2c = lam * lam * d2c
+    u = bessel_k0_scaled(za)
+    rat = -bessel_k1_scaled(za) / u  # K0'/K0, as log_k0_ratio
+    u = np.log(u) - za  # log K0
     du = lam * rat
     d2u = lam * lam * (1.0 - rat / za - rat * rat)
-    c = chi
-    dc = lam * dchi
-    d2c = lam * lam * d2chi
     phi[act] = -(c * u) / b
     dphi[act] = -(dc * u + c * du) / b
     d2 = -(d2c * u + 2.0 * dc * du + c * d2u) / b
@@ -441,18 +494,17 @@ def solve_far_field_correction(
     # slowly-decaying regimes this family is about.
     w_phi0_nodes = 2.0 * b * phi0
     xs, ws = _panel_nodes(nodes[:-1], nodes[1:])
-    xs_flat = xs.ravel()
-    phi0_xs, dphi0_xs, _ = (t.reshape(xs.shape) for t in _phi0_terms(ansatz, xs_flat))
+    phi0_xs, dphi0_xs, _ = _phi0_terms(ansatz, xs)
     w_phi0_xs = 2.0 * b * phi0_xs
-    src_xs = CubicSpline(nodes, src)(xs)
+    src_xs = _at_panel_nodes(CubicSpline(nodes, src))
 
     def newton_step(psi: np.ndarray) -> np.ndarray:
         spl = CubicSpline(nodes, psi)
         anti = spl.antiderivative()
-        w_nodes = w_phi0_nodes + 2.0 * b * anti(nodes)
-        w_xs = w_phi0_xs + 2.0 * b * anti(xs_flat).reshape(xs.shape)
-        psi_xs = spl(xs_flat).reshape(xs.shape)
-        dpsi_xs = spl(xs_flat, 1).reshape(xs.shape)
+        w_nodes = w_phi0_nodes + 2.0 * b * _at_breakpoints(anti)
+        w_xs = w_phi0_xs + 2.0 * b * _at_panel_nodes(anti)
+        psi_xs = _at_panel_nodes(spl)
+        dpsi_xs = _at_panel_nodes(spl.derivative())
         resid = (dpsi_xs + psi_xs / xs - 2.0 * b * dphi0_xs * psi_xs
                  - b * psi_xs * psi_xs + src_xs)
         # a diverging iterate overflows these exponents; the caller turns the
@@ -528,8 +580,13 @@ def hopf_cole_residual(phi: RadialProfile, g, eps: float, omega: float, b: float
     Omega Psi = Laplacian Psi + eps g Psi).
     """
     nodes = phi.grid.nodes
-    with np.errstate(over="raise"):
-        psi = np.exp(-b * phi.values)
+    try:
+        with np.errstate(over="raise"):
+            psi = np.exp(-b * phi.values)
+    except FloatingPointError:
+        raise RangeError(
+            "e^{-b phi} overflows on the grid; shift phi by its gauge constant"
+        ) from None
     if np.count_nonzero(psi == 0.0) > psi.size / 2:
         raise RangeError(
             "e^{-b phi} underflows on most of the grid; shift phi by its gauge constant"

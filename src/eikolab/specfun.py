@@ -57,28 +57,26 @@ def _reject(z):
     raise DomainError(f"K0/K1 need z > 0 and finite, got {z}")
 
 
-def _scaled(z):
-    """(e^z K0, e^z K1) for a checked float or ndarray, floats for a float."""
-    s0, s1 = k0e(z), k1e(z)
-    if isinstance(z, float):
-        return float(s0), float(s1)
-    return s0, s1
+def _scaled(ufunc, z):
+    """ufunc (k0e or k1e) on a checked float or ndarray, a float for a float."""
+    out = ufunc(z)
+    return float(out) if isinstance(z, float) else out
 
 
 def bessel_k0_scaled(z):
     """e^z K0(z); stays O(1/sqrt(z)) for large z.  Elementwise on arrays."""
-    return _scaled(_check_domain(z))[0]
+    return _scaled(k0e, _check_domain(z))
 
 
 def bessel_k1_scaled(z):
     """e^z K1(z).  Elementwise on arrays."""
-    return _scaled(_check_domain(z))[1]
+    return _scaled(k1e, _check_domain(z))
 
 
 def bessel_eval(z: float) -> BesselEval:
     """Evaluate K0 and K1 together, recording underflow."""
     z = _check_domain(float(z))
-    s0, s1 = _scaled(z)
+    s0, s1 = _scaled(k0e, z), _scaled(k1e, z)
     damp = math.exp(-z)
     k0 = s0 * damp
     return BesselEval(z, k0, s1 * damp, underflow=k0 == 0.0)
@@ -100,5 +98,5 @@ def log_k0_ratio(z):
     Strictly below -1 for all z > 0 and tends to -1 from below as z grows.
     Elementwise on arrays.
     """
-    s0, s1 = _scaled(_check_domain(z))
-    return -s1 / s0
+    z = _check_domain(z)
+    return -_scaled(k1e, z) / _scaled(k0e, z)

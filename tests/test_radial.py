@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import ode, solve_ivp
+from scipy.interpolate import CubicSpline
 
 from eikolab import radial
 from eikolab.errors import (
@@ -86,6 +87,57 @@ def test_radial_laplacian_on_powers():
     assert np.max(np.abs(lap2 - 4.0)) < 1e-8
     lap4 = radial_laplacian_fd(nodes, nodes**4)
     assert np.max(np.abs(lap4 - 16.0 * nodes**2)) < 1e-7
+
+
+_SEEDED = np.concatenate(([0.0], np.cumsum(np.random.default_rng(17).uniform(0.01, 0.09, 400))))
+
+
+@pytest.mark.parametrize("nodes", [np.linspace(0.0, 20.0, 401), _SEEDED],
+                         ids=["uniform", "nonuniform"])
+def test_panel_node_evaluation_matches_the_spline(nodes):
+    # the fixed offset-power table gives what CubicSpline's searched
+    # evaluation gives at the panel nodes, for the value, the first
+    # derivative and the antiderivative, and at the breakpoints
+    spl = CubicSpline(nodes, np.sin(nodes) + nodes / (1.0 + nodes))
+    anti = spl.antiderivative()
+    xs, _ = radial._panel_nodes(nodes[:-1], nodes[1:])
+    for pp, expect in ((spl, spl(xs)), (spl.derivative(), spl(xs, 1)), (anti, anti(xs))):
+        got = radial._at_panel_nodes(pp)
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+        at_nodes = pp(nodes)
+        got = radial._at_breakpoints(pp)
+        assert np.max(np.abs(got - at_nodes)) <= 1e-14 * np.max(np.abs(at_nodes))
+
+
+def test_fd_weights_cached_bitwise_and_read_only():
+    nodes = np.geomspace(0.5, 30.0, 301)
+    idx = radial._stencils(nodes.size)
+    for order in (1, 2):
+        cached = radial._stencil_weights(nodes.tobytes(), order)
+        direct = radial.fd_weights(nodes[idx], nodes, order)
+        assert np.array_equal(cached.view(np.int64), direct.view(np.int64))
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+        vals = np.cos(nodes)
+        expect = np.sum(direct * vals[idx], axis=1)
+        assert np.array_equal(fd_derivative(nodes, vals, order), expect)
+
+
+def test_fd_weights_cache_is_bounded_and_keyed_by_node_values():
+    radial._stencil_weights.cache_clear()
+    bound = radial._stencil_weights.cache_info().maxsize
+    grids = [np.linspace(0.0, 1.0 + k, 101) for k in range(bound + 3)]
+    for nodes in grids:
+        # same length, different node values: each grid gets its own weights
+        assert np.max(np.abs(fd_derivative(nodes, nodes**2, 1) - 2.0 * nodes)) < 1e-10
+    info = radial._stencil_weights.cache_info()
+    assert info.misses == len(grids) and info.hits == 0
+    assert info.currsize == bound
+    # a copy of a cached grid's nodes finds its entry
+    fd_derivative(grids[-1].copy(), grids[-1], 1)
+    assert radial._stencil_weights.cache_info().hits == 1
 
 
 # ---------------------------------------------------------------- corrector
@@ -392,6 +444,15 @@ def test_hopf_cole_general_b():
         grid, np.array([-math.log(bessel_k0(lam * r)) / b for r in grid.nodes])
     )
     assert hopf_cole_residual(phi, None, 0.0, omega=lam * lam / b, b=b) < 1e-6
+
+
+def test_hopf_cole_flags_overflow():
+    # e^{-b phi} overflows for phi < -709.8/b: a typed error, not a bare
+    # FloatingPointError
+    grid = RadialGrid(np.linspace(0.0, 10.0, 101))
+    phi = RadialProfile(grid, np.full(101, -800.0))
+    with pytest.raises(RangeError, match="gauge"):
+        hopf_cole_residual(phi, None, 0.0, 1.0, 1.0)
 
 
 def test_hopf_cole_flags_underflow():

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import k0e, k1e
 
+from eikolab import specfun
 from eikolab.errors import DomainError
 from eikolab.specfun import (
     EULER_GAMMA,
@@ -79,6 +81,22 @@ def test_array_path_equals_float_path(bessel_table):
         arr = f(z)
         one = np.array([f(float(v)) for v in z])
         assert np.array_equal(arr.view(np.int64), one.view(np.int64)), f.__name__
+
+
+def test_each_scaled_evaluator_runs_only_its_own_ufunc(bessel_table, monkeypatch):
+    # bessel_k0_scaled is k0e and bessel_k1_scaled is k1e, bitwise, and
+    # neither evaluates the other's ufunc
+    z, _, _ = table_columns(bessel_table, math.inf)
+    calls = []
+    for name in ("k0e", "k1e"):
+        ufunc = getattr(specfun, name)
+        monkeypatch.setattr(specfun, name,
+                            lambda x, ufunc=ufunc, name=name: calls.append(name) or ufunc(x))
+    for f, name, ufunc in ((bessel_k0_scaled, "k0e", k0e), (bessel_k1_scaled, "k1e", k1e)):
+        calls.clear()
+        assert np.array_equal(f(z).view(np.int64), ufunc(z).view(np.int64))
+        assert f(2.5) == float(ufunc(2.5))
+        assert calls == [name, name]
 
 
 def test_underflow_flag():
