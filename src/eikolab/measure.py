@@ -143,6 +143,7 @@ class SteadyStateReport:
     start_omega: float | None = None  # lambda/b of the eigen solve that seeded the run
     eigen_iterations: int | None = None  # LOBPCG iterations of the solve, if one ran
     corner_ratio: float = math.nan
+    residuals: list = field(default_factory=list)  # the residual after each step
 
     def as_dict(self, include_profile: bool = True) -> dict:
         """Every field in declaration order, the radial profile last (if included)."""

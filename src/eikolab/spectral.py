@@ -16,8 +16,9 @@ dropped rows its forward transform skips; the forcing is an exact spectral
 constant.  Plans, radius grids and the bare defect are cached read-only.
 run_to_steady warm-starts from the half grid's locked state where that grid
 resolves the defect core, else from the Hopf-Cole eigenstate (solved on
-DCT-I coefficients) continued along its far-field asymptote, and relaxes
-every start with a growing time step.
+DCT-I coefficients) continued along the periodic box's far field, summed
+over the defect's nearest images so that their waves meet on the box edge,
+and relaxes every start with a growing time step.
 """
 from __future__ import annotations
 
@@ -352,6 +353,7 @@ class Relaxation(NamedTuple):
     dt_steps: list  # [dt, steps taken at that dt], by ascending dt
     dt_rejections: int  # steps dropped after a blow-up above config.dt
     start_residual: float | None  # the start's residual, None if not finite
+    residuals: list  # the residual after each step
 
 
 def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
@@ -367,7 +369,7 @@ def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
     tau snapped down to the ladder.  A step above dt that blows up is
     dropped and lowers the level and the ceiling; a blow-up at dt raises
     BlowUpError.  Time ends at ceil(t_max / dt) * dt, the last step
-    shortened to meet it.
+    shortened to meet it.  residuals holds the residual of each step kept.
     """
     grid, b, dt = config.grid, config.b, config.dt
     eps = config.defect.strength
@@ -389,6 +391,7 @@ def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
     counts = [0] * (ceiling + 1)
     tau = 1.0  # in units of dt
     level = ticks = step = rejections = 0
+    residuals = []
     converged = False
     omega_drift = 0.0
     # overflow on the way to a blow-up is reported by BlowUpError alone
@@ -416,6 +419,7 @@ def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
             ticks += 1 << level
             counts[level] += 1
             r, omega_drift = checked
+            residuals.append(r)
             if r < config.steady_tol:
                 residual, converged = r, True
                 break
@@ -425,7 +429,7 @@ def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
             residual = r
     dt_steps = [[dt * 2**j, c] for j, c in enumerate(counts) if c]
     return Relaxation(uhat, step, converged, residual, omega_drift, ticks * dt,
-                      dt_steps, rejections, start_residual)
+                      dt_steps, rejections, start_residual, residuals)
 
 
 def _zero_pad(coarse_hat: np.ndarray, n: int) -> np.ndarray:
@@ -544,28 +548,38 @@ def _hopf_cole_eigen(config: SimulationConfig) -> tuple:
 
 
 def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.ndarray:
-    """phi0 on the quadrant from the eigenstate w, matched to its far-field asymptote.
+    """phi0 on the quadrant from the eigenstate w, matched to the periodic box's far field.
 
     On the trusted set, w >= 10 floor with floor = max(1e-7, 100 max(0, -min w))
-    above the eigenvector's noise, phi0 = -log(w)/b.  Beyond r_f, the smallest
-    periodic radius of an untrusted cell, phi0 follows the far field of
-    w ~ exp(-int q)/sqrt(r), q^2 = b (Omega - eps g):
-    phi0(r) = phibar + int_{r_f}^r sqrt(max(Omega - eps g, 0)/b) + 1/(2 b s) ds,
-    with phibar the mean of phi0 over the grid's trusted cells within one dx
-    of r_f (quadrant cells weighed by _multiplicity).
+    above the eigenvector's noise, phi0 = -log(w)/b, and a box trusted
+    throughout ends there.  Beyond r_f, the smallest radius of an untrusted
+    cell, each of the defect's images contributes the far field of
+    w ~ exp(-int q)/sqrt(r), q^2 = b (Omega - eps g), and their waves meet on
+    the box edge: with F(s) = int_{r_f}^s sqrt(max(Omega - eps g, 0)/b)
+    + 1/(2 b t) dt, phi0 = phibar + F(r0) - log sum_i exp(-b (F(r_i) - F(r0)))/b
+    over the four nearest images (axis offsets 0 and -L), r0 the cell's own
+    radius, so the own term is 1 and each other one at most 1.  phibar is
+    the mean over the trusted cells within one dx of r_f of phi0 carried to
+    r_f along the slope F'(r_f) (quadrant cells weighed by _multiplicity).
     """
     grid, b = config.grid, config.b
     floor = max(1e-7, 100.0 * max(0.0, -float(np.min(w))))
     trusted = w >= 10.0 * floor
     near = -np.log(np.maximum(w, 10.0 * floor)) / b
+    if np.all(trusted):
+        return near
     r = grid.radius_grid()
-    r_f = float(np.min(r, where=~trusted, initial=np.max(r)))
-    weight = _multiplicity(grid.n) * (trusted & (np.abs(r - r_f) <= grid.dx))
-    phibar = float(np.sum(weight * near) / np.sum(weight))
-    s = np.linspace(r_f, np.max(r), grid.n + 1)
+    r_f = float(np.min(r[~trusted]))
+    s = np.linspace(r_f, math.hypot(grid.l, grid.l), 2 * grid.n + 1)
     # d phi0/dr = q/b + 1/(2 b r)
     slope = np.sqrt(np.maximum(omega - evaluate_g(config.defect, s), 0.0) / b) + 0.5 / (b * s)
-    far = phibar + np.interp(r, s, cumulative_trapezoid(slope, s, initial=0.0))
+    weight = _multiplicity(grid.n) * (trusted & (np.abs(r - r_f) <= grid.dx))
+    phibar = float(np.sum(weight * (near + slope[0] * (r_f - r))) / np.sum(weight))
+    big_f = cumulative_trapezoid(slope, s, initial=0.0)
+    d = np.abs(grid.axes()[: grid.n // 2 + 1] - grid.center()[0])  # axis offsets
+    f = [np.interp(np.hypot(ex[:, None], ey[None, :]), s, big_f)
+         for ex in (d, grid.l - d) for ey in (d, grid.l - d)]  # f[0] is F(r0)
+    far = phibar + f[0] - np.log(sum(np.exp(-b * (fi - f[0])) for fi in f)) / b
     return np.where(trusted, near, far)
 
 

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from eikolab.asymptotics import branch_mass
@@ -28,6 +29,7 @@ from eikolab.spectral import (
     _hopf_cole_start,
     _matched_phi,
     _mirror,
+    _multiplicity,
     _nonlinear_hat,
     _phi_functions,
     _relax,
@@ -486,6 +488,21 @@ def test_report_carries_every_relaxation_field(monkeypatch):
         assert getattr(report, name) == getattr(runs[-1], name), name
 
 
+def test_report_records_the_residual_of_every_step(monkeypatch):
+    # the residual's decay is read from the run record alone; a step dropped
+    # after a blow-up leaves no entry
+    _, report = run_to_steady(_locked_config(64, 50.0))
+    record = report.as_dict(include_profile=False)
+    assert len(record["residuals"]) == record["steps"] > 1
+    assert record["residuals"][-1] == record["steady_residual"] < report.steady_tol
+    cfg = _locked_config(64, 50.0)
+    _failing_steps(monkeypatch, lambda dt: dt == 4 * cfg.dt)
+    rolled = _relax(cfg, _hopf_cole_start(cfg).uhat)
+    assert rolled.dt_rejections == 1
+    assert len(rolled.residuals) == rolled.steps
+    assert rolled.residuals[-1] == rolled.steady_residual
+
+
 @pytest.mark.parametrize("n,l,t_max", [(64, 50.0, 2000.0), (256, 100.0, 10.0)])
 def test_unresolved_half_grid_falls_back_to_the_eigen_start(n, l, t_max):
     # N=64: no half grid (32 < 64); N=256 L=100: its half grid has dx 0.78 > 0.5
@@ -685,6 +702,81 @@ def test_weak_defect_gets_no_far_field_continuation():
     w, omega, _ = _hopf_cole_eigen(cfg)
     assert np.min(w) >= 10.0 * _noise_floor(w)
     assert np.array_equal(_matched_phi(cfg, w, omega), -np.log(w) / cfg.b)
+
+
+def _radial_only_phi(cfg, w, omega):
+    """The matched start before the image sum: the far branch is the plane's
+    radial asymptote, started from the plain mean of the trusted cells within
+    one dx of r_f (the reference the periodic far field must beat)."""
+    grid, b = cfg.grid, cfg.b
+    floor = _noise_floor(w)
+    trusted = w >= 10.0 * floor
+    near = -np.log(np.maximum(w, 10.0 * floor)) / b
+    r = grid.radius_grid()
+    r_f = float(np.min(r[~trusted]))
+    weight = _multiplicity(grid.n) * (trusted & (np.abs(r - r_f) <= grid.dx))
+    phibar = float(np.sum(weight * near) / np.sum(weight))
+    s = np.linspace(r_f, np.max(r), grid.n + 1)
+    slope = np.sqrt(np.maximum(omega - evaluate_g(cfg.defect, s), 0.0) / b) + 0.5 / (b * s)
+    far = phibar + np.interp(r, s, cumulative_trapezoid(slope, s, initial=0.0))
+    return np.where(trusted, near, far)
+
+
+# the strong members whose w reaches its noise floor well inside the box
+_FAR_CASES = [(1.0, 0.8, 2.0), (3.0, 1.5, 1.0)]
+
+
+def _far_config(amplitude, p, eps):
+    return SimulationConfig(GridSpec2D(128, 50.0), dt=0.5, b=1.0, t_max=2000.0,
+                            defect=InhomogeneitySpec(amplitude, p, strength=eps))
+
+
+@pytest.mark.parametrize("amplitude,p,eps", _FAR_CASES)
+def test_matched_start_is_flat_across_the_box_edge(amplitude, p, eps):
+    # the waves of neighbouring images meet on the box edge, where the
+    # locked state is even: the quadrant's edge row (x = L/2) and the row
+    # inside it differ by about kappa^2 dx/(2b), not the radial kappa dx/b
+    cfg = _far_config(amplitude, p, eps)
+    w, omega, _ = _hopf_cole_eigen(cfg)
+    assert not np.any(w[0] >= 10.0 * _noise_floor(w))  # the edge row is untrusted
+    kappa_b = math.sqrt(omega / cfg.b)  # kappa/b with kappa^2 = b Omega
+    for phi0, low, high in ((_matched_phi(cfg, w, omega), 0.0, 0.2),
+                            (_radial_only_phi(cfg, w, omega), 0.9, 1.1)):
+        edge = (phi0[0] - phi0[1]) / cfg.grid.dx
+        assert low * kappa_b <= np.max(np.abs(edge)) <= high * kappa_b
+
+
+@pytest.mark.parametrize("amplitude,p,eps", _FAR_CASES)
+def test_matched_start_has_no_jump_at_r_f(amplitude, p, eps):
+    # carried to r_f along the far-field slope q(r_f), the far branch's cells
+    # within one dx outside r_f meet the trusted band's within one dx inside;
+    # the radial-only branch, started from the band's plain mean, is about
+    # q dx/2 = 0.16 low
+    cfg = _far_config(amplitude, p, eps)
+    w, omega, _ = _hopf_cole_eigen(cfg)
+    trusted = w >= 10.0 * _noise_floor(w)
+    r, dx = cfg.grid.radius_grid(), cfg.grid.dx
+    r_f = float(np.min(r[~trusted]))
+    q_f = math.sqrt(omega - evaluate_g(cfg.defect, r_f)) + 0.5 / r_f  # b = 1
+    inner = trusted & (r_f - r <= dx)
+    outer = ~trusted & (r - r_f <= dx)
+    for phi0, low, high in ((_matched_phi(cfg, w, omega), -0.01, 0.01),
+                            (_radial_only_phi(cfg, w, omega), -0.2, -0.12)):
+        carried = phi0 + q_f * (r_f - r)
+        jump = np.mean(carried[outer]) - np.mean(carried[inner])
+        assert low <= jump <= high
+
+
+@pytest.mark.parametrize("amplitude,p,eps", _FAR_CASES)
+def test_periodic_far_field_locks_in_fewer_steps(amplitude, p, eps):
+    cfg = _far_config(amplitude, p, eps)
+    w, omega, _ = _hopf_cole_eigen(cfg)
+    radial = _relax(cfg, scipy.fft.dctn(_radial_only_phi(cfg, w, omega), type=1))
+    matched = _relax(cfg, _hopf_cole_start(cfg).uhat)
+    assert radial.converged and matched.converged
+    assert matched.steps < radial.steps
+    assert _k(cfg, matched) == pytest.approx(_k(cfg, radial), rel=1e-4)
+    assert matched.omega_drift == pytest.approx(radial.omega_drift, rel=1e-4)
 
 
 # ------------------------------------------------- dt ladder (SER)
