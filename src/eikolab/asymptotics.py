@@ -4,8 +4,10 @@ The far-field decay rate obeys lam = 2 e^{-gamma} exp(1/a) where a < 0 is the
 signed matching constant; callers holding the positive defect mass a_sim pass
 a = -a_sim.  The frequency follows by squaring, b*omega = lam^2, and the
 selected wavenumber is lam/b.  branch_mass is the one rule that turns a defect
-A/(1+r^2)^p into a_sim.  The overall prefactor C multiplying k is never
-derived, only fitted.
+A/(1+r^2)^p into a_sim: profiles.core_mass's closed form, infinite for p > 1
+and truncated at the fixed radius R_CUT = 3 for p <= 1, where the infinite
+mass diverges.  The overall prefactor C multiplying k is never derived, only
+fitted.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .errors import (
     OutOfRegimeError,
     StatisticsError,
 )
-from .profiles import DEFAULT_R_CUT, SUBCRITICAL_P, InhomogeneitySpec, core_mass
+from .profiles import R_CUT, SUBCRITICAL_P, InhomogeneitySpec, core_mass
 from .specfun import EULER_GAMMA
 
 BRANCH_CLOSED_FORM = "closed_form"
@@ -47,37 +49,32 @@ def predict_lambda(a_signed: float) -> float:
     return LAW_PREFACTOR * math.exp(1.0 / a_signed)
 
 
-def branch_mass(amplitude: float, p: float, r_cut: float) -> tuple[float, str]:
+def branch_mass(amplitude: float, p: float) -> tuple[float, str]:
     """(mass, branch) of the unit-strength defect amplitude/(1+r^2)^p.
 
-    The closed form amplitude/(2p-2) for p > 1; otherwise the integral
-    truncated at r_cut, since the infinite one diverges.
+    The infinite mass amplitude/(2p-2) for p > 1; otherwise the mass
+    truncated at R_CUT, since the infinite one diverges.
     """
     spec = InhomogeneitySpec(amplitude, p, 1.0)
     if p > 1.0:
-        return core_mass(spec, convention="closed_form"), BRANCH_CLOSED_FORM
-    return core_mass(spec, convention="truncated", r_cut=r_cut), BRANCH_TRUNCATED
+        return core_mass(spec), BRANCH_CLOSED_FORM
+    return core_mass(spec, R_CUT), BRANCH_TRUNCATED
 
 
 @dataclass(frozen=True)
 class FamilyPrediction:
     """Wavenumber shape for one member of the algebraic defect family."""
 
-    amplitude: float
-    decay_exponent: float
     a_sim: float
     branch: str
-    truncation_radius: float | None
     k_shape: float
 
 
-def predict_k_for_family(amplitude: float, decay_exponent: float,
-                         r_cut: float = DEFAULT_R_CUT) -> FamilyPrediction:
+def predict_k_for_family(amplitude: float, decay_exponent: float) -> FamilyPrediction:
     """The shape k ~ exp(-1/a_sim) for the family A/(1+r^2)^p.
 
     amplitude is the effective strength (fold eps and b in before calling).
-    a_sim is branch_mass's; the branch taken is recorded, with r_cut on the
-    truncated one.
+    a_sim is branch_mass's, and the branch taken is recorded.
     """
     p = decay_exponent
     if not p > SUBCRITICAL_P:
@@ -88,15 +85,8 @@ def predict_k_for_family(amplitude: float, decay_exponent: float,
         raise ConventionError(
             f"amplitude must be positive for a positive mass, got {amplitude}"
         )
-    a_sim, branch = branch_mass(amplitude, p, r_cut)
-    return FamilyPrediction(
-        amplitude=amplitude,
-        decay_exponent=p,
-        a_sim=a_sim,
-        branch=branch,
-        truncation_radius=r_cut if branch == BRANCH_TRUNCATED else None,
-        k_shape=math.exp(-1.0 / a_sim),
-    )
+    a_sim, branch = branch_mass(amplitude, p)
+    return FamilyPrediction(a_sim=a_sim, branch=branch, k_shape=math.exp(-1.0 / a_sim))
 
 
 # ------------------------------------------------------- sweep comparison
@@ -129,19 +119,18 @@ class ComparisonTable:
     n_excluded: int
 
 
-def _resolve_run(params: Mapping, p: float, r_cut: float):
+def _resolve_run(params: Mapping, p: float):
     """(a_sim, branch) for one sweep entry of defect exponent p."""
     if "a_sim" in params:
         return float(params["a_sim"]), "given"
     if "A" not in params:
         raise ConfigError(f"run with p = {p} gives neither 'A' nor 'a_sim'")
     eff = float(params["A"]) * float(params.get("eps", 1.0)) * float(params.get("b", 1.0))
-    fam = predict_k_for_family(eff, p, r_cut=r_cut)
+    fam = predict_k_for_family(eff, p)
     return fam.a_sim, fam.branch
 
 
-def compare_prediction_to_runs(sweep: Sequence[tuple[Mapping, object]],
-                               r_cut: float = DEFAULT_R_CUT) -> ComparisonTable:
+def compare_prediction_to_runs(sweep: Sequence[tuple[Mapping, object]]) -> ComparisonTable:
     """Fit the one free prefactor C over steady runs and report log residuals.
 
     Runs with p <= SUBCRITICAL_P are outside the theorem: they stay in the
@@ -159,7 +148,7 @@ def compare_prediction_to_runs(sweep: Sequence[tuple[Mapping, object]],
             rows.append(ComparisonRow(p, a_sim, k_measured, math.nan, math.nan, steady,
                                       BRANCH_SUBCRITICAL))
             continue
-        a_sim, branch = _resolve_run(params, p, r_cut)
+        a_sim, branch = _resolve_run(params, p)
         if not a_sim > 0.0:
             raise ConventionError(f"run has non-positive a_sim = {a_sim}")
         if steady and not k_measured > 0.0:

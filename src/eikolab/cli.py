@@ -1,10 +1,12 @@
 """Command line front end: runs, sweeps, predictions, figure pipelines.
 
-Every command writes into an output directory and finishes by emitting a
-manifest (config snapshot, version, timestamps, sha256 of every output file,
-convention flags, library versions, CPU count and BLAS thread settings).  All
-numeric CSV fields use 17 significant digits so two invocations with the same
-config produce byte-identical data files.
+simulate, sweep, shoot, corrector, profile and figure1-3 write into an output
+directory and finish by emitting a manifest (config snapshot, version,
+timestamps, sha256 of every output file, convention flags, library versions,
+CPU count and BLAS thread settings); measure, predict, compare and special
+write their tables or JSON alone.  All numeric CSV fields use 17 significant
+digits so two invocations with the same config produce byte-identical data
+files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 partial
 results (some sweep members unsteady).
@@ -33,7 +35,7 @@ from .errors import BlowUpError, ConfigError, NumericalError, StatisticsError
 from .measure import ANNULUS_FRACTIONS, fit_k_law, fit_log_k_vs_inv_a
 from .measure import measure_wavenumber, radial_gradient, radial_gradient_profile
 from .profiles import CutoffSpec, InhomogeneitySpec, core_mass, evaluate_g
-from .profiles import DEFAULT_R_CUT, SUBCRITICAL_P, smooth_cutoff, split_defect
+from .profiles import R_CUT, SUBCRITICAL_P, smooth_cutoff, split_defect
 from .radial import RadialGrid, shoot_spiral_amplitude, solve_corrector_K, validate_shooting
 from .specfun import bessel_eval
 from .spectral import (
@@ -60,6 +62,7 @@ CONVENTIONS = {
     "annulus_fractions": list(ANNULUS_FRACTIONS),
     "dealias": "two_thirds",
     "transform": "y = 1/(log k - 1)",
+    "truncation_radius": R_CUT,
 }
 
 
@@ -139,10 +142,7 @@ class RunManifest:
             "command": self.command,
             "version": __version__,
             "config": self.config,
-            # the mass truncation radius in effect: the command's r_cut, or the
-            # default that commands without one use
-            "conventions": {**CONVENTIONS, "truncation_radius": float(
-                self.config.get("r_cut", DEFAULT_R_CUT))},
+            "conventions": CONVENTIONS,
             "started_at": self.started_at,
             "finished_at": _utcnow(),
             "files": files,
@@ -246,7 +246,7 @@ _SIM_DEFAULTS = {
     "N": 256, "L": 100.0, "dt": 0.5, "b": 1.0, "A": 1.0, "p": 0.8, "eps": 0.5,
     "t_max": 5000.0, "steady_tol": 1e-5, "save_field": False, "dry_run": False,
 }
-_SWEEP_DEFAULTS = {**_SIM_DEFAULTS, "r_cut": DEFAULT_R_CUT, "jobs": 1}
+_SWEEP_DEFAULTS = {**_SIM_DEFAULTS, "jobs": 1}
 
 # Each table is the exact set of config keys (and flags) its command accepts.
 _DEFAULTS = {
@@ -265,10 +265,9 @@ del _DEFAULTS["figure1"]["eps"], _DEFAULTS["figure2"]["p"]
 # ----------------------------------------------------------- run primitives
 
 
-def _eps_for_target_a(a_sim: float, amplitude: float, p: float, b: float,
-                      r_cut: float) -> float:
+def _eps_for_target_a(a_sim: float, amplitude: float, p: float, b: float) -> float:
     """Solve eps from a_sim = eps * b * mass (linear)."""
-    mass, _ = branch_mass(amplitude, p, r_cut)
+    mass, _ = branch_mass(amplitude, p)
     if not mass > 0.0:
         raise ConfigError(f"defect mass is not positive (A={amplitude}, p={p})")
     return a_sim / (b * mass)
@@ -337,7 +336,7 @@ def _member_a_sim(cfg, eps: float, p: float) -> float:
     """a_sim = eps * b * branch mass of a member; NaN for a subcritical p."""
     if p <= SUBCRITICAL_P:
         return math.nan
-    mass, _ = branch_mass(float(cfg["A"]), p, float(cfg.get("r_cut", DEFAULT_R_CUT)))
+    mass, _ = branch_mass(float(cfg["A"]), p)
     return eps * float(cfg["b"]) * mass
 
 
@@ -345,17 +344,20 @@ def _sweep_members(cfg, axis: str, values) -> list:
     """Members (eps, p, a_sim, dir name) along `axis` ("a", "eps" or "p").
 
     The other two parameters come from cfg; a subcritical p gets a NaN a_sim
-    on the eps and p axes.
+    on the eps and p axes.  Every member's SimulationConfig is built here, so
+    a bad member raises ConfigError before any directory or run, as in a dry
+    run.
     """
-    b, amp, r_cut = float(cfg["b"]), float(cfg["A"]), float(cfg["r_cut"])
+    b, amp = float(cfg["b"]), float(cfg["A"])
     members = []
     for i, v in enumerate(_floats(values)):
         if axis == "a":
             p = float(cfg["p"])
-            eps, a = _eps_for_target_a(v, amp, p, b, r_cut), v
+            eps, a = _eps_for_target_a(v, amp, p, b), v
         else:
             eps, p = (v, float(cfg["p"])) if axis == "eps" else (float(cfg["eps"]), v)
             a = _member_a_sim(cfg, eps, p)
+        _sim_config(cfg, eps, p)
         members.append((eps, p, a, f"run_{i:02d}_{axis}{v:g}"))
     return members
 
@@ -369,18 +371,17 @@ def _sweep(command: str, cfg, axis: str, values, write_tables,
     `write_tables(cfg, out, members, results)` then writes the command's own
     files.  A dry run writes the manifest, and plan.json when `plan` is set.
     """
+    members = _sweep_members(cfg, axis, values)
     out = _out_dir(cfg["out"])
     manifest = RunManifest(command, cfg)
     if cfg["dry_run"]:
         if plan:
             write_json(out / "plan.json", [
-                {"eps": e, "p": p, "a_sim": a, "dir": name}
-                for e, p, a, name in _sweep_members(cfg, axis, values)
+                {"eps": e, "p": p, "a_sim": a, "dir": name} for e, p, a, name in members
             ])
         manifest.finalize(out)
         return EXIT_OK
 
-    members = _sweep_members(cfg, axis, values)
     results = _run_members(cfg, members, out, bool(cfg["save_field"]), int(cfg["jobs"]))
     write_json(out / "runs.json", [entry for entry, _ in results])
     for (*_, name), (_entry, report) in zip(members, results):
@@ -397,17 +398,17 @@ def _transform_y(k: float) -> float:
     return math.nan
 
 
-def _profile_growth(profile, l: float, r_core: float = 6.0) -> float:
+def _profile_growth(profile, l: float) -> float:
     """Relative gradient growth from just outside the core to mid-annulus.
 
-    Where b eps g is small against Omega by twice the mass truncation radius,
-    the gradient is flat-to-falling from there.  A heavy tail keeps it
-    climbing slowly towards its far value: the p = 0.3 control locks, and
-    its growth (> 20%) is the plane profile's own (+24.98%), a slow approach
-    to kappa/b, not a failure to lock.
+    Where b eps g is small against Omega by twice the mass truncation radius
+    (r = 2 R_CUT = 6), the gradient is flat-to-falling from there.  A heavy
+    tail keeps it climbing slowly towards its far value: the p = 0.3 control
+    locks, and its growth (> 20%) is the plane profile's own (+24.98%), a
+    slow approach to kappa/b, not a failure to lock.
     """
     f = profile.interpolator()
-    v_in = float(f(r_core))
+    v_in = float(f(2.0 * R_CUT))
     v_out = float(f(0.40 * l))
     if v_in == 0.0:
         return math.inf
@@ -419,12 +420,13 @@ def _profile_growth(profile, l: float, r_core: float = 6.0) -> float:
 
 def cmd_simulate(args) -> int:
     cfg = _merge_config(args, _DEFAULTS["simulate"])
+    eps, p = float(cfg["eps"]), float(cfg["p"])
+    _sim_config(cfg, eps, p)  # a dry run refuses what the run would
     out = _out_dir(cfg["out"])
     manifest = RunManifest("simulate", cfg)
     if cfg["dry_run"]:
         manifest.finalize(out)
         return EXIT_OK
-    eps, p = float(cfg["eps"]), float(cfg["p"])
     entry, report = _run_member(
         cfg, eps, p, _member_a_sim(cfg, eps, p), out, bool(cfg["save_field"])
     )
@@ -478,8 +480,7 @@ def cmd_measure(args) -> int:
 
 def cmd_predict(args) -> int:
     b = float(args.b)
-    fam = predict_k_for_family(float(args.A) * float(args.eps) * b, float(args.p),
-                               r_cut=float(args.R))
+    fam = predict_k_for_family(float(args.A) * float(args.eps) * b, float(args.p))
     if not b > 0.0:  # a negative A*eps hides a negative b from the amplitude check
         raise ConfigError(f"b must be > 0, got {b}")
     lam = predict_lambda(-fam.a_sim)
@@ -527,7 +528,7 @@ def _load_runs(path: str) -> list:
 
 def cmd_compare(args) -> int:
     sweep = _load_runs(args.runs)
-    table = compare_prediction_to_runs(sweep, r_cut=float(args.R))
+    table = compare_prediction_to_runs(sweep)
     out = _out_dir(args.out or args.runs)
     write_csv(
         out / "compare.csv",
@@ -704,23 +705,19 @@ def cmd_figure2(args) -> int:
 
 
 def _write_figure2(cfg, out: Path, members, results):
-    b, amp, eps, r_cut = (float(cfg["b"]), float(cfg["A"]), float(cfg["eps"]),
-                          float(cfg["r_cut"]))
-    eff = amp * eps * b
+    eff = float(cfg["A"]) * float(cfg["eps"]) * float(cfg["b"])
     k_rows = []
     profile_rows = []
     for (_eps, p, a, _name), (_entry, report) in zip(members, results):
         k_solid = (
-            predict_k_for_family(eff, p, r_cut=r_cut).k_shape
+            predict_k_for_family(eff, p).k_shape
             if p > 1.0 else math.nan
         )
         k_dashed = (
-            math.exp(-1.0 / (eff * core_mass(
-                InhomogeneitySpec(1.0, p, 1.0), "truncated", r_cut)))
+            math.exp(-1.0 / (eff * core_mass(InhomogeneitySpec(1.0, p, 1.0), R_CUT)))
             if p > SUBCRITICAL_P else math.nan
         )
-        growth = _profile_growth(report.radial_profile, float(cfg["L"]),
-                                 r_core=2.0 * r_cut)
+        growth = _profile_growth(report.radial_profile, float(cfg["L"]))
         plateau = growth <= PLATEAU_GROWTH_LIMIT
         k_rows.append((p, a, report.k_measured, k_solid, k_dashed,
                        report.converged, plateau, growth))
@@ -739,8 +736,7 @@ def _write_figure2(cfg, out: Path, members, results):
     summary = {"plateau": {f"{row[0]:g}": bool(row[6]) for row in k_rows}}
     try:
         table = compare_prediction_to_runs(
-            [(entry["params"], SimpleNamespace(**entry["report"])) for entry, _ in results],
-            r_cut=r_cut)
+            [(entry["params"], SimpleNamespace(**entry["report"])) for entry, _ in results])
     except StatisticsError:  # fewer than 3 runs with p > SUBCRITICAL_P, or none steady
         pass
     else:
@@ -777,7 +773,7 @@ _CONFIG_FLAGS = (
     ("t_max", float), ("steady_tol", float), ("rmax", float), ("tol", float),
     ("save_field", bool), ("dry_run", bool), ("A", float), ("p", float),
     ("eps", float), ("a_values", None), ("eps_values", None), ("p_values", None),
-    ("p_grid", None), ("r_cut", float), ("jobs", int),
+    ("p_grid", None), ("jobs", int),
 )
 
 
@@ -818,13 +814,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--b", type=float, default=1.0)
     sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--R", type=float, default=DEFAULT_R_CUT)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("compare", help="prediction vs stored sweep runs")
     sp.add_argument("--runs", required=True)
-    sp.add_argument("--R", type=float, default=DEFAULT_R_CUT)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_compare)
 

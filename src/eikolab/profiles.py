@@ -3,9 +3,11 @@
 The defect family is g(r) = eps * A / (1 + r^2)^p.  A smooth cut-off chi
 (0 below r=1, 1 above r=2) splits it into a finite-mass core (1-chi)g and a
 slowly decaying tail chi*g; the core mass integral sets the matching constant
-of the frequency prediction.  Two sign conventions coexist: the theorem-style
-a_signed = -b * integral (negative) and the simulation-style a_sim = |a_signed|.
-Every output labels which one it carries.
+of the frequency prediction.  core_mass gives the mass of the whole defect in
+closed form, infinite for p > 1 and truncated at the fixed radius R_CUT for
+p <= 1, where the infinite mass diverges.  Two sign conventions coexist: the
+theorem-style a_signed = -b * integral (negative) and the simulation-style
+a_sim = |a_signed|.  Every output labels which one it carries.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ from .radial import RadialGrid, RadialProfile
 SUBCRITICAL_P = 0.5
 
 # Radius the mass integral is truncated at where the infinite one diverges
-# (p <= 1); every command's default.
-DEFAULT_R_CUT = 3.0
+# (p <= 1), fixed for every command.
+R_CUT = 3.0
 
 
 @dataclass(frozen=True)
@@ -167,39 +169,25 @@ def split_defect(
     )
 
 
-def core_mass(
-    spec: InhomogeneitySpec, convention: str = "truncated", r_cut: float = DEFAULT_R_CUT
-) -> float:
-    """Defect mass integral strength * integral of A (1+r^2)^-p r dr.
+def core_mass(spec: InhomogeneitySpec, r_cut: float = math.inf) -> float:
+    """Defect mass strength * integral_0^r_cut of A (1+r^2)^-p r dr, in closed form.
 
-    convention 'truncated' integrates the full g over [0, r_cut] (the sweep
-    protocol); 'closed_form' returns strength*A/(2p-2), the exact infinite
-    mass, and needs p > 1.  The matching constant is b times this value under
-    the simulation sign convention (a_signed = minus that).
+    With L = log(1 + r_cut^2) it is strength*A*expm1((1-p) L)/(2-2p), and
+    strength*A*L/2 at p = 1.  expm1 keeps full precision as p -> 1, where
+    ((1+r_cut^2)^(1-p) - 1)/(2-2p) cancels.  The default r_cut = inf gives
+    the infinite mass strength*A/(2p-2); it diverges for p <= 1, where callers
+    truncate at R_CUT.  The matching constant is b times this value under the
+    simulation sign convention (a_signed = minus that).
     """
-    if convention == "closed_form":
-        if spec.decay_exponent <= 1.0:
-            raise DivergentMassError(
-                f"mass integral diverges for p = {spec.decay_exponent} <= 1"
-            )
-        return spec.strength * spec.amplitude / (2.0 * spec.decay_exponent - 2.0)
-    if convention != "truncated":
-        raise ConfigError(f"unknown core-mass convention {convention!r}")
     if not r_cut > 0.0:
         raise ConfigError(f"truncation radius must be > 0, got {r_cut}")
-    val, _ = integrate.quad(
-        lambda r: evaluate_g(spec, r) * r, 0.0, r_cut, epsabs=1e-10, epsrel=1e-10
-    )
-    return float(val)
-
-
-def closed_form_mass_antiderivative(spec: InhomogeneitySpec, r: float) -> float:
-    """Antiderivative of g(t) t dt at r, for cross-checking quadrature.
-
-    integral_0^r = strength*A * [(1+r^2)^(1-p) - 1] / (2 - 2p), with the
-    logarithmic limit at p = 1.
-    """
-    a, p, s = spec.amplitude, spec.decay_exponent, spec.strength
-    if abs(p - 1.0) < 1e-12:
-        return 0.5 * s * a * math.log(1.0 + r * r)
-    return s * a * ((1.0 + r * r) ** (1.0 - p) - 1.0) / (2.0 - 2.0 * p)
+    p, log_r = spec.decay_exponent, math.log1p(r_cut * r_cut)
+    scale = spec.strength * spec.amplitude
+    if p == 1.0:
+        mass = 0.5 * scale * log_r
+    else:
+        mass = scale * math.expm1((1.0 - p) * log_r) / (2.0 - 2.0 * p)
+    if not math.isfinite(mass):
+        raise DivergentMassError(
+            f"mass integral is not finite for p = {p} out to r = {r_cut}")
+    return mass

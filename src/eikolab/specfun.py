@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import k0e, k1e
 
+from .errors import DomainError
+
 EULER_GAMMA = 0.57721566490153286061
 
 
@@ -52,8 +54,6 @@ def _check_domain(z):
 
 
 def _reject(z):
-    from .errors import DomainError
-
     raise DomainError(f"K0/K1 need z > 0 and finite, got {z}")
 
 

@@ -51,11 +51,9 @@ def test_spec_example_small_rate():
 def test_family_branches():
     closed = predict_k_for_family(1.5, 1.5)
     assert closed.branch == BRANCH_CLOSED_FORM
-    assert closed.truncation_radius is None
     assert closed.a_sim == pytest.approx(1.5, rel=1e-12)
     trunc = predict_k_for_family(1.5, 0.8)
     assert trunc.branch == BRANCH_TRUNCATED
-    assert trunc.truncation_radius == 3.0
     assert trunc.a_sim == pytest.approx(1.5 * 2.5 * (10.0**0.2 - 1.0), rel=1e-9)
     assert trunc.k_shape == pytest.approx(math.exp(-1.0 / trunc.a_sim), rel=1e-12)
 

@@ -217,16 +217,58 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, name, text, dry_run):
     assert capsys.readouterr().err.startswith("config error:")
 
 
-@pytest.mark.parametrize("argv, radius", [
-    (["sweep", "--eps-values", "1", "--p", "0.8", "--r-cut", "5"], 5.0),
-    (["simulate"], 3.0),
-], ids=["sweep-r-cut", "simulate-default"])
-def test_manifest_records_the_radius_in_effect(tmp_path, argv, radius):
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["sweep", "--eps-values", "1", "--p", "0.8"],
+    ["figure1"],
+    ["figure2"],
+], ids=["simulate-default", "sweep", "figure1", "figure2"])
+def test_manifest_records_the_radius_in_effect(tmp_path, argv):
+    # the mass of a p <= 1 defect is truncated at the fixed radius R_CUT
     out = tmp_path / "m"
     assert main(argv + ["--dry-run", "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["conventions"]["truncation_radius"] == radius
-    assert manifest["config"].get("r_cut", radius) == radius
+    assert manifest["conventions"]["truncation_radius"] == 3.0
+    assert "r_cut" not in manifest["config"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eps-values", "1", "--r-cut", "5", "--dry-run"],
+    ["figure1", "--r-cut", "5", "--dry-run"],
+    ["figure2", "--r-cut", "5", "--dry-run"],
+    ["predict", "--A", "1", "--p", "0.8", "--R", "5"],
+    ["compare", "--runs", "runs.json", "--R", "5"],
+], ids=["sweep", "figure1", "figure2", "predict", "compare"])
+def test_truncation_radius_flags_are_gone(tmp_path, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert info.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["sweep", "figure1", "figure2"])
+def test_r_cut_config_key_is_gone(tmp_path, capsys, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"r_cut": 5}')
+    assert main([command, "--config", str(cfg), "--dry-run",
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "unknown config keys: ['r_cut']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "-1"],
+    ["simulate", "--N", "100"],
+    ["figure1", "--dt", "0"],
+    ["figure1", "--N", "100"],
+    ["sweep", "--N", "64", "--L", "50", "--p-values", "0.8,-1"],
+], ids=["simulate-p", "simulate-N", "figure1-dt", "figure1-N", "sweep-p"])
+def test_a_bad_member_is_refused_before_any_run(tmp_path, capsys, argv, dry_run):
+    # every member's SimulationConfig is built before any directory or run,
+    # so a dry run refuses what the run would and no member directory is left
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_sweep_requires_exactly_one_axis(tmp_path, capsys):

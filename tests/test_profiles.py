@@ -1,6 +1,5 @@
 """Defect family, cut-offs, splitting, and the mass integral."""
-import math
-
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +9,7 @@ from eikolab.measure import estimate_decay_exponent
 from eikolab.profiles import (
     CutoffSpec,
     InhomogeneitySpec,
-    closed_form_mass_antiderivative,
+    R_CUT,
     core_mass,
     cutoff_derivatives,
     evaluate_g,
@@ -159,54 +158,49 @@ def test_split_coarse_grid_rejected():
 
 def test_core_mass_closed_form_example():
     # A/(2p-2) at A=1.5, p=1.5
-    assert core_mass(InhomogeneitySpec(1.5, 1.5), "closed_form") == 1.5
+    assert core_mass(InhomogeneitySpec(1.5, 1.5)) == 1.5
 
 
 def test_core_mass_truncated_example():
     # (1/0.4)(10^0.2 - 1) = 1.4622329...; quoted to 5 places elsewhere as 1.4622
-    val = core_mass(InhomogeneitySpec(1.0, 0.8), "truncated", r_cut=3.0)
+    val = core_mass(InhomogeneitySpec(1.0, 0.8), R_CUT)
     assert val == pytest.approx(2.5 * (10.0**0.2 - 1.0), abs=1e-10)
     assert val == pytest.approx(1.4622, abs=5e-5)
 
 
 def test_core_mass_zero_strength():
-    assert core_mass(InhomogeneitySpec(3.0, 0.8, strength=0.0), "truncated") == 0.0
+    assert core_mass(InhomogeneitySpec(3.0, 0.8, strength=0.0), R_CUT) == 0.0
 
 
 def test_core_mass_divergent():
     with pytest.raises(DivergentMassError):
-        core_mass(InhomogeneitySpec(1.0, 1.0), "closed_form")
+        core_mass(InhomogeneitySpec(1.0, 1.0))
     with pytest.raises(DivergentMassError):
-        core_mass(InhomogeneitySpec(1.0, 0.8), "closed_form")
+        core_mass(InhomogeneitySpec(1.0, 0.8))
 
 
 def test_core_mass_bad_arguments():
     with pytest.raises(ConfigError):
-        core_mass(InhomogeneitySpec(1.0, 0.8), "montecarlo")
-    with pytest.raises(ConfigError):
-        core_mass(InhomogeneitySpec(1.0, 0.8), "truncated", r_cut=0.0)
+        core_mass(InhomogeneitySpec(1.0, 0.8), 0.0)
 
 
-def test_quadrature_matches_antiderivative():
-    # dual route: adaptive quadrature against the closed antiderivative
+def _mpmath_mass(a: float, p: float, r: float) -> float:
+    with mpmath.workdps(50):
+        return float(mpmath.quad(
+            lambda t: a * t * (1 + t * t) ** (-mpmath.mpf(p)), [0, r]))
+
+
+def test_core_mass_matches_mpmath_quadrature():
+    # an independent oracle at 50 digits: random (A, p, R), and p at and next
+    # to 1, where ((1+R^2)^(1-p) - 1)/(2-2p) loses up to 1.9e-5 to cancellation
     rng = np.random.default_rng(20260814)
-    for _ in range(20):
-        a = float(rng.uniform(0.1, 3.0))
-        p = float(rng.uniform(0.51, 3.0))
-        r = float(rng.uniform(0.5, 8.0))
-        spec = InhomogeneitySpec(a, p)
-        assert abs(
-            core_mass(spec, "truncated", r_cut=r)
-            - closed_form_mass_antiderivative(spec, r)
-        ) <= 1e-9
-
-
-def test_antiderivative_log_limit():
-    # p = 1 branch: (1/2) log(1 + r^2)
-    spec = InhomogeneitySpec(2.0, 1.0)
-    assert closed_form_mass_antiderivative(spec, 3.0) == pytest.approx(
-        math.log(10.0), rel=1e-12
-    )
+    cases = [(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.51, 3.0)),
+              float(rng.uniform(0.5, 8.0))) for _ in range(40)]
+    cases += [(2.0, p, r) for p in (1.0, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-9,
+                                    1.0 + 1e-9, 1.0 - 2e-12) for r in (R_CUT, 400.0)]
+    for a, p, r in cases:
+        oracle = _mpmath_mass(a, p, r)
+        assert abs(core_mass(InhomogeneitySpec(a, p), r) - oracle) <= 4e-15 * oracle, (a, p, r)
 
 
 @given(
@@ -216,7 +210,7 @@ def test_antiderivative_log_limit():
 def test_truncated_approaches_closed_form(amp, p):
     # for p > 1 the truncated mass converges to A/(2p-2) as R grows
     spec = InhomogeneitySpec(amp, p)
-    full = core_mass(spec, "closed_form")
-    trunc = closed_form_mass_antiderivative(spec, 400.0)
+    full = core_mass(spec)
+    trunc = core_mass(spec, 400.0)
     assert trunc < full
     assert full - trunc <= full * 400.0 ** (2.0 - 2.0 * p) * 1.01

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from eikolab.asymptotics import branch_mass
 from eikolab.cli import FIG1_A_VALUES
 from eikolab.errors import BlowUpError, ConfigError
-from eikolab.profiles import DEFAULT_R_CUT, InhomogeneitySpec, evaluate_g
+from eikolab.profiles import InhomogeneitySpec, evaluate_g
 from eikolab.measure import SteadyStateReport, measure_wavenumber
 from eikolab import spectral
 from eikolab.spectral import (
@@ -580,7 +580,7 @@ def test_eigenpair_matches_arpack(n, p):
 def test_eigen_solve_takes_few_iterations_on_the_figure1_presets():
     # the Ritz-shifted preconditioner (|k|^2 - lam)^-1: 9-10 iterations per
     # figure-1 member at N=256, where the fixed shift sigma took 14-28
-    mass, _ = branch_mass(1.0, 0.8, DEFAULT_R_CUT)
+    mass, _ = branch_mass(1.0, 0.8)
     for a in FIG1_A_VALUES:
         cfg = SimulationConfig(GridSpec2D(256, 100.0), dt=0.5, b=1.0,
                                defect=InhomogeneitySpec(1.0, 0.8, strength=a / mass))

@@ -6,11 +6,13 @@ of at `perfbench/run.py --trace 1`.
 """
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 import scipy.fft
 
+from eikolab import cli
 from eikolab.profiles import InhomogeneitySpec
 from eikolab.spectral import GridSpec2D, SimulationConfig, _hopf_cole_eigen, _step_hat
 from eikolab.spectral import make_plan
@@ -33,6 +35,11 @@ def test_every_traced_entry_point_resolves():
     missing = [(module, attr) for module, attr in points
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_run_member_takes_a_sim_fourth():
+    # the tracer's _note_a_sim reads a_sim positionally, as args[3]
+    assert list(inspect.signature(cli._run_member).parameters)[3] == "a_sim"
 
 
 def test_quadrant_transforms_are_scipy_fft_attributes(monkeypatch):
