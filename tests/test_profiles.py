@@ -1,4 +1,6 @@
 """Defect family, cut-offs, splitting, and the mass integral."""
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -190,17 +192,28 @@ def _mpmath_mass(a: float, p: float, r: float) -> float:
             lambda t: a * t * (1 + t * t) ** (-mpmath.mpf(p)), [0, r]))
 
 
-def test_core_mass_matches_mpmath_quadrature():
-    # an independent oracle at 50 digits: random (A, p, R), and p at and next
-    # to 1, where ((1+R^2)^(1-p) - 1)/(2-2p) loses up to 1.9e-5 to cancellation
+def test_quadrature_matches_antiderivative():
+    # dual route: core_mass's closed antiderivative against an independent
+    # 50-digit quadrature of A r (1 + r^2)^(-p) at random (A, p, R)
     rng = np.random.default_rng(20260814)
-    cases = [(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.51, 3.0)),
-              float(rng.uniform(0.5, 8.0))) for _ in range(40)]
-    cases += [(2.0, p, r) for p in (1.0, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-9,
-                                    1.0 + 1e-9, 1.0 - 2e-12) for r in (R_CUT, 400.0)]
-    for a, p, r in cases:
+    for _ in range(40):
+        a = float(rng.uniform(0.1, 3.0))
+        p = float(rng.uniform(0.51, 3.0))
+        r = float(rng.uniform(0.5, 8.0))
         oracle = _mpmath_mass(a, p, r)
         assert abs(core_mass(InhomogeneitySpec(a, p), r) - oracle) <= 4e-15 * oracle, (a, p, r)
+
+
+def test_antiderivative_log_limit():
+    # p = 1 branch: (A/2) log(1 + r^2); next to p = 1 the naive
+    # ((1+R^2)^(1-p) - 1)/(2-2p) loses up to 1.9e-5 to cancellation
+    assert core_mass(InhomogeneitySpec(2.0, 1.0), R_CUT) == pytest.approx(
+        math.log(10.0), rel=1e-15
+    )
+    for p in (1.0, 1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 2e-12):
+        for r in (R_CUT, 400.0):
+            oracle = _mpmath_mass(2.0, p, r)
+            assert abs(core_mass(InhomogeneitySpec(2.0, p), r) - oracle) <= 4e-15 * oracle, (p, r)
 
 
 @given(
