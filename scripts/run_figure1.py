@@ -3,8 +3,9 @@
 
 Runs the nine-point a-grid on a 512x512 box and writes the sweep CSV,
 per-run radial profiles, the exponential-law fit, and the manifest to
-results/figure1/. Expect roughly an hour on a laptop; pass --N 256 (or
-lower) for a quick look, or --dry-run to only write the manifest.
+results/figure1/. The N = 512 default took about 2 s on a 2-vCPU
+machine; pass --N 256 (or lower) for a quicker look, or --dry-run to only
+write the manifest.
 """
 import sys
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Amplitude shooting problem behind the core matching argument.
+"""Vortex amplitude profile behind the core matching argument.
 
-Bisects the origin slope of the radial amplitude equation until the profile
-locks onto the rho -> 1 branch, then writes the profile, the tail diagnostic
-r^2 (1 - rho^2), and the selected slope to results/figure3/. Cheap
-(seconds); no spectral simulation involved.
+Solves the radial amplitude equation as one boundary-value problem from a
+regular origin to the rho -> 1 far-field series, then writes the profile,
+the tail diagnostic r^2 (1 - rho^2), and the origin slope to
+results/figure3/. Cheap (well under a second); no spectral simulation
+involved.
 """
 import sys
 

@@ -349,6 +349,8 @@ def _sweep_members(cfg, axis: str, values) -> list:
     run.
     """
     b, amp = float(cfg["b"]), float(cfg["A"])
+    if axis == "a":
+        _sim_config(cfg, 0.0, float(cfg["p"]))  # refuses b <= 0 before eps divides by it
     members = []
     for i, v in enumerate(_floats(values)):
         if axis == "a":
@@ -371,6 +373,8 @@ def _sweep(command: str, cfg, axis: str, values, write_tables,
     `write_tables(cfg, out, members, results)` then writes the command's own
     files.  A dry run writes the manifest, and plan.json when `plan` is set.
     """
+    if int(cfg["jobs"]) < 1:
+        raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
     members = _sweep_members(cfg, axis, values)
     out = _out_dir(cfg["out"])
     manifest = RunManifest(command, cfg)
@@ -570,8 +574,6 @@ def _write_shooting(out: Path, names, rmax: float, tol: float, **summary):
     write_json(out / summary_json, {
         "slope_origin": sol.slope_origin,
         "tail_residual": sol.tail_residual,
-        "bracket": list(sol.bracket),
-        "bisections": sol.bisections,
         **summary,
     })
 

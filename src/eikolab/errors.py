@@ -2,8 +2,9 @@
 
 Configuration-style errors (bad arguments, out-of-regime parameters, grids too
 coarse) derive from ConfigError; failures of a numerical procedure (blow-up,
-lost shooting bracket, non-contracting iteration) derive from NumericalError.
-The command line maps these onto exit codes 2 and 3 respectively.
+failed boundary-value solve, non-contracting iteration) derive from
+NumericalError.  The command line maps these onto exit codes 2 and 3
+respectively.
 """
 
 
@@ -52,10 +53,6 @@ class BlowUpError(NumericalError):
         self.step_index = step_index
         self.t = t
         self.residual = residual
-
-
-class BracketError(NumericalError):
-    """Shooting bisection lost its bracket."""
 
 
 class NonContractionError(NumericalError):

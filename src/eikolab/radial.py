@@ -3,7 +3,7 @@
 Contents: the corrector K solving Laplacian_0 K + b g_far = 0, the explicit
 inverse of L_lam = d/dr + 1/r + lam, the far-field first-order approximation
 phi0 = -(1/b) chi(Lr) log K0(Lr) with its damped Newton correction, a
-Hopf-Cole residual check and the amplitude-equation shooting BVP.
+Hopf-Cole residual check and the amplitude-equation BVP.
 
 All cumulative integrals run panel-by-panel with Gauss-Legendre nodes so the
 exponential weights of L_lam^{-1} stay bounded by one.  Finite differences for
@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import ode, solve_bvp, solve_ivp
+from scipy.integrate import solve_bvp
 from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import (
-    BracketError,
     ConfigError,
     DomainError,
     NonContractionError,
@@ -602,7 +600,7 @@ def hopf_cole_residual(phi: RadialProfile, g, eps: float, omega: float, b: float
 
 @dataclass(frozen=True)
 class ShootingSolution:
-    """Amplitude BVP solution: profile rho*, launch slope, and |rho(r_max) - 1|.
+    """Amplitude BVP solution: profile rho*, slope at the origin, and |rho(r_max) - 1|.
 
     `tail_residual` is about 1/(2 r_max^2) by design (1.257e-3 at r_max = 20):
     the separatrix approaches 1 only algebraically, so it measures the window
@@ -612,24 +610,17 @@ class ShootingSolution:
     profile: RadialProfile
     slope_origin: float
     tail_residual: float
-    bracket: tuple[float, float]
-    bisections: int
+    # always 0: the slope comes from one boundary-value solve, not a bisection;
+    # kept only because perfbench/tracer.py notes it
+    bisections: int = 0
 
 
 # far-field series rho = 1 - sum_{k>=1} c_k / r^(2k) of every solution with rho(inf) = 1
 _FAR_SERIES = (0.5, 9.0 / 8.0, 161.0 / 16.0)
-_R_MATCH = 10.0  # where the shot profile hands over to the outer BVP
 
 
 def _amplitude_rhs(r, y):
     rho, drho = y
-    return (drho, rho / (r * r) - drho / r - rho + rho**3)
-
-
-def _amplitude_rhs_point(r: float, y: np.ndarray) -> tuple[float, float]:
-    """_amplitude_rhs at one point on Python floats: the same IEEE operations,
-    bit for bit, without numpy scalar overhead in the compiled shots' callbacks."""
-    rho, drho = y.tolist()
     return (drho, rho / (r * r) - drho / r - rho + rho**3)
 
 
@@ -645,73 +636,22 @@ def _launch(s: float, r0: float):
     return (s * (r0 - r0**3 / 8.0), s * (1.0 - 3.0 * r0**2 / 8.0))
 
 
-_MAX_STEPS = 10_000  # DOP853 step cap per classifying shot; default shots take 41-177
-_RHO_HIGH = 1.3  # a shot that reaches it is supercritical
 # r0 * r0 in the right-hand side must stay a normal double: below this it
 # loses digits, and by r0 ~ 1e-162 it underflows to 0
 _R0_MIN = math.sqrt(sys.float_info.min)
+# solve_bvp's tolerance is tol / 100, floored: at 1e-12 the collocation
+# already needs about 8900 nodes, and at 2.3e-14 it exceeds max_nodes
+_BVP_TOL_MIN = 1e-12
 
 
-def _shot_classifier(r_end: float, r0: float, rtol: float,
-                     atol: float) -> Callable[[float], bool]:
-    """is_high(s): class of the shot of slope s from r0 toward r_end, on compiled DOP853.
-
-    Read at each accepted step end: rho >= 1.3 is supercritical, rho' < 0 (past
-    the turning point) collapses; either stops the shot.  A shot that does
-    neither by r_end is supercritical if it ends at rho >= 1.  A slope that
-    launches at rho >= 1.3 is supercritical without a shot, whose first
-    right-hand side could overflow.  An integrator failure raises
-    NumericalError instead of classing the point it stopped at.
-    """
-    verdict = []
-
-    def classify(r, y):
-        rho, drho = y.tolist()
-        if rho >= _RHO_HIGH:
-            verdict.append(True)
-        elif drho < 0.0:
-            verdict.append(False)
-        else:
-            return 0
-        return -1
-
-    # one solver serves every shot: scipy's dop853 wrapper keeps a reference to
-    # each integrator it has run, so a solver per shot would leak about 1.4 kB
-    solver = ode(_amplitude_rhs_point).set_integrator(
-        "dop853", rtol=rtol, atol=atol, nsteps=_MAX_STEPS)
-    solver.set_solout(classify)
-
-    def is_high(s: float) -> bool:
-        launch = _launch(s, r0)
-        if launch[0] >= _RHO_HIGH:
-            return True
-        verdict.clear()
-        solver.set_initial_value(launch, r0)
-        with warnings.catch_warnings():
-            # the failure is raised below as a typed error, not warned about
-            warnings.simplefilter("ignore", UserWarning)
-            rho = solver.integrate(r_end)[0]
-        if not solver.successful():
-            raise NumericalError(
-                f"amplitude shot of slope {s!r} stopped at r = {solver.t:.6g} before "
-                f"r = {r_end:g} (DOP853 istate {solver.get_return_code()})")
-        return verdict[0] if verdict else bool(rho >= 1.0)
-
-    return is_high
-
-
-def validate_shooting(r_max: float, tol: float, r0: float = 1e-3,
-                      bracket: tuple[float, float] = (0.1, 1.0)) -> None:
-    """ConfigError unless r_max >= 20, 0 < tol <= 1e-6, _R0_MIN <= r0 < 1, 0 < lo < hi, all finite."""
-    lo, hi = bracket
+def validate_shooting(r_max: float, tol: float, r0: float = 1e-3) -> None:
+    """ConfigError unless r_max >= 20, 0 < tol <= 1e-6, _R0_MIN <= r0 < 1, all finite."""
     if not (math.isfinite(r_max) and r_max >= 20.0):
         raise ConfigError(f"r_max must be finite and >= 20, got {r_max}")
     if not 0.0 < tol <= 1e-6:
         raise ConfigError(f"tol must be in (0, 1e-6], got {tol}")
     if not _R0_MIN <= r0 < 1.0:
         raise ConfigError(f"launch radius r0 must be in [{_R0_MIN:.4g}, 1), got {r0}")
-    if not (math.isfinite(hi) and 0.0 < lo < hi):
-        raise ConfigError(f"slope bracket must be finite with 0 < lo < hi, got {bracket}")
 
 
 def shoot_spiral_amplitude(
@@ -719,87 +659,51 @@ def shoot_spiral_amplitude(
     tol: float = 1e-8,
     r0: float = 1e-3,
     n_profile: int = 2001,
-    bracket: tuple[float, float] = (0.1, 1.0),
 ) -> ShootingSolution:
     """Solve rho'' + rho'/r - rho/r^2 + rho - rho^3 = 0, rho(0)=0, rho(inf)=1.
 
-    Launches rho = s r at r0 and bisects the slope s.  Each shot runs on
-    scipy's compiled DOP853 (Hairer, Norsett & Wanner 1993) and is classed at
-    each accepted step end, with no located events: rho >= 1.3 makes it
-    supercritical and rho' < 0 makes it collapse, and either stops it.  A
-    shot that does neither by r_max + 10 is supercritical if it ends at
-    rho >= 1.  In exact arithmetic this is the class of the first crossing:
-    at a turning point rho'' = rho (rho^2 - 1 + 1/r^2) <= 0 puts rho below 1,
-    and past 1.3 rho'' > 0, so a shot that rose past 1.3 never turns back and
-    no step end can show both.  An integrator failure raises NumericalError.
+    One collocation solve (scipy's solve_bvp, tolerance max(tol/100, 1e-12))
+    on [r0, r_max + 10].  At r0 the regular-origin condition
+    rho'(r0) (r0 - r0^3/8) = rho(r0) (1 - 3 r0^2/8) puts the solution on the
+    origin series rho = s (r - r^3/8) + O(r^5) of some slope s; at
+    r_max + 10 the three-term far-field series
+    rho = 1 - 1/(2 r^2) - 9/(8 r^4) - 161/(16 r^6) fixes the value.  The
+    initial guess is the one-dimensional kink tanh(r/sqrt 2) on a mesh of ten
+    nodes per unit length.
 
-    The bisection ends on adjacent doubles, yet no launch slope in double
-    precision rides the separatrix out to r_max: a slope ulp (1.1e-16) seeds
-    the unstable mode e^{sqrt 2 r}, which grows x4.1 per unit length, moves
-    1 - rho(20) by 3e-5 when shot out to r = 20, and leaves the separatrix
-    altogether by r ~ 26.  Classifying 10 units past r_max only settles the
-    slope; it cannot keep the shot profile on the separatrix.
-
-    So the profile is the lower bracket end's trajectory on [0, 10] (one
-    solve_ivp DOP853 shot), where both bracket ends agree to about 1e-11,
-    joined to a boundary-value solve (solve_bvp, tolerance `tol`) on
-    [10, r_max + 10] with rho(10) from that trajectory and the three-term
-    far-field series rho = 1 - 1/(2 r^2) - 9/(8 r^4) - 161/(16 r^6) at
-    r_max + 10.  Nothing is integrated outward along the unstable direction
-    there; the error of the series end condition decays inward as
-    e^{-sqrt 2 (r_max + 10 - r)}, so the reported window sits on the
-    separatrix tail: 1 - rho(20) = 1.2572e-3, within 1.7e-7 of
-    1/(2 r^2) + 9/(8 r^4).  Inputs are checked by `validate_shooting`.
+    Nothing is integrated outward along the unstable mode e^{sqrt 2 r}, which
+    no launch slope in double precision can suppress out to r_max (a slope
+    ulp grows to 3e-5 in 1 - rho(20)).  The error of the series end
+    condition decays inward as e^{-sqrt 2 (r_max + 10 - r)}, so the reported
+    window sits on the separatrix tail: 1 - rho(20) = 1.2572e-3, within
+    1.7e-7 of 1/(2 r^2) + 9/(8 r^4).  The slope at the origin is
+    s = rho(r0) / (r0 - r0^3/8), and the profile below r0 is s r.  A failed
+    solve raises NumericalError; inputs are checked by `validate_shooting`.
     """
-    validate_shooting(r_max, tol, r0, bracket)
-    rtol = max(tol / 1e4, 1e-13)
-    atol = rtol * 1e-2
-    r_far = r_max + 10.0  # end of slope classification and of the outer BVP
-
-    is_high = _shot_classifier(r_far, r0, rtol, atol)
-    lo, hi = bracket
-    if is_high(lo) or not is_high(hi):
-        raise BracketError(f"slope bracket {bracket} does not straddle the solution")
-    n_bis = 0
-    while hi - lo > 2.5e-16:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        n_bis += 1
-        if is_high(mid):
-            hi = mid
-        else:
-            lo = mid
-
-    slope = 0.5 * (lo + hi)
-    nodes = np.linspace(0.0, r_max, n_profile)
-    inner = (nodes >= r0) & (nodes < _R_MATCH)
-    shot = solve_ivp(_amplitude_rhs, (r0, _R_MATCH), _launch(lo, r0), method="DOP853",
-                     rtol=rtol, atol=atol, t_eval=np.append(nodes[inner], _R_MATCH))
-    rho_match = float(shot.y[0, -1])
-
+    validate_shooting(r_max, tol, r0)
+    r_far = r_max + 10.0
     rho_far = _far_series(r_far)[0]
-    mesh = np.linspace(_R_MATCH, r_far, int(10 * (r_far - _R_MATCH)) + 1)
-    outer = solve_bvp(
+    c_rho, c_drho = _launch(1.0, r0)
+    mesh = np.linspace(r0, r_far, int(10 * (r_far - r0)) + 1)
+    kink = mesh / math.sqrt(2.0)
+    bvp = solve_bvp(
         _amplitude_rhs,
-        lambda ya, yb: np.array([ya[0] - rho_match, yb[0] - rho_far]),
+        lambda ya, yb: np.array([ya[1] * c_rho - ya[0] * c_drho, yb[0] - rho_far]),
         mesh,
-        np.vstack(_far_series(mesh)),
-        tol=tol,
+        np.vstack((np.tanh(kink), np.cosh(kink) ** -2 / math.sqrt(2.0))),
+        tol=max(tol / 100.0, _BVP_TOL_MIN),
         max_nodes=100 * mesh.size,
     )
-    if not outer.success:
-        raise NumericalError(
-            f"outer amplitude BVP on [{_R_MATCH}, {r_far}] failed: {outer.message}")
+    if not bvp.success:
+        raise NumericalError(f"amplitude BVP on [{r0:g}, {r_far:g}] failed: {bvp.message}")
 
+    slope = float(bvp.y[0, 0]) / c_rho
+    nodes = np.linspace(0.0, r_max, n_profile)
     vals = np.zeros_like(nodes)
-    vals[inner] = shot.y[0, :-1]
-    far = nodes >= _R_MATCH
-    vals[far] = outer.sol(nodes[far])[0]
-    # fill the launch gap below r0 linearly (rho ~ s r there)
-    gap = (nodes > 0) & (nodes < r0)
-    vals[gap] = lo * nodes[gap]
+    solved = nodes >= r0
+    vals[solved] = bvp.sol(nodes[solved])[0]
+    # fill the gap below r0 linearly (rho ~ s r there)
+    gap = (nodes > 0) & ~solved
+    vals[gap] = slope * nodes[gap]
     profile = RadialProfile(RadialGrid(nodes), vals)
-    tail = abs(float(vals[-1]) - 1.0)
-    return ShootingSolution(profile, slope, tail, (lo, hi), n_bis)
-
+    return ShootingSolution(profile, slope, abs(float(vals[-1]) - 1.0))

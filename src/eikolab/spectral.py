@@ -319,6 +319,8 @@ class SimulationConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
+        if not self.b > 0:
+            raise ConfigError(f"b must be > 0, got {self.b}")
         if not self.t_max > 0:
             raise ConfigError(f"t_max must be > 0, got {self.t_max}")
         if not self.steady_tol > 0:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,9 +147,10 @@ def test_shoot_infinite_rmax_exits_2(tmp_path, capsys):
 
 
 def test_shoot_integrator_failure_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("eikolab.radial._MAX_STEPS", 5)
+    monkeypatch.setattr("eikolab.radial.solve_bvp", lambda *args, **kwargs: SimpleNamespace(
+        success=False, message="The maximum number of mesh nodes is exceeded."))
     assert main(["shoot", "--out", str(tmp_path / "s")]) == EXIT_NUMERICAL
-    assert "istate -2" in capsys.readouterr().err
+    assert "maximum number of mesh nodes" in capsys.readouterr().err
 
 
 def test_config_file_merge_and_cli_override(tmp_path):
@@ -268,6 +270,41 @@ def test_a_bad_member_is_refused_before_any_run(tmp_path, capsys, argv, dry_run)
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+_SMALL = ["--N", "64", "--L", "50", "--t-max", "5"]
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+@pytest.mark.parametrize("b", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["sweep", "--a-values", "0.9"],
+    ["figure1"],
+], ids=["simulate", "sweep", "figure1"])
+def test_nonpositive_b_is_refused_before_any_run(tmp_path, capsys, argv, b, dry_run):
+    # figure1 and the a axis of sweep solve eps = a / (b mass), so b is
+    # refused before that division
+    out = tmp_path / "out"
+    code = main(argv + _SMALL + ["--b", b, "--out", str(out)] + ["--dry-run"] * dry_run)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: b must be > 0, got {float(b)}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eps-values", "1"],
+    ["figure1"],
+    ["figure2"],
+], ids=["sweep", "figure1", "figure2"])
+def test_jobs_below_one_is_refused_before_any_run(tmp_path, capsys, argv, jobs, dry_run):
+    out = tmp_path / "out"
+    code = main(argv + _SMALL + ["--jobs", jobs, "--out", str(out)] + ["--dry-run"] * dry_run)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: jobs must be >= 1, got {jobs}")
     assert not out.exists()
 
 
@@ -646,4 +683,3 @@ def test_figure3_outputs(tmp_path):
     assert verify_manifest(out) == []
     meta = json.loads((out / "fig3.json").read_text())
     assert meta["slope_origin"] == pytest.approx(0.58319, abs=1e-4)
-    assert meta["bisections"] > 40

@@ -1,15 +1,17 @@
 """Radial machinery: grids, quadrature, corrector, L_lambda, far field, shooting."""
+import gc
 import math
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import ode, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from eikolab import radial
 from eikolab.errors import (
-    BracketError,
     ConfigError,
     DomainError,
     NonContractionError,
@@ -21,10 +23,7 @@ from eikolab.radial import (
     FarFieldAnsatz,
     RadialGrid,
     RadialProfile,
-    _amplitude_rhs,
-    _launch,
     _phi0_terms,
-    _shot_classifier,
     apply_inverse_L_lambda,
     cumulative_integral,
     far_field_phi0_grad,
@@ -471,15 +470,12 @@ def amplitude_solution():
 
 
 def test_shooting_selected_slope(amplitude_solution):
-    # frozen from a converged 52-bisection run; the bracket is ~2e-16 wide
+    # frozen from a slope bisection with event-located DOP853 shots, ended on
+    # a bracket ~2e-16 wide
     assert amplitude_solution.slope_origin == pytest.approx(
         0.5831894958602174, abs=1e-9
     )
-    # the frozen value came from event-located shots; step-end classes land within 1e-12
     assert abs(amplitude_solution.slope_origin - 0.5831894958602174) <= 1e-12
-    lo, hi = amplitude_solution.bracket
-    assert hi - lo <= 1e-15
-    assert amplitude_solution.bisections >= 45
 
 
 def test_shooting_profile_shape(amplitude_solution):
@@ -514,117 +510,41 @@ def test_shooting_window_on_far_field_series(r_max):
     assert np.all(np.diff(scaled) <= 0.0)
 
 
-def test_shot_stopped_at_its_turning_point_keeps_its_class(amplitude_solution):
-    # a shot that stops where rho' turns negative must be classed as the same
-    # compiled DOP853 shot run out to r_max + 10 would be: rho reached 1.3 at
-    # a step end, or rho(30) >= 1
-    r0, rtol, atol, r_far = 1e-3, 1e-12, 1e-14, 30.0
-
-    def full_length_is_high(s):
-        rose = []
-
-        def rise(r, y):
-            if y[0] >= 1.3:
-                rose.append(r)
-                return -1
-            return 0
-
-        solver = ode(_amplitude_rhs).set_integrator(
-            "dop853", rtol=rtol, atol=atol, nsteps=radial._MAX_STEPS)
-        solver.set_solout(rise)
-        solver.set_initial_value(_launch(s, r0), r0)
-        rho = solver.integrate(r_far)[0]
-        assert solver.successful(), s
-        return bool(rose) or rho >= 1.0
-
-    early_exit_is_high = _shot_classifier(r_far, r0, rtol, atol)
-
-    # replay the bisection with the full-length rule: same midpoints, same end
-    lo, hi = 0.1, 1.0
-    midpoints = []
-    while hi - lo > 2.5e-16 and 0.5 * (lo + hi) not in (lo, hi):
-        mid = 0.5 * (lo + hi)
-        high = full_length_is_high(mid)
-        assert early_exit_is_high(mid) == high, mid
-        midpoints.append(mid)
-        lo, hi = (lo, mid) if high else (mid, hi)
-    assert len(midpoints) == amplitude_solution.bisections == 52
-    assert (lo, hi) == amplitude_solution.bracket
-    for s, high in [(lo, False), (hi, True), (1e-3, False), (0.1, False),
-                    (0.5, False), (0.6, True), (1.0, True), (5.0, True)]:
-        assert full_length_is_high(s) == high, s
-        assert early_exit_is_high(s) == high, s
-
-
-@pytest.mark.parametrize("offset", [-1e-3, -1e-9, 1e-9, 1e-3])
-def test_point_rhs_shoots_bit_for_bit_as_the_array_rhs(amplitude_solution, offset):
-    # the classifier's float right-hand side against _amplitude_rhs: every
-    # accepted step end of a compiled DOP853 shot is the same double
-    s, r0 = amplitude_solution.slope_origin + offset, 1e-3
-
-    def shot(rhs):
-        steps = []
-
-        def record(r, y):
-            steps.append((r, *y.tolist()))
-            return -1 if y[0] >= 1.3 or y[1] < 0.0 else 0
-
-        solver = ode(rhs).set_integrator("dop853", rtol=1e-12, atol=1e-14,
-                                          nsteps=radial._MAX_STEPS)
-        solver.set_solout(record)
-        solver.set_initial_value(_launch(s, r0), r0)
-        solver.integrate(30.0)
-        assert solver.successful(), s
-        return steps
-
-    array, point = shot(_amplitude_rhs), shot(radial._amplitude_rhs_point)
-    assert len(array) > 40
-    assert point == array
-
-
-def _event_located_is_high(s, r_far=30.0, r0=1e-3, rtol=1e-12, atol=1e-14):
-    """Class of the shot of slope s by solve_ivp's DOP853 with located events."""
-    def rise(r, y):
-        return y[0] - 1.3
-
-    def turn(r, y):
-        return y[1]
-
-    rise.terminal = turn.terminal = True
-    rise.direction, turn.direction = 1, -1
-    sol = solve_ivp(_amplitude_rhs, (r0, r_far), _launch(s, r0), method="DOP853",
-                    rtol=rtol, atol=atol, events=(rise, turn))
-    assert sol.success, s
-    return bool(sol.t_events[0].size) or bool(sol.y[0, -1] >= 1.0)
-
-
-@pytest.mark.parametrize("offset", [1e-10, 1e-8, 1e-6, 1e-3, 0.1])
-def test_step_end_class_matches_event_located_class(amplitude_solution, offset):
-    # an independent integrator with located crossings classes every slope
-    # off the separatrix as the compiled step-end classifier does
-    s_star = amplitude_solution.slope_origin
-    is_high = _shot_classifier(30.0, 1e-3, 1e-12, 1e-14)
-    for s, high in ((s_star - offset, False), (s_star + offset, True)):
-        assert is_high(s) == high, s
-        assert _event_located_is_high(s) == high, s
-
-
 def test_shooting_raises_no_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        shoot_spiral_amplitude(20.0, 1e-8)
-        # at s = 1e200 the launch value rho(r0) = 1e197 classes the shot high
-        # before its first right-hand side, which would overflow
-        wide = shoot_spiral_amplitude(20.0, 1e-8, bracket=(0.1, 1e200))
-    assert abs(wide.slope_origin - 0.5831894958602174) <= 1e-12
+    # from the loosest tol to one below the BVP tolerance floor; the frozen
+    # slope itself is known to about 1e-13
+    for tol in (1e-6, 1e-8, 1e-13):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = shoot_spiral_amplitude(20.0, tol)
+        assert abs(sol.slope_origin - 0.5831894958602174) <= max(tol, 1e-12), tol
+
+
+def test_shooting_retains_no_memory_per_call():
+    # a solve must free what it allocates: a long-lived process that solves
+    # again and again must not grow
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            shoot_spiral_amplitude(20.0, 1e-8)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            shoot_spiral_amplitude(20.0, 1e-8)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / 50 < 1024, f"{retained / 50:.0f} bytes retained per call"
 
 
 def test_failed_shot_raises_numerical_error(monkeypatch):
-    # a shot that runs out of steps must not be classed at the point it stopped
-    monkeypatch.setattr(radial, "_MAX_STEPS", 5)
+    # a failed solve must not hand out its last iterate as the profile
+    monkeypatch.setattr(radial, "solve_bvp", lambda *args, **kwargs: SimpleNamespace(
+        success=False, message="The maximum number of mesh nodes is exceeded."))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match=r"slope 0\.1 .*istate -2"):
+        with pytest.raises(NumericalError, match=r"amplitude BVP .* maximum number"):
             shoot_spiral_amplitude(20.0, 1e-8)
 
 
@@ -633,8 +553,6 @@ def test_shooting_validation():
         shoot_spiral_amplitude(r_max=10.0)
     with pytest.raises(ConfigError):
         shoot_spiral_amplitude(tol=1e-3)
-    with pytest.raises(BracketError):
-        shoot_spiral_amplitude(bracket=(0.9, 1.0))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -646,12 +564,12 @@ def test_shooting_validation():
     {"r0": -1e-3},
     {"r0": 1.0},
     {"r0": math.inf},
-    {"bracket": (math.nan, 1.0)},
-    {"bracket": (0.1, math.nan)},
-    {"bracket": (0.1, math.inf)},
-    {"bracket": (-math.inf, 1.0)},
-    {"bracket": (0.0, 1.0)},
-    {"bracket": (1.0, 0.1)},
+    {"r_max": -math.inf},
+    {"r_max": 19.9},
+    {"tol": -1e-8},
+    {"tol": math.inf},
+    {"tol": 2e-6},
+    {"r0": math.nan},
     {"r0": 1e-200},  # r0 * r0 underflows in the right-hand side
 ])
 def test_shooting_rejects_bad_input(kwargs):

@@ -5,6 +5,7 @@ from perfbench/.  A deletion or rename of a wrapped name fails here instead
 of at `perfbench/run.py --trace 1`.
 """
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -14,6 +15,7 @@ import scipy.fft
 
 from eikolab import cli
 from eikolab.profiles import InhomogeneitySpec
+from eikolab.radial import CorrectionResult, ShootingSolution
 from eikolab.spectral import GridSpec2D, SimulationConfig, _hopf_cole_eigen, _step_hat
 from eikolab.spectral import make_plan
 
@@ -40,6 +42,13 @@ def test_every_traced_entry_point_resolves():
 def test_run_member_takes_a_sim_fourth():
     # the tracer's _note_a_sim reads a_sim positionally, as args[3]
     assert list(inspect.signature(cli._run_member).parameters)[3] == "a_sim"
+
+
+def test_noted_result_fields_exist():
+    # _note_iterations and _note_bisections read these fields of the results
+    # of solve_far_field_correction and shoot_spiral_amplitude
+    for result, field in ((CorrectionResult, "iterations"), (ShootingSolution, "bisections")):
+        assert field in {f.name for f in dataclasses.fields(result)}, (result, field)
 
 
 def test_quadrant_transforms_are_scipy_fft_attributes(monkeypatch):
