@@ -559,7 +559,7 @@ def cmd_compare(args) -> int:
 
 
 def _write_shooting(out: Path, names, rmax: float, tol: float, **summary):
-    """Shoot the amplitude BVP; write its profile, tail diagnostic and summary."""
+    """Solve the amplitude BVP; write its profile, tail diagnostic and summary."""
     sol = shoot_spiral_amplitude(r_max=rmax, tol=tol)
     r = sol.profile.grid.nodes
     rho = sol.profile.values
@@ -579,6 +579,7 @@ def _write_shooting(out: Path, names, rmax: float, tol: float, **summary):
 
 
 def cmd_shoot(args) -> int:
+    validate_shooting(float(args.rmax), float(args.tol))
     out = _out_dir(args.out)
     manifest = RunManifest("shoot", {"rmax": float(args.rmax), "tol": float(args.tol)})
     _write_shooting(out, ("amplitude_profile.csv", "tail_diagnostic.csv", "shoot.json"),
@@ -753,14 +754,12 @@ def _write_figure2(cfg, out: Path, members, results):
 
 def cmd_figure3(args) -> int:
     cfg = _merge_config(args, _DEFAULTS["figure3"])
+    validate_shooting(float(cfg["rmax"]), float(cfg["tol"]))
     out = _out_dir(cfg["out"])
     manifest = RunManifest("figure3", cfg)
-    if cfg["dry_run"]:
-        validate_shooting(float(cfg["rmax"]), float(cfg["tol"]))
-        manifest.finalize(out)
-        return EXIT_OK
-    _write_shooting(out, ("fig3_profile.csv", "fig3_tail.csv", "fig3.json"),
-                    float(cfg["rmax"]), float(cfg["tol"]))
+    if not cfg["dry_run"]:
+        _write_shooting(out, ("fig3_profile.csv", "fig3_tail.csv", "fig3.json"),
+                        float(cfg["rmax"]), float(cfg["tol"]))
     manifest.finalize(out)
     return EXIT_OK
 
@@ -824,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_compare)
 
-    sp = sub.add_parser("shoot", help="amplitude BVP by shooting")
+    sp = sub.add_parser("shoot", help="amplitude BVP by one collocation solve")
     sp.add_argument("--rmax", type=float, default=20.0)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--out", default="shoot_out")

@@ -410,20 +410,6 @@ def _source(ansatz: FarFieldAnsatz, dphi: np.ndarray, lap: np.ndarray) -> np.nda
     return lap - ansatz.b * dphi**2 + ansatz.frequency
 
 
-def far_field_source(ansatz: FarFieldAnsatz, r):
-    """S = Laplacian_0 phi0 - b (phi0')^2 + Omega.
-
-    Equals Omega inside the cut-off, vanishes identically past the collar
-    (K0 solves the modified Bessel equation there), nonzero only in between.
-    """
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.full_like(r, ansatz.frequency)
-    pos = r > 0.0
-    out[pos] = _source(ansatz, *_phi0_terms(ansatz, r[pos])[1:])
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class CorrectionResult:
     """Newton solve output: psi = d(phi1)/dr plus iteration diagnostics."""

@@ -146,6 +146,14 @@ def test_shoot_infinite_rmax_exits_2(tmp_path, capsys):
     assert "r_max must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["shoot", "figure3"])
+def test_shooting_refusal_leaves_no_output(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--rmax", "5", "--out", str(out)]) == EXIT_CONFIG
+    assert "r_max must be finite and >= 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shoot_integrator_failure_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("eikolab.radial.solve_bvp", lambda *args, **kwargs: SimpleNamespace(
         success=False, message="The maximum number of mesh nodes is exceeded."))

@@ -6,6 +6,7 @@ import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.fft
@@ -215,9 +216,8 @@ def test_bare_defect_values_and_strength_separation():
 
 @pytest.mark.parametrize("n,l,dt", [(64, 10.0, 0.5), (128, 2.0 * math.pi, 0.05)])
 def test_plan_tables_match_full_grid_evaluation(n, l, dt):
-    # make_plan evaluates each distinct |k|^2 of the quadrant once; a direct
-    # evaluation over the quadrant must give the same tables bit for bit, on
-    # every step of the dt ladder
+    # make_plan's tables are the phi-function weights of ETDRK4 over the
+    # quadrant's z = -|k|^2 dt, bit for bit, on every step of the dt ladder
     grid = GridSpec2D(n, l)
     _, minus_ksq = _spectral_tools(grid)
     for step in (dt * 2**j for j in range(LADDER_TOP + 1)):
@@ -235,6 +235,21 @@ def test_plan_tables_match_full_grid_evaluation(n, l, dt):
         }
         for name, table in expect.items():
             assert np.array_equal(getattr(plan, name), table), (name, step)
+
+
+def test_phi_functions_match_mpmath():
+    # phi_j(z) = (e^z - sum_{m<j} z^m / m!) / z^j in 40 digits, over the
+    # Taylor branch, the expm1 branch and the doubles either side of |z| = 1
+    z = -np.concatenate(([0.0], np.logspace(-8, 3.3, 400), np.nextafter(1.0, [0.0, 2.0]), [1.0]))
+    with mpmath.workdps(40):
+        for j, phi in enumerate(_phi_functions(z), start=1):
+            oracle = np.array([
+                float((mpmath.exp(x) - sum(mpmath.mpf(x) ** m / mpmath.factorial(m)
+                                            for m in range(j))) / mpmath.mpf(x) ** j)
+                if x else 1.0 / math.factorial(j)
+                for x in z
+            ])
+            assert np.max(np.abs(phi / oracle - 1.0)) <= 1e-15, j
 
 
 def test_plans_share_the_cached_spectral_tools():
