@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -364,18 +365,19 @@ def _sweep_members(cfg, axis: str, values) -> list:
     return members
 
 
-def _sweep(command: str, cfg, axis: str, values, write_tables,
-           plan: bool = False) -> int:
-    """The sweep engine behind sweep, figure1 and figure2.
+def _sweep(command: str, cfg, members, write_tables=None, plan: bool = False) -> int:
+    """The run engine behind simulate, sweep, figure1 and figure2.
 
-    Runs the members along `axis`, writes runs.json and flags every unsteady
-    member in the manifest, where any one fails the sweep (exit 4).
-    `write_tables(cfg, out, members, results)` then writes the command's own
-    files.  A dry run writes the manifest, and plan.json when `plan` is set.
+    Runs `members` (as _sweep_members builds them; simulate's one member has
+    the dir name "", so it runs in the output directory itself), writes
+    runs.json and flags every unsteady member in the manifest, where any one
+    fails the run (exit 4).  `write_tables(cfg, out, members, results)`, if
+    given, then writes the command's own files.  A dry run writes the
+    manifest, and plan.json when `plan` is set.
     """
-    if int(cfg["jobs"]) < 1:
-        raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
-    members = _sweep_members(cfg, axis, values)
+    jobs = int(cfg.get("jobs", 1))
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     out = _out_dir(cfg["out"])
     manifest = RunManifest(command, cfg)
     if cfg["dry_run"]:
@@ -386,12 +388,13 @@ def _sweep(command: str, cfg, axis: str, values, write_tables,
         manifest.finalize(out)
         return EXIT_OK
 
-    results = _run_members(cfg, members, out, bool(cfg["save_field"]), int(cfg["jobs"]))
+    results = _run_members(cfg, members, out, bool(cfg["save_field"]), jobs)
     write_json(out / "runs.json", [entry for entry, _ in results])
     for (*_, name), (_entry, report) in zip(members, results):
         if not report.converged:
-            manifest.flag_failure(f"{name} unsteady at t_max")
-    write_tables(cfg, out, members, results)
+            manifest.flag_failure(f"{name or 'run'} unsteady at t_max")
+    if write_tables is not None:
+        write_tables(cfg, out, members, results)
     manifest.finalize(out)
     return EXIT_PARTIAL if manifest.failures else EXIT_OK
 
@@ -426,19 +429,7 @@ def cmd_simulate(args) -> int:
     cfg = _merge_config(args, _DEFAULTS["simulate"])
     eps, p = float(cfg["eps"]), float(cfg["p"])
     _sim_config(cfg, eps, p)  # a dry run refuses what the run would
-    out = _out_dir(cfg["out"])
-    manifest = RunManifest("simulate", cfg)
-    if cfg["dry_run"]:
-        manifest.finalize(out)
-        return EXIT_OK
-    entry, report = _run_member(
-        cfg, eps, p, _member_a_sim(cfg, eps, p), out, bool(cfg["save_field"])
-    )
-    write_json(out / "runs.json", [entry])
-    if not report.converged:
-        manifest.flag_failure("run did not reach steadiness before t_max")
-    manifest.finalize(out)
-    return EXIT_OK if report.converged else EXIT_PARTIAL
+    return _sweep("simulate", cfg, [(eps, p, _member_a_sim(cfg, eps, p), "")])
 
 
 def cmd_sweep(args) -> int:
@@ -446,8 +437,8 @@ def cmd_sweep(args) -> int:
     chosen = [k for k in ("a_values", "eps_values", "p_values") if cfg[k]]
     if len(chosen) != 1:
         raise ConfigError("pass exactly one of --a-values, --eps-values, --p-values")
-    axis = chosen[0].removesuffix("_values")
-    return _sweep("sweep", cfg, axis, cfg[chosen[0]], _write_sweep_table, plan=True)
+    members = _sweep_members(cfg, chosen[0].removesuffix("_values"), cfg[chosen[0]])
+    return _sweep("sweep", cfg, members, _write_sweep_table, plan=True)
 
 
 def _write_sweep_table(cfg, out: Path, members, results):
@@ -550,10 +541,7 @@ def cmd_compare(args) -> int:
         "n_excluded": table.n_excluded,
     }
     if len(steady_pts) >= 4:
-        fit = fit_log_k_vs_inv_a(steady_pts)
-        summary["log_k_vs_inv_a"] = {
-            "slope": fit.slope, "intercept": fit.intercept, "pearson_r": fit.pearson_r,
-        }
+        summary["log_k_vs_inv_a"] = asdict(fit_log_k_vs_inv_a(steady_pts))
     write_json(out / "compare_summary.json", summary)
     return EXIT_OK
 
@@ -588,56 +576,50 @@ def cmd_shoot(args) -> int:
     return EXIT_OK
 
 
-def cmd_corrector(args) -> int:
-    out = _out_dir(args.out)
-    manifest = RunManifest("corrector", {
-        "A": float(args.A), "p": float(args.p), "eps": float(args.eps),
-        "b": float(args.b), "rmax": float(args.rmax), "n": int(args.n),
-    })
+def _split_command(args, cutoff: CutoffSpec | None = None):
+    """(spec, grid, split, manifest config, mass summary) of corrector and
+    profile, all built before either makes its output directory, so a refused
+    input leaves none."""
     spec = InhomogeneitySpec(float(args.A), float(args.p), float(args.eps))
     grid = RadialGrid.uniform(float(args.rmax), int(args.n))
-    split = split_defect(spec, grid, b=float(args.b))
-    corr = solve_corrector_K(split.g_far, b=float(args.b), grid=grid)
+    split = split_defect(spec, grid, cutoff=cutoff, b=float(args.b))
+    config = {"A": float(args.A), "p": float(args.p), "eps": float(args.eps),
+              "b": float(args.b), "rmax": float(args.rmax), "n": int(args.n)}
+    summary = {"a_signed": split.a_signed, "a_sim": split.a_sim,
+               "core_mass_integral": split.core_mass_integral}
+    return spec, grid, split, config, summary
+
+
+def cmd_corrector(args) -> int:
+    _spec, grid, split, config, summary = _split_command(args)
+    corr = solve_corrector_K(split.g_far, b=float(args.b))
+    out = _out_dir(args.out)
+    manifest = RunManifest("corrector", config)
     write_csv(
         out / "corrector.csv",
         ["r", "g_far", "K"],
         zip(grid.nodes, split.g_far.values, corr.values),
     )
-    write_json(out / "corrector.json", {
-        "a_signed": split.a_signed,
-        "a_sim": split.a_sim,
-        "core_mass_integral": split.core_mass_integral,
-        "K_at_rmax": float(corr.values[-1]),
-    })
+    write_json(out / "corrector.json", {**summary, "K_at_rmax": float(corr.values[-1])})
     manifest.finalize(out)
     return EXIT_OK
 
 
 def cmd_profile(args) -> int:
-    out = _out_dir(args.out)
-    manifest = RunManifest("profile", {
-        "A": float(args.A), "p": float(args.p), "eps": float(args.eps),
-        "b": float(args.b), "rmax": float(args.rmax), "n": int(args.n),
-        "cutoff": args.cutoff, "m": float(args.m) if args.m else None,
-    })
-    spec = InhomogeneitySpec(float(args.A), float(args.p), float(args.eps))
     cutoff = CutoffSpec(args.cutoff, m=float(args.m)) if args.cutoff == "chi_m" \
         else CutoffSpec("chi")
-    grid = RadialGrid.uniform(float(args.rmax), int(args.n))
-    split = split_defect(spec, grid, cutoff=cutoff, b=float(args.b))
-    chi = smooth_cutoff(cutoff, grid.nodes)
+    spec, grid, split, config, summary = _split_command(args, cutoff)
+    out = _out_dir(args.out)
+    manifest = RunManifest("profile", {
+        **config, "cutoff": args.cutoff, "m": float(args.m) if args.m else None,
+    })
     write_csv(
         out / "defect_profile.csv",
         ["r", "g", "chi", "g_core", "g_far"],
-        zip(grid.nodes, evaluate_g(spec, grid.nodes), chi,
+        zip(grid.nodes, evaluate_g(spec, grid.nodes), smooth_cutoff(cutoff, grid.nodes),
             split.g_core.values, split.g_far.values),
     )
-    write_json(out / "defect_profile.json", {
-        "a_signed": split.a_signed,
-        "a_sim": split.a_sim,
-        "core_mass_integral": split.core_mass_integral,
-        "truncated_at": split.truncated_at,
-    })
+    write_json(out / "defect_profile.json", {**summary, "truncated_at": split.truncated_at})
     manifest.finalize(out)
     return EXIT_OK
 
@@ -665,7 +647,7 @@ FIG1_A_VALUES = [0.15 * m for m in range(3, 20, 2)]
 def cmd_figure1(args) -> int:
     cfg = _merge_config(args, _DEFAULTS["figure1"])
     cfg["a_values"] = _floats(cfg["a_values"] or FIG1_A_VALUES)
-    return _sweep("figure1", cfg, "a", cfg["a_values"], _write_figure1)
+    return _sweep("figure1", cfg, _sweep_members(cfg, "a", cfg["a_values"]), _write_figure1)
 
 
 def _write_figure1(cfg, out: Path, members, results):
@@ -686,14 +668,8 @@ def _write_figure1(cfg, out: Path, members, results):
 
     fits = {}
     if len(steady_pts) >= 4:
-        f1 = fit_k_law(steady_pts)
-        f2 = fit_log_k_vs_inv_a(steady_pts)
-        fits = {
-            "transform_fit": {"slope": f1.slope, "intercept": f1.intercept,
-                              "pearson_r": f1.pearson_r},
-            "log_k_vs_inv_a": {"slope": f2.slope, "intercept": f2.intercept,
-                               "pearson_r": f2.pearson_r},
-        }
+        fits = {"transform_fit": asdict(fit_k_law(steady_pts)),
+                "log_k_vs_inv_a": asdict(fit_log_k_vs_inv_a(steady_pts))}
     write_json(out / "fig1b_fit.json", fits)
 
 
@@ -704,7 +680,7 @@ FIG2_PROFILE_PS = (0.3, 0.8, 1.5)
 def cmd_figure2(args) -> int:
     cfg = _merge_config(args, _DEFAULTS["figure2"])
     cfg["p_grid"] = _floats(cfg["p_grid"] or FIG2_P_GRID)
-    return _sweep("figure2", cfg, "p", cfg["p_grid"], _write_figure2)
+    return _sweep("figure2", cfg, _sweep_members(cfg, "p", cfg["p_grid"]), _write_figure2)
 
 
 def _write_figure2(cfg, out: Path, members, results):
@@ -739,7 +715,7 @@ def _write_figure2(cfg, out: Path, members, results):
     summary = {"plateau": {f"{row[0]:g}": bool(row[6]) for row in k_rows}}
     try:
         table = compare_prediction_to_runs(
-            [(entry["params"], SimpleNamespace(**entry["report"])) for entry, _ in results])
+            [(entry["params"], report) for entry, report in results])
     except StatisticsError:  # fewer than 3 runs with p > SUBCRITICAL_P, or none steady
         pass
     else:

@@ -1,4 +1,4 @@
-"""Observable extraction: azimuthal averages, wavenumber, drift, tail fits.
+"""Observable extraction: radial gradient profile, wavenumber, run reports, law fits.
 
 Everything here is a pure function of field snapshots, which are even in x
 and y and symmetric under x <-> y (spectral.to_spectrum rejects any other),
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, StatisticsError
 from .radial import RadialGrid, RadialProfile
-from .spectral import Field2D, _multiplicity, _phi_x, _spectral_tools, quadrant, to_spectrum
+from .spectral import Field2D, _multiplicity, _phi_x, _spectral_tools, to_spectrum
 
 ANNULUS_FRACTIONS = (0.35, 0.45)
 MIN_ANNULUS_CELLS = 100
@@ -58,18 +58,6 @@ def _bin_average(grid, values: np.ndarray, n_bins: int,
         bin_counts=np.concatenate(([1], counts)),
         interpolated=np.concatenate(([False], empty)),
     )
-
-
-def azimuthal_average(field: Field2D, n_bins: int = 64) -> RadialProfile:
-    """Mean of the field over circular bins out to the inscribed radius L/2.
-
-    The field must be even in x and y and x <-> y symmetric (ConfigError).  A
-    node at r = 0 holding the exact center-cell value is prepended; empty
-    bins are filled by linear interpolation and flagged.
-    """
-    values = quadrant(field.values)
-    c = field.grid.n // 2
-    return _bin_average(field.grid, values, n_bins, float(values[c, c]))
 
 
 def radial_gradient(phi: Field2D) -> np.ndarray:
@@ -154,14 +142,9 @@ class SteadyStateReport:
             out["radial_profile"] = {
                 "r": self.radial_profile.grid.nodes.tolist(),
                 "value": self.radial_profile.values.tolist(),
-                "count": None
-                if self.radial_profile.bin_counts is None
-                else np.asarray(self.radial_profile.bin_counts).tolist(),
-                "interpolated": None
-                if self.radial_profile.interpolated is None
-                else np.asarray(self.radial_profile.interpolated, dtype=bool)
-                .astype(int)
-                .tolist(),
+                "count": np.asarray(self.radial_profile.bin_counts).tolist(),
+                "interpolated": np.asarray(self.radial_profile.interpolated,
+                                           dtype=bool).astype(int).tolist(),
             }
         return out
 
@@ -231,24 +214,3 @@ def fit_log_k_vs_inv_a(points: Sequence[tuple[float, float]]) -> FitResult:
         raise DomainError("a = 0 has no -1/a abscissa")
     return _line_fit(-1.0 / a, np.log(k))
 
-
-def estimate_decay_exponent(profile: RadialProfile,
-                            window: tuple[float, float]) -> tuple[float, float]:
-    """(slope, prefactor) of the power law f ~ prefactor * r^slope on a window.
-
-    The slope of log f vs log r is returned as-is, so decaying profiles give a
-    negative exponent.  Values must be strictly positive on the window; pass
-    |f| for signed tails.
-    """
-    r1, r2 = window
-    if not 0.0 < r1 < r2:
-        raise ConfigError(f"window must satisfy 0 < r1 < r2, got {window}")
-    r = profile.grid.nodes
-    sel = (r >= r1) & (r <= r2)
-    if int(np.count_nonzero(sel)) < 2:
-        raise StatisticsError(f"fewer than 2 profile nodes inside window {window}")
-    vals = profile.values[sel]
-    if np.any(vals <= 0.0):
-        raise DomainError("profile must be strictly positive on the fit window")
-    fit = _line_fit(np.log(r[sel]), np.log(vals))
-    return fit.slope, math.exp(fit.intercept)

@@ -115,8 +115,9 @@ def smooth_cutoff(spec: CutoffSpec, r):
     return float(chi) if chi.ndim == 0 else chi
 
 
-def cutoff_derivatives(spec: CutoffSpec, r, h: float = 1e-4):
-    """(chi, chi', chi'') by centered 5-point differences; chi is C-infinity."""
+def cutoff_derivatives(spec: CutoffSpec, r):
+    """(chi, chi', chi'') by centered 5-point differences of step 1e-4; chi is C-infinity."""
+    h = 1e-4
     r = np.asarray(r, dtype=float)
     f : list[np.ndarray] = [
         np.asarray(smooth_cutoff(spec, r + k * h)) for k in (-2, -1, 0, 1, 2)

@@ -13,7 +13,6 @@ the interior).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -622,34 +621,27 @@ def _launch(s: float, r0: float):
     return (s * (r0 - r0**3 / 8.0), s * (1.0 - 3.0 * r0**2 / 8.0))
 
 
-# r0 * r0 in the right-hand side must stay a normal double: below this it
-# loses digits, and by r0 ~ 1e-162 it underflows to 0
-_R0_MIN = math.sqrt(sys.float_info.min)
+# the launch radius of the BVP and the node count of the reported profile
+_R0 = 1e-3
+_N_PROFILE = 2001
 # solve_bvp's tolerance is tol / 100, floored: at 1e-12 the collocation
 # already needs about 8900 nodes, and at 2.3e-14 it exceeds max_nodes
 _BVP_TOL_MIN = 1e-12
 
 
-def validate_shooting(r_max: float, tol: float, r0: float = 1e-3) -> None:
-    """ConfigError unless r_max >= 20, 0 < tol <= 1e-6, _R0_MIN <= r0 < 1, all finite."""
+def validate_shooting(r_max: float, tol: float) -> None:
+    """ConfigError unless r_max >= 20 and 0 < tol <= 1e-6, both finite."""
     if not (math.isfinite(r_max) and r_max >= 20.0):
         raise ConfigError(f"r_max must be finite and >= 20, got {r_max}")
     if not 0.0 < tol <= 1e-6:
         raise ConfigError(f"tol must be in (0, 1e-6], got {tol}")
-    if not _R0_MIN <= r0 < 1.0:
-        raise ConfigError(f"launch radius r0 must be in [{_R0_MIN:.4g}, 1), got {r0}")
 
 
-def shoot_spiral_amplitude(
-    r_max: float = 20.0,
-    tol: float = 1e-8,
-    r0: float = 1e-3,
-    n_profile: int = 2001,
-) -> ShootingSolution:
+def shoot_spiral_amplitude(r_max: float = 20.0, tol: float = 1e-8) -> ShootingSolution:
     """Solve rho'' + rho'/r - rho/r^2 + rho - rho^3 = 0, rho(0)=0, rho(inf)=1.
 
     One collocation solve (scipy's solve_bvp, tolerance max(tol/100, 1e-12))
-    on [r0, r_max + 10].  At r0 the regular-origin condition
+    on [r0, r_max + 10], r0 = 1e-3.  At r0 the regular-origin condition
     rho'(r0) (r0 - r0^3/8) = rho(r0) (1 - 3 r0^2/8) puts the solution on the
     origin series rho = s (r - r^3/8) + O(r^5) of some slope s; at
     r_max + 10 the three-term far-field series
@@ -666,11 +658,11 @@ def shoot_spiral_amplitude(
     s = rho(r0) / (r0 - r0^3/8), and the profile below r0 is s r.  A failed
     solve raises NumericalError; inputs are checked by `validate_shooting`.
     """
-    validate_shooting(r_max, tol, r0)
+    validate_shooting(r_max, tol)
     r_far = r_max + 10.0
     rho_far = _far_series(r_far)[0]
-    c_rho, c_drho = _launch(1.0, r0)
-    mesh = np.linspace(r0, r_far, int(10 * (r_far - r0)) + 1)
+    c_rho, c_drho = _launch(1.0, _R0)
+    mesh = np.linspace(_R0, r_far, int(10 * (r_far - _R0)) + 1)
     kink = mesh / math.sqrt(2.0)
     bvp = solve_bvp(
         _amplitude_rhs,
@@ -681,14 +673,14 @@ def shoot_spiral_amplitude(
         max_nodes=100 * mesh.size,
     )
     if not bvp.success:
-        raise NumericalError(f"amplitude BVP on [{r0:g}, {r_far:g}] failed: {bvp.message}")
+        raise NumericalError(f"amplitude BVP on [{_R0:g}, {r_far:g}] failed: {bvp.message}")
 
     slope = float(bvp.y[0, 0]) / c_rho
-    nodes = np.linspace(0.0, r_max, n_profile)
+    nodes = np.linspace(0.0, r_max, _N_PROFILE)
     vals = np.zeros_like(nodes)
-    solved = nodes >= r0
+    solved = nodes >= _R0
     vals[solved] = bvp.sol(nodes[solved])[0]
-    # fill the gap below r0 linearly (rho ~ s r there)
+    # fill the gap below _R0 linearly (rho ~ s r there)
     gap = (nodes > 0) & ~solved
     vals[gap] = slope * nodes[gap]
     profile = RadialProfile(RadialGrid(nodes), vals)

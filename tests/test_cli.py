@@ -128,6 +128,20 @@ def test_profile_chi_m_cutoff(tmp_path):
     assert all(float(r["chi"]) == 0.0 for r in tail)  # falls back to 0 past 2m
 
 
+@pytest.mark.parametrize("argv", [
+    ["corrector", "--A", "-1"],
+    ["corrector", "--n", "100"],
+    ["profile", "--p", "0"],
+    ["profile", "--cutoff", "chi_m", "--m", "1"],
+], ids=["corrector-A", "corrector-n", "profile-p", "profile-m"])
+def test_split_refusal_leaves_no_output(tmp_path, capsys, argv):
+    # corrector and profile build the defect split before their output directory
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_shoot_artifacts(tmp_path):
     out = tmp_path / "shoot"
     assert main(["shoot", "--out", str(out)]) == EXIT_OK
@@ -463,7 +477,18 @@ def test_unconverged_run_partial_exit(tmp_path):
                  "--out", str(tmp_path / "part")])
     assert code == EXIT_PARTIAL
     manifest = json.loads((tmp_path / "part" / "manifest.json").read_text())
-    assert manifest["failures"]
+    assert manifest["failures"] == ["run unsteady at t_max"]
+
+
+def test_simulate_is_a_one_member_sweep(tmp_path):
+    # simulate runs through the sweep engine, in its output directory itself
+    flags = ["--N", "64", "--L", "50", "--p", "1.5"]
+    sim, sweep = tmp_path / "sim", tmp_path / "sweep"
+    assert main(["simulate", "--eps", "1"] + flags + ["--out", str(sim)]) == EXIT_OK
+    assert main(["sweep", "--eps-values", "1"] + flags + ["--out", str(sweep)]) == EXIT_OK
+    for name in ("report.json", "profile.csv"):
+        assert (sim / name).read_bytes() == (sweep / "run_00_eps1" / name).read_bytes()
+    assert json.loads((sim / "runs.json").read_text())[0]["dir"] == "sim"
 
 
 @pytest.mark.slow

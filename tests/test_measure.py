@@ -8,18 +8,16 @@ import pytest
 from eikolab.errors import ConfigError, DomainError, StatisticsError
 from eikolab.measure import (
     SteadyStateReport,
-    azimuthal_average,
+    _bin_average,
     build_report,
     default_annulus,
-    estimate_decay_exponent,
     fit_k_law,
     fit_log_k_vs_inv_a,
     measure_wavenumber,
     radial_gradient,
     radial_gradient_profile,
 )
-from eikolab.radial import RadialGrid, RadialProfile
-from eikolab.spectral import Field2D, GridSpec2D, _mirror
+from eikolab.spectral import Field2D, GridSpec2D, _mirror, quadrant
 
 
 def _bump_field(n=128, l=40.0, sigma2=50.0):
@@ -38,7 +36,9 @@ def test_default_annulus():
 
 def test_azimuthal_average_recovers_radial_function():
     grid, field, _, _ = _bump_field()
-    prof = azimuthal_average(field, n_bins=64)
+    values = quadrant(field.values)
+    c = grid.n // 2
+    prof = _bin_average(grid, values, 64, float(values[c, c]))
     assert prof.grid.nodes[0] == 0.0
     assert prof.values[0] == pytest.approx(1.0)  # exact center cell
     r = prof.grid.nodes
@@ -51,8 +51,8 @@ def test_azimuthal_average_recovers_radial_function():
 
 def test_azimuthal_average_bin_floor():
     grid, field, _, _ = _bump_field()
-    with pytest.raises(ConfigError):
-        azimuthal_average(field, n_bins=8)
+    with pytest.raises(ConfigError, match="n_bins must be >= 16"):
+        radial_gradient_profile(field, n_bins=8)
 
 
 def test_measure_wavenumber_against_analytic_gradient():
@@ -201,23 +201,3 @@ def test_fit_log_k_domain_checks():
         fit_log_k_vs_inv_a([(0.5, 0.1), (1.0, -0.2), (1.5, 0.3), (2.0, 0.4)])
     with pytest.raises(DomainError):
         fit_log_k_vs_inv_a([(0.0, 0.1), (1.0, 0.2), (1.5, 0.3), (2.0, 0.4)])
-
-
-def test_estimate_decay_exponent_power_law():
-    grid = RadialGrid(np.linspace(1.0, 100.0, 500))
-    prof = RadialProfile(grid, 3.0 * grid.nodes**-1.5)
-    slope, pref = estimate_decay_exponent(prof, (10.0, 40.0))
-    assert slope == pytest.approx(-1.5, abs=1e-12)
-    assert pref == pytest.approx(3.0, rel=1e-10)
-
-
-def test_estimate_decay_exponent_validation():
-    grid = RadialGrid(np.linspace(1.0, 100.0, 500))
-    prof = RadialProfile(grid, np.ones(500))
-    with pytest.raises(ConfigError):
-        estimate_decay_exponent(prof, (5.0, 2.0))
-    with pytest.raises(StatisticsError):
-        estimate_decay_exponent(prof, (100.5, 101.0))
-    signed = RadialProfile(grid, np.linspace(-1.0, 1.0, 500))
-    with pytest.raises(DomainError):
-        estimate_decay_exponent(signed, (10.0, 40.0))

@@ -1,0 +1,46 @@
+"""Every public function and class of the package has a use outside tests/.
+
+A public name that only tests reach is test-only code in src/: the test
+should reach the production path instead.  The check parses the sources and
+imports nothing from scripts/ or perfbench/.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "eikolab"
+
+# module.name -> why it stays although only tests call it
+ALLOWED = {
+    "cli.verify_manifest": "the manifest oracle of the CLI tests: it re-hashes "
+                           "a run directory against its manifest.json",
+}
+
+
+def _references(paths) -> set[str]:
+    """Every name, attribute, imported name and string constant in `paths`."""
+    refs = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
+    return refs
+
+
+def test_no_public_name_is_test_only():
+    sources = sorted(PACKAGE.glob("*.py"))
+    refs = _references(sources + sorted((ROOT / "scripts").rglob("*.py"))
+                       + sorted((ROOT / "perfbench").rglob("*.py")))
+    unused = {f"{path.stem}.{node.name}" for path in sources
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in refs}
+    assert sorted(unused - set(ALLOWED)) == []
+    # an allowed name that has gained a use leaves the list
+    assert sorted(set(ALLOWED) - unused) == []

@@ -564,17 +564,11 @@ def test_shooting_validation():
     {"r_max": math.nan},
     {"tol": 0.0},
     {"tol": math.nan},
-    {"r0": 0.0},
-    {"r0": -1e-3},
-    {"r0": 1.0},
-    {"r0": math.inf},
     {"r_max": -math.inf},
     {"r_max": 19.9},
     {"tol": -1e-8},
     {"tol": math.inf},
     {"tol": 2e-6},
-    {"r0": math.nan},
-    {"r0": 1e-200},  # r0 * r0 underflows in the right-hand side
 ])
 def test_shooting_rejects_bad_input(kwargs):
     with warnings.catch_warnings():
