@@ -204,7 +204,7 @@ def _merge_config(args, defaults: dict) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, val in file_cfg.items():
-            _check_file_value(key, val)
+            _check_file_value(key, val, _flag_type(defaults[key]))
         cfg.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)
@@ -213,14 +213,18 @@ def _merge_config(args, defaults: dict) -> dict:
     return cfg
 
 
-# the values a config file may give a key of each _CONFIG_FLAGS type; a text
-# key may also hold a list (of numbers, for the *_values and p_grid keys)
+def _flag_type(default):
+    """A config key's flag type: its default's (int, float or bool), None (text) else."""
+    return type(default) if isinstance(default, (int, float)) else None
+
+
+# the values a config file may give a key of each flag type; a text key may
+# also hold a list (of numbers, for the *_values and p_grid keys)
 _FILE_TYPES = {int: (int,), float: (int, float), bool: (bool,), None: (str, list)}
 
 
-def _check_file_value(key: str, val):
-    """ConfigError unless `val` has the type the command line gives `key`."""
-    kind = dict(_CONFIG_FLAGS)[key]
+def _check_file_value(key: str, val, kind):
+    """ConfigError unless `val` has the flag type `kind` the command line gives `key`."""
     # bool is an int subclass: true/false may only set a switch
     if not isinstance(val, _FILE_TYPES[kind]) or (isinstance(val, bool) and kind is not bool):
         name = "text" if kind is None else kind.__name__
@@ -546,34 +550,34 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _write_shooting(out: Path, names, rmax: float, tol: float, **summary):
-    """Solve the amplitude BVP; write its profile, tail diagnostic and summary."""
-    sol = shoot_spiral_amplitude(r_max=rmax, tol=tol)
-    r = sol.profile.grid.nodes
-    rho = sol.profile.values
-    profile_csv, tail_csv, summary_json = names
-    write_csv(out / profile_csv, ["r", "rho"], zip(r, rho))
-    sel = r > 0
-    write_csv(
-        out / tail_csv,
-        ["r", "r2_one_minus_rho_sq"],
-        zip(r[sel], r[sel] ** 2 * (1.0 - rho[sel] ** 2)),
-    )
-    write_json(out / summary_json, {
-        "slope_origin": sol.slope_origin,
-        "tail_residual": sol.tail_residual,
-        **summary,
-    })
+def _shoot(command: str, cfg, manifest_config: dict, names, **summary) -> int:
+    """The body of shoot and figure3: check cfg's rmax and tol, make its out
+    directory, then (unless cfg is a dry run) solve the amplitude BVP and
+    write its profile, tail diagnostic and summary under `names`."""
+    rmax, tol = float(cfg["rmax"]), float(cfg["tol"])
+    validate_shooting(rmax, tol)
+    out = _out_dir(cfg["out"])
+    manifest = RunManifest(command, manifest_config)
+    if not cfg.get("dry_run"):
+        sol = shoot_spiral_amplitude(r_max=rmax, tol=tol)
+        r = sol.profile.grid.nodes
+        rho = sol.profile.values
+        profile_csv, tail_csv, summary_json = names
+        write_csv(out / profile_csv, ["r", "rho"], zip(r, rho))
+        sel = r > 0
+        write_csv(out / tail_csv, ["r", "r2_one_minus_rho_sq"],
+                  zip(r[sel], r[sel] ** 2 * (1.0 - rho[sel] ** 2)))
+        write_json(out / summary_json, {"slope_origin": sol.slope_origin,
+                                        "tail_residual": sol.tail_residual, **summary})
+    manifest.finalize(out)
+    return EXIT_OK
 
 
 def cmd_shoot(args) -> int:
-    validate_shooting(float(args.rmax), float(args.tol))
-    out = _out_dir(args.out)
-    manifest = RunManifest("shoot", {"rmax": float(args.rmax), "tol": float(args.tol)})
-    _write_shooting(out, ("amplitude_profile.csv", "tail_diagnostic.csv", "shoot.json"),
-                    float(args.rmax), float(args.tol), r_max=float(args.rmax))
-    manifest.finalize(out)
-    return EXIT_OK
+    config = {"rmax": float(args.rmax), "tol": float(args.tol)}
+    return _shoot("shoot", {**config, "out": args.out}, config,
+                  ("amplitude_profile.csv", "tail_diagnostic.csv", "shoot.json"),
+                  r_max=config["rmax"])
 
 
 def _split_command(args, cutoff: CutoffSpec | None = None):
@@ -628,7 +632,12 @@ def cmd_special(args) -> int:
     if args.z:
         zs = _floats(args.z)
     else:
-        zs = np.geomspace(float(args.z_min), float(args.z_max), int(args.n)).tolist()
+        z_min, z_max, n = float(args.z_min), float(args.z_max), int(args.n)
+        if not (0.0 < z_min < math.inf and 0.0 < z_max < math.inf):
+            raise ConfigError(f"z_min and z_max must be finite and > 0, got {z_min}, {z_max}")
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got {n}")
+        zs = np.geomspace(z_min, z_max, n).tolist()
     rows = []
     for z in zs:
         ev = bessel_eval(z)
@@ -730,36 +739,17 @@ def _write_figure2(cfg, out: Path, members, results):
 
 def cmd_figure3(args) -> int:
     cfg = _merge_config(args, _DEFAULTS["figure3"])
-    validate_shooting(float(cfg["rmax"]), float(cfg["tol"]))
-    out = _out_dir(cfg["out"])
-    manifest = RunManifest("figure3", cfg)
-    if not cfg["dry_run"]:
-        _write_shooting(out, ("fig3_profile.csv", "fig3_tail.csv", "fig3.json"),
-                        float(cfg["rmax"]), float(cfg["tol"]))
-    manifest.finalize(out)
-    return EXIT_OK
+    return _shoot("figure3", cfg, cfg, ("fig3_profile.csv", "fig3_tail.csv", "fig3.json"))
 
 
 # ------------------------------------------------------------------ parser
 
 
-# the flags of the config-file commands in --help order, with their types
-# (None keeps the text); a command gets each flag whose key is in its defaults
-_CONFIG_FLAGS = (
-    ("out", None), ("N", int), ("L", float), ("dt", float), ("b", float),
-    ("t_max", float), ("steady_tol", float), ("rmax", float), ("tol", float),
-    ("save_field", bool), ("dry_run", bool), ("A", float), ("p", float),
-    ("eps", float), ("a_values", None), ("eps_values", None), ("p_values", None),
-    ("p_grid", None), ("jobs", int),
-)
-
-
 def _add_config_command(sub, name: str, help_text: str, func):
     sp = sub.add_parser(name, help=help_text)
     sp.add_argument("--config", help="JSON or TOML file with flat config keys")
-    for key, kind in _CONFIG_FLAGS:
-        if key not in _DEFAULTS[name]:
-            continue
+    for key, default in _DEFAULTS[name].items():
+        kind = _flag_type(default)
         flag = "--" + key.replace("_", "-")
         if kind is bool:
             sp.add_argument(flag, dest=key, action="store_true", default=False)

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigError, DivergentMassError, ResolutionError
-from .radial import RadialGrid, RadialProfile
+from .radial import RadialGrid, RadialProfile, cumulative_integral
 
 # Tails g ~ r^-m with m = 2p <= 1 lie outside the paper's theorem (m in (1, 2]),
 # so no law is predicted for them.  The model still locks such runs (in 2D
@@ -49,6 +48,9 @@ class InhomogeneitySpec:
             )
         if not self.strength >= 0.0:
             raise ConfigError(f"strength must be >= 0, got {self.strength}")
+        for name in ("amplitude", "decay_exponent", "strength"):
+            if math.isinf(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +135,17 @@ def split_defect(
     cutoff: CutoffSpec | None = None,
     b: float = 1.0,
 ) -> DefectSplit:
-    """Split g into core and far parts on the grid and compute the matching constant."""
+    """Split g into core and far parts on the grid and compute the matching constant.
+
+    The core mass is the integral of (1 - chi) g r dr over the whole grid by
+    panel Gauss-Legendre (`cumulative_integral`).  For chi the integrand is
+    exactly 0 past r = 2; for chi_m, whose (1 - chi_m) regrows past m, the
+    integral is truncated at the grid's end, recorded as truncated_at.
+    """
     cutoff = cutoff or CutoffSpec("chi")
     nodes = grid.nodes
+    if not (grid.has_origin and grid.r_max >= 2.0):
+        raise ConfigError("split grid must span [0, 2], the core's support")
     # collar resolution gate: the cut-off varies on [1, 2]
     n_collar = int(np.count_nonzero((nodes >= 1.0) & (nodes <= 2.0)))
     if n_collar < 8:
@@ -144,29 +154,15 @@ def split_defect(
         )
     g_all = evaluate_g(spec, nodes)
     chi = smooth_cutoff(cutoff, nodes)
-    g_core = RadialProfile(grid, (1.0 - chi) * g_all)
-    g_far = RadialProfile(grid, chi * g_all)
-
-    def integrand(r: float) -> float:
-        return (1.0 - smooth_cutoff(cutoff, r)) * evaluate_g(spec, r) * r
-
-    if cutoff.kind == "chi":
-        hi, truncated_at = 2.0, None
-    else:
-        # (1 - chi_m) regrows past m; integrate over the grid extent only
-        hi, truncated_at = float(nodes[-1]), float(nodes[-1])
-    mass, _ = integrate.quad(
-        integrand, 0.0, hi, epsabs=1e-10, epsrel=1e-10, limit=200,
-        points=[1.0, 2.0] if hi > 2.0 else None,
-    )
-    a_signed = -b * mass
+    mass = float(cumulative_integral(
+        lambda r: (1.0 - smooth_cutoff(cutoff, r)) * evaluate_g(spec, r) * r, nodes)[-1])
     return DefectSplit(
-        g_core=g_core,
-        g_far=g_far,
+        g_core=RadialProfile(grid, (1.0 - chi) * g_all),
+        g_far=RadialProfile(grid, chi * g_all),
         core_mass_integral=mass,
-        a_signed=a_signed,
-        a_sim=abs(a_signed),
-        truncated_at=truncated_at,
+        a_signed=-b * mass,
+        a_sim=abs(b * mass),
+        truncated_at=float(nodes[-1]) if cutoff.kind == "chi_m" else None,
     )
 
 

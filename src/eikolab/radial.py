@@ -284,9 +284,12 @@ def radial_laplacian_fd(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
 def solve_corrector_K(g_far, b: float, grid: RadialGrid | None = None) -> RadialProfile:
     """Solve Laplacian_0 K = -b g_far with K(1) = 0.
 
-    K(r) = -b * integral_1^r (1/s) m(s) ds with m(s) = integral_0^s g_far t dt.
-    g_far may be a RadialProfile (grid taken from it) or a callable with an
-    explicit grid.  The source must vanish on [0, 1).
+    K(r) = -b * integral_1^r (1/s) m(s) ds with m(s) = integral_0^s g_far t dt,
+    taken by parts: K(r) = -b (m(r) log r - (n(r) - n(1))) with
+    n(s) = integral_0^s g_far t log t dt.  m and n are two cumulative_integral
+    passes; n(1) is interpolated linearly between the nodes, exact when r = 1
+    is a node.  g_far may be a RadialProfile (grid taken from it) or a
+    callable with an explicit grid.  The source must vanish on [0, 1).
     """
     if isinstance(g_far, RadialProfile):
         grid = g_far.grid
@@ -301,12 +304,13 @@ def solve_corrector_K(g_far, b: float, grid: RadialGrid | None = None) -> Radial
     if grid.r_max <= 1.0:
         raise ConfigError("corrector grid must extend past r = 1")
 
-    m_nodes = cumulative_integral(lambda s: _on_panel_nodes(g_far, s, "g_far") * s, nodes)
-    m_panels = _at_panel_nodes(CubicSpline(nodes, m_nodes))
-    # m(s)/s at the panel nodes, all of which are > 0
-    k_raw = -b * cumulative_integral(lambda s: m_panels / s, nodes)
-    k_raw -= CubicSpline(nodes, k_raw)(1.0)
-    return RadialProfile(grid, k_raw)
+    xs, _ = _panel_nodes(nodes[:-1], nodes[1:])
+    gs = _on_panel_nodes(g_far, xs, "g_far") * xs
+    m = cumulative_integral(lambda _: gs, nodes)
+    n = cumulative_integral(lambda _: gs * np.log(xs), nodes)
+    # m(0) = 0, so log r may read 0 at the origin
+    log_r = np.log(nodes, out=np.zeros_like(nodes), where=nodes > 0.0)
+    return RadialProfile(grid, -b * (m * log_r - (n - np.interp(1.0, nodes, n))))
 
 
 # ------------------------------------------------------------- L_lam inverse
@@ -609,18 +613,6 @@ def _amplitude_rhs(r, y):
     return (drho, rho / (r * r) - drho / r - rho + rho**3)
 
 
-def _far_series(r):
-    """Three-term far-field series (rho, rho') of the rho(inf) = 1 solution."""
-    rho = 1.0 - sum(c / r ** (2 * k + 2) for k, c in enumerate(_FAR_SERIES))
-    drho = sum((2 * k + 2) * c / r ** (2 * k + 3) for k, c in enumerate(_FAR_SERIES))
-    return rho, drho
-
-
-def _launch(s: float, r0: float):
-    """(rho, rho') at r0 from the origin series rho = s (r - r^3/8) + O(r^5)."""
-    return (s * (r0 - r0**3 / 8.0), s * (1.0 - 3.0 * r0**2 / 8.0))
-
-
 # the launch radius of the BVP and the node count of the reported profile
 _R0 = 1e-3
 _N_PROFILE = 2001
@@ -660,8 +652,9 @@ def shoot_spiral_amplitude(r_max: float = 20.0, tol: float = 1e-8) -> ShootingSo
     """
     validate_shooting(r_max, tol)
     r_far = r_max + 10.0
-    rho_far = _far_series(r_far)[0]
-    c_rho, c_drho = _launch(1.0, _R0)
+    rho_far = 1.0 - sum(c / r_far ** (2 * k + 2) for k, c in enumerate(_FAR_SERIES))
+    # the origin series rho = s (r - r^3/8) + O(r^5) and its slope at r0, per unit s
+    c_rho, c_drho = _R0 - _R0**3 / 8.0, 1.0 - 3.0 * _R0**2 / 8.0
     mesh = np.linspace(_R0, r_far, int(10 * (r_far - _R0)) + 1)
     kink = mesh / math.sqrt(2.0)
     bvp = solve_bvp(

@@ -59,6 +59,8 @@ class GridSpec2D:
             raise ConfigError(f"n must be a power of two >= 64, got {self.n}")
         if not self.l > 0:
             raise ConfigError(f"l must be > 0, got {self.l}")
+        if math.isinf(self.l):
+            raise ConfigError(f"l must be finite, got {self.l}")
 
     @property
     def dx(self) -> float:
@@ -307,14 +309,15 @@ class SimulationConfig:
     steady_tol: float = 1e-5
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be > 0, got {self.dt}")
-        if not self.b > 0:
-            raise ConfigError(f"b must be > 0, got {self.b}")
-        if not self.t_max > 0:
-            raise ConfigError(f"t_max must be > 0, got {self.t_max}")
-        if not self.steady_tol > 0:
-            raise ConfigError(f"steady_tol must be > 0, got {self.steady_tol}")
+        for name in ("dt", "b", "t_max", "steady_tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+            if math.isinf(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        # the time budget counts ceil(t_max / dt) steps of dt
+        if math.isinf(self.t_max / self.dt):
+            raise ConfigError(f"t_max / dt must be finite, got {self.t_max} / {self.dt}")
 
 
 # Nested iteration (the full-multigrid start): a grid that resolves the unit

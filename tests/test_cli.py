@@ -49,6 +49,15 @@ def test_special_explicit_values(tmp_path):
         assert float(row["k1"]) == ev.k1
 
 
+@pytest.mark.parametrize("argv", [["--z-min", "0"], ["--z-max", "0"], ["--n", "-1"]],
+                         ids=["z_min", "z_max", "n"])
+def test_special_bad_grid_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "k.csv"
+    assert main(["special", *argv, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_special_default_grid(tmp_path):
     out = tmp_path / "grid.csv"
     assert main(["special", "--out", str(out)]) == EXIT_OK
@@ -133,7 +142,8 @@ def test_profile_chi_m_cutoff(tmp_path):
     ["corrector", "--n", "100"],
     ["profile", "--p", "0"],
     ["profile", "--cutoff", "chi_m", "--m", "1"],
-], ids=["corrector-A", "corrector-n", "profile-p", "profile-m"])
+    ["profile", "--rmax", "1.5"],
+], ids=["corrector-A", "corrector-n", "profile-p", "profile-m", "profile-rmax"])
 def test_split_refusal_leaves_no_output(tmp_path, capsys, argv):
     # corrector and profile build the defect split before their output directory
     out = tmp_path / "out"
@@ -151,6 +161,20 @@ def test_shoot_artifacts(tmp_path):
     tail = read_csv(out / "tail_diagnostic.csv")
     last = tail[-1]
     assert float(last["r2_one_minus_rho_sq"]) == pytest.approx(1.0, abs=0.3)
+
+
+def test_figure3_is_a_preset_of_shoot(tmp_path):
+    # one command body: the same profile and tail bytes under each command's
+    # file names, and fig3.json is shoot.json without r_max
+    shoot, fig3 = tmp_path / "shoot", tmp_path / "fig3"
+    assert main(["shoot", "--out", str(shoot)]) == EXIT_OK
+    assert main(["figure3", "--out", str(fig3)]) == EXIT_OK
+    for ours, theirs in (("amplitude_profile.csv", "fig3_profile.csv"),
+                         ("tail_diagnostic.csv", "fig3_tail.csv")):
+        assert (shoot / ours).read_bytes() == (fig3 / theirs).read_bytes()
+    summary = json.loads((shoot / "shoot.json").read_text())
+    assert summary.pop("r_max") == 20.0
+    assert summary == json.loads((fig3 / "fig3.json").read_text())
 
 
 def test_shoot_infinite_rmax_exits_2(tmp_path, capsys):
@@ -285,10 +309,20 @@ def test_r_cut_config_key_is_gone(tmp_path, capsys, command):
     ["figure1", "--dt", "0"],
     ["figure1", "--N", "100"],
     ["sweep", "--N", "64", "--L", "50", "--p-values", "0.8,-1"],
-], ids=["simulate-p", "simulate-N", "figure1-dt", "figure1-N", "sweep-p"])
+    ["simulate", "--t-max", "inf"],
+    ["simulate", "--dt", "1e-320"],
+    ["simulate", "--L", "inf"],
+    ["simulate", "--eps", "inf"],
+    ["simulate", "--b", "inf"],
+    ["figure1", "--a-values", "inf"],
+    ["sweep", "--p-values", "inf"],
+], ids=["simulate-p", "simulate-N", "figure1-dt", "figure1-N", "sweep-p",
+        "simulate-t_max-inf", "simulate-t_max-over-dt-inf", "simulate-L-inf",
+        "simulate-eps-inf", "simulate-b-inf", "figure1-a-inf", "sweep-p-inf"])
 def test_a_bad_member_is_refused_before_any_run(tmp_path, capsys, argv, dry_run):
     # every member's SimulationConfig is built before any directory or run,
-    # so a dry run refuses what the run would and no member directory is left
+    # so a dry run refuses what the run would and no member directory is left;
+    # a non-finite input is refused like a negative one
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")

@@ -154,6 +154,58 @@ def test_split_coarse_grid_rejected():
         split_defect(InhomogeneitySpec(1.0, 0.8), grid)
 
 
+def test_split_grid_must_span_the_core():
+    # the core mass integrates (1 - chi) g r dr over the grid, so the grid
+    # must hold the core's support [0, 2]
+    for nodes in (np.linspace(0.5, 12.0, 1151), np.linspace(0.0, 1.9, 191)):
+        with pytest.raises(ConfigError):
+            split_defect(InhomogeneitySpec(1.0, 0.8), RadialGrid(nodes))
+
+
+def _mpmath_core_mass(spec: InhomogeneitySpec, cutoff: CutoffSpec, r_end: float) -> float:
+    """40-digit quadrature of (1 - chi) g r dr over [0, r_end], split at the cut-off's junctions."""
+    def step(x):
+        if x <= 0:
+            return 0
+        if x >= 1:
+            return 1
+        e1, e2 = mpmath.exp(-1 / x), mpmath.exp(-1 / (1 - x))
+        return e1 / (e1 + e2)
+
+    m = cutoff.m
+    with mpmath.workdps(40):
+        def integrand(r):
+            chi = step(r - 1) * (1 if m is None else 1 - step(r / m - 1))
+            g = spec.strength * spec.amplitude * (1 + r * r) ** -mpmath.mpf(spec.decay_exponent)
+            return (1 - chi) * g * r
+
+        junctions = [1, 2] if m is None else [1, 2, m, 2 * m]
+        return float(mpmath.quad(integrand, [0] + [x for x in junctions if x < r_end] + [r_end]))
+
+
+# (r_max, n) of the profile and corrector commands' default grids, and the
+# coarsest uniform grid the collar gate admits: 8 nodes in [1, 2] (h = 1/7).
+# Ten Gauss-Legendre nodes per panel resolve the C-infinity collar to about
+# 1e-16 on the default grids and to 1.8e-12 (p = 1.5) on the coarsest one.
+@pytest.mark.parametrize("r_max, n, bound", [
+    (20.0, 2001, 1e-14), (200.0, 4001, 1e-14), (20.0, 141, 1e-11),
+], ids=["profile-grid", "corrector-grid", "coarsest-grid"])
+@pytest.mark.parametrize("p, m", [(0.8, None), (1.0, None), (1.5, None), (0.8, 8.0)],
+                         ids=["chi-p0.8", "chi-p1", "chi-p1.5", "chi_m-p0.8"])
+def test_split_core_mass_matches_mpmath_quadrature(r_max, n, bound, p, m):
+    grid = RadialGrid.uniform(r_max, n)
+    if n == 141:
+        assert np.count_nonzero((grid.nodes >= 1.0) & (grid.nodes <= 2.0)) == 8
+        with pytest.raises(ResolutionError):  # one node fewer is refused
+            split_defect(InhomogeneitySpec(1.0, p), RadialGrid.uniform(r_max, n - 1))
+    spec = InhomogeneitySpec(1.5, p, 0.5)
+    cutoff = CutoffSpec("chi") if m is None else CutoffSpec("chi_m", m)
+    sp = split_defect(spec, grid, cutoff)
+    oracle = _mpmath_core_mass(spec, cutoff, grid.r_max)
+    assert abs(sp.core_mass_integral - oracle) <= bound * oracle
+    assert sp.truncated_at == (None if m is None else grid.r_max)
+
+
 # ------------------------------------------------------------------ mass
 
 

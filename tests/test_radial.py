@@ -158,7 +158,23 @@ def test_corrector_exact_c1_source():
         g_of = r**-2.0 / 4.0 - 2.0 * r**-3.0 / 9.0 + r**-4.0 / 16.0
         exact = -b * (g_of - 13.0 / 144.0 + np.log(r) / 12.0)
         got = prof.values[grid.nodes >= 1.0]
-        assert np.max(np.abs(got - exact)) < 1e-8
+        assert np.max(np.abs(got - exact)) < 1e-13
+
+
+def test_corrector_exact_log_squared_tail():
+    # g_far = s^-2 on [1, inf) with a node at 1: m(r) = log r and
+    # n(r) = (log r)^2 / 2, so K = -(log r)^2 / 2 outside and 0 inside
+    grid = RadialGrid.uniform(220.0, 8801)
+
+    def tail(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s >= 1.0, 1.0 / np.maximum(s, 1.0) ** 2, 0.0)
+
+    prof = solve_corrector_K(tail, b=1.0, grid=grid)
+    r = grid.nodes
+    outside = r >= 1.0
+    assert np.max(np.abs(prof.values[outside] + 0.5 * np.log(r[outside]) ** 2)) <= 1e-12
+    assert np.all(prof.values[r <= 1.0] == 0.0)
 
 
 def test_corrector_gauge_and_inner_behavior():
