@@ -310,7 +310,7 @@ def _run_member(cfg, eps: float, p: float, a_sim: float, member_dir: Path,
         ),
     )
     if save_field:
-        write_field_snapshot(phi, member_dir / "field")
+        write_field_snapshot(sim.grid, phi, member_dir / "field")
     params = {
         "A": float(cfg["A"]),
         "p": float(p),
@@ -454,16 +454,16 @@ def _write_sweep_table(cfg, out: Path, members, results):
 
 
 def cmd_measure(args) -> int:
-    phi = read_field_snapshot(args.field)
+    grid, phi = read_field_snapshot(args.field)
     annulus = None
     if args.annulus:
         vals = _floats(args.annulus)
         if len(vals) != 2:
             raise ConfigError("--annulus takes r_in,r_out")
         annulus = (vals[0], vals[1])
-    radial = radial_gradient(phi)
-    k = measure_wavenumber(phi, annulus, radial)
-    prof = radial_gradient_profile(phi, n_bins=args.n_bins, radial=radial)
+    radial = radial_gradient(grid, phi)
+    k = measure_wavenumber(grid, radial, annulus)
+    prof = radial_gradient_profile(grid, radial, n_bins=args.n_bins)
     payload = {
         "k_measured": k,
         "annulus": list(annulus) if annulus else CONVENTIONS["annulus_fractions"],

@@ -1,11 +1,12 @@
 """Observable extraction: radial gradient profile, wavenumber, run reports, law fits.
 
-Everything here is a pure function of field snapshots, which are even in x
-and y and symmetric under x <-> y (spectral.to_spectrum rejects any other),
-so fields are measured on the stepper's quadrant [:n/2+1, :n/2+1], each cell
-weighted by the full-grid cells it stands for.  The wavenumber estimate is
-the annulus mean of the radial component of the spectral gradient, taken
-once per report from the quadrant's DCT-I spectrum; the sweep law
+Everything here is a pure function of a field's quadrant [:n/2+1, :n/2+1]
+of values, as a run ends with it and as a snapshot is read back (the
+reader rejects a field that is not even in x and y and symmetric under
+x <-> y), each cell weighted by the full-grid cells it stands for.  The
+wavenumber estimate is the annulus mean of the radial component of the
+spectral gradient, taken once per report from the quadrant's DCT-I
+spectrum; the sweep law
 k = C exp(-1/a) is probed two ways, through y = 1/(log k - 1) against a and
 log k against -1/a.
 """
@@ -16,10 +17,11 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigError, DomainError, StatisticsError
 from .radial import RadialGrid, RadialProfile
-from .spectral import Field2D, _multiplicity, _phi_x, _spectral_tools, to_spectrum
+from .spectral import _multiplicity, _phi_x, _spectral_tools
 
 ANNULUS_FRACTIONS = (0.35, 0.45)
 MIN_ANNULUS_CELLS = 100
@@ -60,14 +62,12 @@ def _bin_average(grid, values: np.ndarray, n_bins: int,
     )
 
 
-def radial_gradient(phi: Field2D) -> np.ndarray:
-    """The radial component of the spectral gradient on the quadrant
-    [:n/2+1, :n/2+1], 0 at the center; ConfigError unless phi is even in x
-    and y and x <-> y symmetric (see spectral.to_spectrum)."""
-    grid = phi.grid
+def radial_gradient(grid, phi: np.ndarray) -> np.ndarray:
+    """The radial component of the spectral gradient of the quadrant field
+    phi [:n/2+1, :n/2+1], on that quadrant, 0 at the center."""
     m = grid.n // 2
     px = np.zeros((m + 1, m + 1))
-    px[1:m] = _phi_x(to_spectrum(phi.values), _spectral_tools(grid)[0])
+    px[1:m] = _phi_x(scipy.fft.dctn(phi, type=1), _spectral_tools(grid)[0])
     offset = grid.axes()[: m + 1] - grid.center()[0]
     r = grid.radius_grid()
     # phi_y is phi_x transposed
@@ -76,18 +76,15 @@ def radial_gradient(phi: Field2D) -> np.ndarray:
         return np.where(r > 0, radial / np.where(r > 0, r, 1.0), 0.0)
 
 
-def radial_gradient_profile(phi: Field2D, n_bins: int = 64,
-                            radial: np.ndarray | None = None) -> RadialProfile:
-    """Azimuthal average of radial_gradient(phi), or of radial if given."""
-    radial = radial_gradient(phi) if radial is None else radial
+def radial_gradient_profile(grid, radial: np.ndarray, n_bins: int = 64) -> RadialProfile:
+    """Azimuthal average of the quadrant's radial gradient (see radial_gradient)."""
     # the radial derivative vanishes at the center by symmetry
-    return _bin_average(phi.grid, radial, n_bins, 0.0)
+    return _bin_average(grid, radial, n_bins, 0.0)
 
 
-def measure_wavenumber(field: Field2D, annulus: tuple[float, float] | None = None,
-                       radial: np.ndarray | None = None) -> float:
-    """Mean of radial_gradient(field), or of radial if given, over an annulus."""
-    grid = field.grid
+def measure_wavenumber(grid, radial: np.ndarray,
+                       annulus: tuple[float, float] | None = None) -> float:
+    """Mean of the quadrant's radial gradient (see radial_gradient) over an annulus."""
     if annulus is None:
         annulus = default_annulus(grid)
     r_in, r_out = annulus
@@ -103,7 +100,6 @@ def measure_wavenumber(field: Field2D, annulus: tuple[float, float] | None = Non
         raise StatisticsError(
             f"annulus {annulus} holds only {n_cells} cells (< {MIN_ANNULUS_CELLS})"
         )
-    radial = radial_gradient(field) if radial is None else radial
     return float(np.average(radial[sel], weights=weight))
 
 
@@ -149,15 +145,15 @@ class SteadyStateReport:
         return out
 
 
-def build_report(phi: Field2D, **run) -> SteadyStateReport:
-    """The run record of phi: k over the default annulus and the radial
-    gradient profile are measured here (from one gradient), every other
-    SteadyStateReport field is passed through by name."""
-    annulus = default_annulus(phi.grid)
-    radial = radial_gradient(phi)
-    return SteadyStateReport(k_measured=measure_wavenumber(phi, annulus, radial),
+def build_report(grid, phi: np.ndarray, **run) -> SteadyStateReport:
+    """The run record of the quadrant field phi: k over the default annulus
+    and the radial gradient profile are measured here (from one gradient),
+    every other SteadyStateReport field is passed through by name."""
+    annulus = default_annulus(grid)
+    radial = radial_gradient(grid, phi)
+    return SteadyStateReport(k_measured=measure_wavenumber(grid, radial, annulus),
                              annulus=annulus,
-                             radial_profile=radial_gradient_profile(phi, radial=radial), **run)
+                             radial_profile=radial_gradient_profile(grid, radial), **run)
 
 
 # ------------------------------------------------------------------ fitting

@@ -316,8 +316,8 @@ def solve_corrector_K(g_far, b: float, grid: RadialGrid | None = None) -> Radial
 # ------------------------------------------------------------- L_lam inverse
 
 
-def apply_inverse_L_lambda(f, lam: float, grid: RadialGrid | None = None) -> RadialProfile:
-    """u = L_lam^{-1} f with L_lam = d/dr + 1/r + lam, lam > 0.
+def apply_inverse_L_lambda(f: RadialProfile, lam: float) -> RadialProfile:
+    """u = L_lam^{-1} f with L_lam = d/dr + 1/r + lam, lam > 0, on f's grid.
 
     u(r) = (1/r) e^{-lam r} integral_0^r e^{lam s} f(s) s ds, accumulated
     panelwise with the factor e^{lam (s - r_panel_end)} kept inside each panel
@@ -325,10 +325,7 @@ def apply_inverse_L_lambda(f, lam: float, grid: RadialGrid | None = None) -> Rad
     """
     if not lam > 0.0:
         raise DomainError(f"L_lambda inverse needs lam > 0, got {lam}")
-    if isinstance(f, RadialProfile):
-        grid = f.grid
-    elif grid is None:
-        raise ConfigError("callable source needs an explicit grid")
+    grid = f.grid
     if not grid.has_origin:
         raise ConfigError("L_lambda inverse integrates from the origin; "
                           "the grid must start at r = 0")
@@ -336,7 +333,8 @@ def apply_inverse_L_lambda(f, lam: float, grid: RadialGrid | None = None) -> Rad
 
     xs, ws = _panel_nodes(nodes[:-1], nodes[1:])
     # integral over panel i of e^{lam (s - nodes[i+1])} f(s) s ds; exponent <= 0
-    panel = np.sum(np.exp(lam * (xs - nodes[1:, None])) * _on_panel_nodes(f, xs) * xs * ws, axis=1)
+    fs = _at_panel_nodes(f.interpolator())
+    panel = np.sum(np.exp(lam * (xs - nodes[1:, None])) * fs * xs * ws, axis=1)
     # acc[i] = e^{-lam r_i} integral_0^{r_i} e^{lam s} f s ds
     acc = _decay_scan(panel, nodes, lam)
     u = np.empty_like(nodes)
@@ -424,13 +422,17 @@ class CorrectionResult:
     residual_sup: float
 
 
+# the Newton sweeps stop once the sup of an update is below FAR_FIELD_TOL,
+# and give up unconverged after FAR_FIELD_MAX_ITER of them
+FAR_FIELD_TOL = 1e-8
+FAR_FIELD_MAX_ITER = 200
+
+
 def solve_far_field_correction(
     ansatz: FarFieldAnsatz,
     g=None,
     eps: float = 0.0,
     grid: RadialGrid | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> CorrectionResult:
     """Newton solve of the first-order correction equation.
 
@@ -509,7 +511,7 @@ def solve_far_field_correction(
     shrink = 0
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, FAR_FIELD_MAX_ITER + 1):
         delta = newton_step(psi)
         if not np.all(np.isfinite(delta)):
             raise NonContractionError(
@@ -533,7 +535,7 @@ def solve_far_field_correction(
                 "fixed-point iteration diverged; reduce eps",
                 last_iterate=RadialProfile(grid, psi),
             )
-        if diff < tol:
+        if diff < FAR_FIELD_TOL:
             converged = True
             break
 
@@ -622,9 +624,12 @@ _BVP_TOL_MIN = 1e-12
 
 
 def validate_shooting(r_max: float, tol: float) -> None:
-    """ConfigError unless r_max >= 20 and 0 < tol <= 1e-6, both finite."""
-    if not (math.isfinite(r_max) and r_max >= 20.0):
-        raise ConfigError(f"r_max must be finite and >= 20, got {r_max}")
+    """ConfigError unless 20 <= r_max <= 1e4 and 0 < tol <= 1e-6.
+
+    The BVP mesh has ten nodes per unit length, so r_max bounds its cost:
+    r_max = 1e4 took 2.6 s and a 261 MB peak RSS on a 2-vCPU machine."""
+    if not 20.0 <= r_max <= 1e4:
+        raise ConfigError(f"r_max must be finite and >= 20 and <= 1e4, got {r_max}")
     if not 0.0 < tol <= 1e-6:
         raise ConfigError(f"tol must be in (0, 1e-6], got {tol}")
 
@@ -657,11 +662,12 @@ def shoot_spiral_amplitude(r_max: float = 20.0, tol: float = 1e-8) -> ShootingSo
     c_rho, c_drho = _R0 - _R0**3 / 8.0, 1.0 - 3.0 * _R0**2 / 8.0
     mesh = np.linspace(_R0, r_far, int(10 * (r_far - _R0)) + 1)
     kink = mesh / math.sqrt(2.0)
+    # cosh overflows past 710; the guess cosh^-2 is 0 there either way
     bvp = solve_bvp(
         _amplitude_rhs,
         lambda ya, yb: np.array([ya[1] * c_rho - ya[0] * c_drho, yb[0] - rho_far]),
         mesh,
-        np.vstack((np.tanh(kink), np.cosh(kink) ** -2 / math.sqrt(2.0))),
+        np.vstack((np.tanh(kink), np.cosh(np.minimum(kink, 700.0)) ** -2 / math.sqrt(2.0))),
         tol=max(tol / 100.0, _BVP_TOL_MIN),
         max_nodes=100 * mesh.size,
     )

@@ -2,10 +2,11 @@
 
 The box is square and the defect centred and radial, so every field stepped
 is even in x and y and symmetric under x <-> y: the one stepper path holds
-the real DCT-I spectrum of the quadrant [:n/2+1, :n/2+1], entered by
-to_spectrum (which rejects an odd or asymmetric part) and left by to_field;
-measure reads its gradient from the same quadrant spectrum, and a snapshot
-holds the full grid's values.  The diffusive part is
+the real DCT-I spectrum of the quadrant [:n/2+1, :n/2+1], and a finished
+run, measure and the snapshot I/O pass that quadrant's values.  The n x n
+grid exists only in a snapshot file: the writer mirrors the quadrant onto
+it, and the reader takes the quadrant back, rejecting (in quadrant) a field
+with an odd or asymmetric part.  The diffusive part is
 integrated exactly by the exponential factors and only the quadratic term
 plus forcing enter the ETDRK4 stages.  Their phi-function coefficient tables
 are evaluated in closed form at each real z = -|k|^2 dt <= 0: a Taylor series
@@ -82,22 +83,6 @@ class GridSpec2D:
         return _read_only(np.hypot(d[:, None], d[None, :]))[0]
 
 
-@dataclass
-class Field2D:
-    """Real scalar field sampled on a GridSpec2D; row index = x, column = y."""
-
-    grid: GridSpec2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n, self.grid.n):
-            raise ConfigError(
-                f"field shape {vals.shape} does not match grid n={self.grid.n}"
-            )
-        self.values = vals
-
-
 @functools.lru_cache(maxsize=2)
 def _spectral_tools(grid: GridSpec2D):
     """(kx, minus_ksq) on the quadrant kx, ky = 0..n/2, read-only.
@@ -158,17 +143,6 @@ def quadrant(values: np.ndarray) -> np.ndarray:
             raise ConfigError(f"field is not even in x and y and x <-> y symmetric: "
                               f"its {name} part reaches {np.max(np.abs(part)):.3e}")
     return q
-
-
-def to_spectrum(values: np.ndarray) -> np.ndarray:
-    """The DCT-I of the quadrant of an n x n field even in x and y and symmetric
-    in x <-> y (ConfigError beyond rounding): its rfft2 coefficients, kx, ky >= 0."""
-    return scipy.fft.dctn(quadrant(values), type=1)
-
-
-def to_field(uhat: np.ndarray) -> np.ndarray:
-    """The n x n field of the stepper's spectrum uhat (see to_spectrum)."""
-    return _mirror(scipy.fft.idctn(uhat, type=1))
 
 
 @dataclass(frozen=True)
@@ -253,7 +227,7 @@ def _phi_x(uhat: np.ndarray, kx: np.ndarray) -> np.ndarray:
 
 
 def _nonlinear_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
-                   ghat: np.ndarray | None) -> np.ndarray:
+                   ghat: np.ndarray) -> np.ndarray:
     """Spectral -b|grad phi|^2 (dealiased) - eps g on the quadrant.
 
     phi_y^2 is (phi_x^2)^T by symmetry (see _phi_x).  The forward DCT-I runs
@@ -267,16 +241,14 @@ def _nonlinear_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
     rows = scipy.fft.dct(sq, type=1, axis=0)[:keep]
     out = np.zeros_like(uhat)
     out[:keep, :keep] = -b * scipy.fft.dct(rows, type=1, axis=1)[:, :keep]
-    if ghat is not None and eps != 0.0:
+    if eps != 0.0:  # eps = 0 leaves out bit for bit, signed zeros included
         out -= eps * ghat
     return out
 
 
 def _step_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
-              ghat: np.ndarray | None, n0: np.ndarray | None = None) -> np.ndarray:
-    """One ETDRK4 step; n0, the nonlinear term at uhat, is computed if not given."""
-    if n0 is None:
-        n0 = _nonlinear_hat(uhat, plan, b, eps, ghat)
+              ghat: np.ndarray, n0: np.ndarray) -> np.ndarray:
+    """One ETDRK4 step from uhat, whose nonlinear term n0 the caller holds."""
     eu = plan.e_half * uhat
     a = eu + plan.q_half * n0
     na = _nonlinear_hat(a, plan, b, eps, ghat)
@@ -289,11 +261,8 @@ def _step_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
     )
 
 
-def full_rhs_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
-                 ghat: np.ndarray | None, n0: np.ndarray | None = None) -> np.ndarray:
-    """Spectral phi_t = -|k|^2 phi_hat + nonlinear_hat (n0, if it is given)."""
-    if n0 is None:
-        n0 = _nonlinear_hat(uhat, plan, b, eps, ghat)
+def full_rhs_hat(uhat: np.ndarray, plan: ETDRK4Plan, n0: np.ndarray) -> np.ndarray:
+    """Spectral phi_t = -|k|^2 phi_hat + n0, n0 the nonlinear term at uhat."""
     return plan.linear_symbol * uhat + n0
 
 
@@ -377,7 +346,7 @@ def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
 
     def steady_residual(u, n, plan):
         """(residual, omega_drift) from phi_t = L u + n, None if not finite."""
-        phi_t = scipy.fft.idctn(full_rhs_hat(u, plan, b, eps, ghat, n), type=1)
+        phi_t = scipy.fft.idctn(full_rhs_hat(u, plan, n), type=1)
         if not np.all(np.isfinite(phi_t)):
             return None
         sel = phi_t[disk]
@@ -639,8 +608,9 @@ def run_to_steady(config: SimulationConfig):
     The run starts from the half grid's locked state where that grid resolves
     the defect core, else from the Hopf-Cole eigenstate, else from phi = 0
     (see _warm_start); every start relaxes on the dt ladder, and steadiness
-    is judged on config.grid alone (see _relax).  Returns (Field2D,
-    SteadyStateReport); a timeout is reported, not raised.
+    is judged on config.grid alone (see _relax).  Returns (phi,
+    SteadyStateReport), phi the locked field's quadrant [:n/2+1, :n/2+1];
+    a timeout is reported, not raised.
     """
     from .measure import build_report  # late import; measure depends on this module
 
@@ -657,10 +627,10 @@ def run_to_steady(config: SimulationConfig):
     start = _warm_start(config)
     run = _relax(config, start.uhat)
 
-    phi = Field2D(grid, to_field(run.uhat))
+    phi = scipy.fft.idctn(run.uhat, type=1)
     record = {**start._asdict(), **run._asdict()}
     del record["uhat"]
-    report = build_report(phi, **record, steady_tol=config.steady_tol,
+    report = build_report(grid, phi, **record, steady_tol=config.steady_tol,
                           corner_ratio=corner_ratio)
     return phi, report
 
@@ -668,15 +638,17 @@ def run_to_steady(config: SimulationConfig):
 # ------------------------------------------------------------- snapshot I/O
 
 
-def write_field_snapshot(phi: Field2D, prefix: str | Path) -> tuple[Path, Path]:
-    """Write <prefix>.bin (row-major float64) and <prefix>.json header."""
+def write_field_snapshot(grid: GridSpec2D, phi: np.ndarray,
+                         prefix: str | Path) -> tuple[Path, Path]:
+    """Write <prefix>.bin, the n x n field of the quadrant phi (row-major
+    float64), and its <prefix>.json header."""
     prefix = Path(prefix)
     bin_path = prefix.with_suffix(".bin")
     json_path = prefix.with_suffix(".json")
-    phi.values.astype("<f8").tofile(bin_path)
+    _mirror(phi).astype("<f8").tofile(bin_path)
     header = {
-        "n": phi.grid.n,
-        "l": phi.grid.l,
+        "n": grid.n,
+        "l": grid.l,
         "dealias": "two_thirds",
         "dtype": "float64",
         "order": "C",
@@ -686,21 +658,24 @@ def write_field_snapshot(phi: Field2D, prefix: str | Path) -> tuple[Path, Path]:
     return bin_path, json_path
 
 
-def read_field_snapshot(prefix: str | Path) -> Field2D:
-    """The field written by write_field_snapshot; ConfigError if it is not one."""
+def read_field_snapshot(prefix: str | Path) -> tuple[GridSpec2D, np.ndarray]:
+    """(grid, quadrant) of the field written by write_field_snapshot;
+    ConfigError if it is not one or not even and x <-> y symmetric."""
     prefix = Path(prefix)
     if prefix.suffix in (".bin", ".json"):
         prefix = prefix.with_suffix("")
     try:
         header = json.loads(prefix.with_suffix(".json").read_text())
-        grid = GridSpec2D(int(header["n"]), float(header["l"]))
-        dealias = header["dealias"]
+        n, l, dealias = header["n"], float(header["l"]), header["dealias"]
         vals = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read snapshot {prefix}: {exc}") from exc
+    if type(n) is not int:  # a float or a bool is no cell count
+        raise ConfigError(f"snapshot {prefix} has n = {n!r}, not an integer")
+    grid = GridSpec2D(n, l)
     if dealias != "two_thirds":
         raise ConfigError(f"snapshot {prefix} has dealias {dealias!r}, not 'two_thirds'")
     if vals.size != grid.n * grid.n:
         raise ConfigError(f"snapshot {prefix}.bin holds {vals.size} values, "
                           f"not n^2 = {grid.n * grid.n}")
-    return Field2D(grid, vals.reshape(grid.n, grid.n))
+    return grid, quadrant(vals.reshape(grid.n, grid.n))

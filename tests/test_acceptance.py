@@ -36,7 +36,8 @@ from eikolab.radial import (
     solve_corrector_K,
 )
 from eikolab.specfun import bessel_eval, bessel_k0
-from eikolab.spectral import GridSpec2D, _step_hat, make_plan, to_field, to_spectrum
+from eikolab.spectral import GridSpec2D, _nonlinear_hat, _step_hat, make_plan
+from full_grid import to_field, to_spectrum
 
 pytestmark = pytest.mark.acceptance
 
@@ -138,10 +139,10 @@ def test_criterion_2_etdrk4_order_and_linear_exactness(verdict):
 
     # the production kernel, stepped in Fourier space as run_to_steady steps it
     def advance(values, plan, b, eps, g, steps):
-        ghat = None if g is None else to_spectrum(g)
         uhat = to_spectrum(values)
+        ghat = np.zeros_like(uhat) if g is None else to_spectrum(g)
         for _ in range(steps):
-            uhat = _step_hat(uhat, plan, b, eps, ghat)
+            uhat = _step_hat(uhat, plan, b, eps, ghat, _nonlinear_hat(uhat, plan, b, eps, ghat))
         return to_field(uhat)
 
     grid = GridSpec2D(128, 100.0)

@@ -24,8 +24,9 @@ from eikolab.cli import (
     main,
     verify_manifest,
 )
+from eikolab.profiles import InhomogeneitySpec
 from eikolab.specfun import bessel_eval
-from eikolab.spectral import Field2D, GridSpec2D, read_field_snapshot, write_field_snapshot
+from eikolab.spectral import GridSpec2D, SimulationConfig, run_to_steady, write_field_snapshot
 
 
 def read_csv(path):
@@ -186,10 +187,13 @@ def test_shoot_infinite_rmax_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["shoot", "figure3"])
 def test_shooting_refusal_leaves_no_output(tmp_path, capsys, command):
-    out = tmp_path / "out"
-    assert main([command, "--rmax", "5", "--out", str(out)]) == EXIT_CONFIG
-    assert "r_max must be finite and >= 20" in capsys.readouterr().err
-    assert not out.exists()
+    # below the window's floor, and so far above its ceiling that the
+    # far-field series overflowed once the output directory was made
+    for rmax in ("5", "1e308"):
+        out = tmp_path / rmax
+        assert main([command, "--rmax", rmax, "--out", str(out)]) == EXIT_CONFIG
+        assert "r_max must be finite and >= 20 and <= 1e4" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_shoot_integrator_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -378,22 +382,27 @@ def test_grid_validation_exit_code(tmp_path, capsys):
 
 
 def test_malformed_outside_input_exits_2(tmp_path, capsys):
+    grid = GridSpec2D(64, 50.0)
     snap = tmp_path / "field"
-    write_field_snapshot(Field2D(GridSpec2D(64, 50.0), np.zeros((64, 64))), snap)
+    write_field_snapshot(grid, np.zeros((33, 33)), snap)
     assert main(["measure", "--field", str(snap)]) == EXIT_OK
     capsys.readouterr()
 
-    short = tmp_path / "short"
-    write_field_snapshot(Field2D(GridSpec2D(64, 50.0), np.zeros((64, 64))), short)
+    short = tmp_path / "short"  # one value short of n^2
+    write_field_snapshot(grid, np.zeros((33, 33)), short)
     short.with_suffix(".bin").write_bytes(short.with_suffix(".bin").read_bytes()[:-8])
-    other_rule = tmp_path / "other_rule"
-    write_field_snapshot(Field2D(GridSpec2D(64, 50.0), np.zeros((64, 64))), other_rule)
-    header = json.loads(other_rule.with_suffix(".json").read_text())
-    other_rule.with_suffix(".json").write_text(json.dumps({**header, "dealias": "none"}))
+    header = json.loads(snap.with_suffix(".json").read_text())
+    edited = []
+    # another dealiasing rule, and cell counts that are no integer
+    for name, change in (("other_rule", {"dealias": "none"}), ("n_inf", {"n": math.inf}),
+                         ("n_frac", {"n": 64.7}), ("n_bool", {"n": True})):
+        write_field_snapshot(grid, np.zeros((33, 33)), tmp_path / name)
+        (tmp_path / f"{name}.json").write_text(json.dumps({**header, **change}))
+        edited.append(["measure", "--field", str(tmp_path / name)])
     for argv in (
         ["measure", "--field", str(tmp_path / "missing")],
         ["measure", "--field", str(short)],
-        ["measure", "--field", str(other_rule)],
+        *edited,
         ["sweep", "--a-values", "1,x", "--dry-run", "--out", str(tmp_path / "s")],
     ):
         assert main(argv) == EXIT_CONFIG, argv
@@ -406,15 +415,17 @@ def test_malformed_outside_input_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("part", ["odd", "asymmetric"])
 def test_measure_rejects_an_asymmetric_snapshot(tmp_path, capsys, part):
-    # measurement runs on the quadrant: a snapshot that is not even in x and y
-    # and x <-> y symmetric is refused with to_spectrum's message
+    # measurement runs on the quadrant: the reader refuses a snapshot that is
+    # not even in x and y and x <-> y symmetric.  The writer mirrors a
+    # quadrant, so the file's values are written over by hand
     grid = GridSpec2D(64, 50.0)
     c = np.cos(2.0 * np.pi * grid.axes() / 50.0)
     s = np.sin(2.0 * np.pi * grid.axes() / 50.0)
     symmetric = np.add.outer(c, c)
     extra = {"odd": np.outer(s, c), "asymmetric": np.outer(c, np.ones_like(c))}
     snap = tmp_path / "field"
-    write_field_snapshot(Field2D(grid, symmetric + 1e-6 * extra[part]), snap)
+    write_field_snapshot(grid, np.zeros((33, 33)), snap)
+    (symmetric + 1e-6 * extra[part]).astype("<f8").tofile(snap.with_suffix(".bin"))
     assert main(["measure", "--field", str(snap)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(
         "config error: field is not even in x and y and x <-> y symmetric: "
@@ -525,6 +536,27 @@ def test_simulate_is_a_one_member_sweep(tmp_path):
     assert json.loads((sim / "runs.json").read_text())[0]["dir"] == "sim"
 
 
+def test_only_the_snapshot_holds_the_full_grid(tmp_path, monkeypatch):
+    # a run and its report stay on the quadrant: the one mirror onto the
+    # n x n grid is the one that writes a saved field
+    shapes = []
+    mirror = spectral._mirror
+
+    def counted(q):
+        shapes.append(q.shape)
+        return mirror(q)
+
+    monkeypatch.setattr(spectral, "_mirror", counted)
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0, t_max=2000.0,
+                           defect=InhomogeneitySpec(1.5, 1.5, strength=1.0))
+    assert run_to_steady(cfg)[1].converged
+    assert shapes == []
+    out = tmp_path / "sim"
+    assert main(["simulate", "--N", "64", "--L", "50", "--p", "1.5", "--eps", "1.0",
+                 "--t-max", "2000", "--save-field", "--out", str(out)]) == EXIT_OK
+    assert shapes == [(33, 33)] and (out / "field.bin").stat().st_size == 8 * 64 * 64
+
+
 @pytest.mark.slow
 def test_simulate_measure_round_trip(tmp_path):
     out = tmp_path / "sim"
@@ -549,7 +581,7 @@ def test_simulate_measure_round_trip(tmp_path):
     # one measurement path: the report and the snapshot give the same k
     assert measured["k_measured"] == k_run
     # the snapshot is even in x and y, bit for bit, and x <-> y symmetric to rounding
-    values = read_field_snapshot(out / "field").values
+    values = np.fromfile(out / "field.bin", dtype="<f8").reshape(64, 64)
     assert np.array_equal(values[1:], values[:0:-1])
     assert np.array_equal(values[:, 1:], values[:, :0:-1])
     assert np.max(np.abs(values - values.T)) <= 1e-12 * np.max(np.abs(values))

@@ -17,16 +17,17 @@ from eikolab.measure import (
     radial_gradient,
     radial_gradient_profile,
 )
-from eikolab.spectral import Field2D, GridSpec2D, _mirror, quadrant
+from eikolab.spectral import GridSpec2D, _mirror, quadrant
 
 
 def _bump_field(n=128, l=40.0, sigma2=50.0):
+    """(grid, the quadrant of exp(-r^2/sigma2), x and y offsets of every cell)."""
     grid = GridSpec2D(n, l)
     ax = grid.axes()
     x, y = np.meshgrid(ax, ax, indexing="ij")
     c = 0.5 * l
     r2 = (x - c) ** 2 + (y - c) ** 2
-    return grid, Field2D(grid, np.exp(-r2 / sigma2)), x - c, y - c
+    return grid, quadrant(np.exp(-r2 / sigma2)), x - c, y - c
 
 
 def test_default_annulus():
@@ -35,8 +36,7 @@ def test_default_annulus():
 
 
 def test_azimuthal_average_recovers_radial_function():
-    grid, field, _, _ = _bump_field()
-    values = quadrant(field.values)
+    grid, values, _, _ = _bump_field()
     c = grid.n // 2
     prof = _bin_average(grid, values, 64, float(values[c, c]))
     assert prof.grid.nodes[0] == 0.0
@@ -50,35 +50,36 @@ def test_azimuthal_average_recovers_radial_function():
 
 
 def test_azimuthal_average_bin_floor():
-    grid, field, _, _ = _bump_field()
+    grid, phi, _, _ = _bump_field()
     with pytest.raises(ConfigError, match="n_bins must be >= 16"):
-        radial_gradient_profile(field, n_bins=8)
+        radial_gradient_profile(grid, radial_gradient(grid, phi), n_bins=8)
 
 
 def test_measure_wavenumber_against_analytic_gradient():
     # narrow bump (sigma^2 = 20) so the periodic wrap error sits below 1e-9
-    grid, field, ox, oy = _bump_field(sigma2=20.0)
+    grid, phi, ox, oy = _bump_field(sigma2=20.0)
     r = np.hypot(ox, oy)
     annulus = (4.0, 10.0)
     sel = (r >= annulus[0]) & (r <= annulus[1])
     expect = float(np.mean(-(2.0 * r[sel] / 20.0) * np.exp(-r[sel] ** 2 / 20.0)))
-    got = measure_wavenumber(field, annulus)
+    got = measure_wavenumber(grid, radial_gradient(grid, phi), annulus)
     assert got == pytest.approx(expect, abs=1e-9)
 
 
 def test_measure_wavenumber_annulus_validation():
-    _, field, _, _ = _bump_field()
+    grid, phi, _, _ = _bump_field()
+    radial = radial_gradient(grid, phi)
     with pytest.raises(ConfigError):
-        measure_wavenumber(field, (12.0, 6.0))
+        measure_wavenumber(grid, radial, (12.0, 6.0))
     with pytest.raises(ConfigError):
-        measure_wavenumber(field, (6.0, 19.0))  # beyond 0.45 L
+        measure_wavenumber(grid, radial, (6.0, 19.0))  # beyond 0.45 L
     with pytest.raises(StatisticsError):
-        measure_wavenumber(field, (17.98, 18.0))  # sliver annulus, < 100 cells
+        measure_wavenumber(grid, radial, (17.98, 18.0))  # sliver annulus, < 100 cells
 
 
 def test_radial_gradient_profile_of_bump():
-    grid, field, _, _ = _bump_field()
-    prof = radial_gradient_profile(field, n_bins=64)
+    grid, phi, _, _ = _bump_field()
+    prof = radial_gradient_profile(grid, radial_gradient(grid, phi), n_bins=64)
     r = prof.grid.nodes
     sel = (r > 2.0) & (r < 12.0)
     expect = -(2.0 * r[sel] / 50.0) * np.exp(-r[sel] ** 2 / 50.0)
@@ -108,17 +109,17 @@ def test_quadrant_measurement_matches_the_full_grid(n):
     # the cells it mirrors onto
     grid = GridSpec2D(n, 50.0)
     noise = np.random.default_rng(n).standard_normal((n // 2 + 1, n // 2 + 1))
-    field = Field2D(grid, _mirror(np.sqrt(1.0 + grid.radius_grid() ** 2) + 0.1 * (noise + noise.T)))
-    r, radial = _full_grid_radial_gradient(grid, field.values)
-    quadrant = radial_gradient(field)
-    assert quadrant.shape == (n // 2 + 1, n // 2 + 1)
-    assert np.max(np.abs(quadrant - radial[: n // 2 + 1, : n // 2 + 1])) <= 1e-12 * np.max(
+    phi = np.sqrt(1.0 + grid.radius_grid() ** 2) + 0.1 * (noise + noise.T)
+    r, radial = _full_grid_radial_gradient(grid, _mirror(phi))
+    got = radial_gradient(grid, phi)
+    assert got.shape == (n // 2 + 1, n // 2 + 1)
+    assert np.max(np.abs(got - radial[: n // 2 + 1, : n // 2 + 1])) <= 1e-12 * np.max(
         np.abs(radial))
 
     annulus = default_annulus(grid)
     sel = (r >= annulus[0]) & (r <= annulus[1])
     k = float(np.mean(radial[sel]))
-    assert measure_wavenumber(field, annulus) == pytest.approx(k, rel=1e-12, abs=0.0)
+    assert measure_wavenumber(grid, got, annulus) == pytest.approx(k, rel=1e-12, abs=0.0)
 
     n_bins = 64
     width = 0.5 * grid.l / n_bins
@@ -126,7 +127,7 @@ def test_quadrant_measurement_matches_the_full_grid(n):
     idx = np.minimum((r[keep] / width).astype(int), n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     means = np.bincount(idx, weights=radial[keep], minlength=n_bins) / np.maximum(counts, 1)
-    prof = radial_gradient_profile(field, n_bins=n_bins)
+    prof = radial_gradient_profile(grid, got, n_bins=n_bins)
     assert np.array_equal(prof.bin_counts[1:], counts)
     filled = counts > 0
     assert np.max(np.abs(prof.values[1:][filled] - means[filled])) <= 1e-12 * np.max(
@@ -134,9 +135,10 @@ def test_quadrant_measurement_matches_the_full_grid(n):
 
 
 def test_build_report_and_dict_round_trip():
-    _, field, _, _ = _bump_field()
+    grid, phi, _, _ = _bump_field()
     rep = build_report(
-        field,
+        grid,
+        phi,
         omega_drift=0.25,
         steady_residual=1e-6,
         steady_tol=1e-5,
@@ -153,13 +155,13 @@ def test_build_report_and_dict_round_trip():
 
 
 def test_report_dict_keys_are_the_dataclass_fields():
-    _, field, _, _ = _bump_field()
-    rep = build_report(field, omega_drift=0.25, steady_residual=1e-6)
+    grid, phi, _, _ = _bump_field()
+    rep = build_report(grid, phi, omega_drift=0.25, steady_residual=1e-6)
     names = [f.name for f in dataclasses.fields(SteadyStateReport)]
     assert list(rep.as_dict(include_profile=False)) == [
         name for name in names if name != "radial_profile"]
     assert list(rep.as_dict())[-1] == "radial_profile"
-    assert rep.as_dict()["annulus"] == list(default_annulus(field.grid))
+    assert rep.as_dict()["annulus"] == list(default_annulus(grid))
 
 
 # ------------------------------------------------------------------ fits

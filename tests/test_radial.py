@@ -208,7 +208,7 @@ def test_inverse_l_lambda_constant_source():
     # f = 1: u(r) = ((lam r - 1) + e^{-lam r}) / (lam^2 r) -> 1/lam
     lam = 0.7
     grid = RadialGrid(np.concatenate(([0.0], np.geomspace(1e-3, 60.0, 3000))))
-    u = apply_inverse_L_lambda(lambda s: np.ones_like(np.asarray(s)), lam, grid)
+    u = apply_inverse_L_lambda(RadialProfile(grid, np.ones_like(grid.nodes)), lam)
     r = grid.nodes[1:]
     exact = ((lam * r - 1.0) + np.exp(-lam * r)) / (lam * lam * r)
     assert np.max(np.abs(u.values[1:] - exact)) < 1e-10
@@ -282,8 +282,7 @@ def test_scan_spans_many_blocks_without_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = radial._decay_scan(panel, nodes, lam)
-        u = apply_inverse_L_lambda(lambda s: np.ones_like(np.asarray(s)), lam,
-                                   RadialGrid(nodes))
+        u = apply_inverse_L_lambda(RadialProfile(RadialGrid(nodes), np.ones_like(nodes)), lam)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
     r = nodes[1:]
@@ -294,12 +293,10 @@ def test_scan_spans_many_blocks_without_overflow():
 def test_inverse_l_lambda_validation():
     grid = RadialGrid(np.linspace(0.0, 5.0, 501))
     with pytest.raises(DomainError):
-        apply_inverse_L_lambda(lambda s: np.asarray(s), 0.0, grid)
-    with pytest.raises(ConfigError):
-        apply_inverse_L_lambda(lambda s: np.asarray(s), 1.0)  # callable without grid
+        apply_inverse_L_lambda(RadialProfile(grid, grid.nodes), 0.0)
     off = RadialGrid(np.linspace(1.0, 5.0, 401))
     with pytest.raises(ConfigError):
-        apply_inverse_L_lambda(lambda s: np.asarray(s), 1.0, off)
+        apply_inverse_L_lambda(RadialProfile(off, off.nodes), 1.0)
 
 
 # ----------------------------------------------------------------- far field
@@ -432,8 +429,7 @@ def test_correction_diverges_for_large_eps():
     a = FarFieldAnsatz(decay_rate=0.5, b=1.0)
     spec = InhomogeneitySpec(1.5, 0.8)
     with pytest.raises(NonContractionError) as exc:
-        solve_far_field_correction(a, g=lambda s: evaluate_g(spec, s), eps=50.0,
-                                    max_iter=400)
+        solve_far_field_correction(a, g=lambda s: evaluate_g(spec, s), eps=50.0)
     assert isinstance(exc.value.last_iterate, RadialProfile)
 
 
@@ -531,13 +527,14 @@ def test_shooting_window_on_far_field_series(r_max):
 
 
 def test_shooting_raises_no_warning():
-    # from the loosest tol to one below the BVP tolerance floor; the frozen
-    # slope itself is known to about 1e-13
-    for tol in (1e-6, 1e-8, 1e-13):
+    # from the loosest tol to one below the BVP tolerance floor, and on a
+    # window where the kink guess cosh(r/sqrt 2)^-2 overflowed (from r_max
+    # ~ 995 on); the frozen slope itself is known to about 1e-13
+    for r_max, tol in ((20.0, 1e-6), (20.0, 1e-8), (20.0, 1e-13), (1000.0, 1e-8)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = shoot_spiral_amplitude(20.0, tol)
-        assert abs(sol.slope_origin - 0.5831894958602174) <= max(tol, 1e-12), tol
+            sol = shoot_spiral_amplitude(r_max, tol)
+        assert abs(sol.slope_origin - 0.5831894958602174) <= max(tol, 1e-12), (r_max, tol)
 
 
 def test_shooting_retains_no_memory_per_call():
@@ -585,6 +582,8 @@ def test_shooting_validation():
     {"tol": -1e-8},
     {"tol": math.inf},
     {"tol": 2e-6},
+    {"r_max": 1.0001e4},
+    {"r_max": 1e308},
 ])
 def test_shooting_rejects_bad_input(kwargs):
     with warnings.catch_warnings():

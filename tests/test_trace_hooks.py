@@ -16,8 +16,8 @@ import scipy.fft
 from eikolab import cli
 from eikolab.profiles import InhomogeneitySpec
 from eikolab.radial import CorrectionResult, ShootingSolution
-from eikolab.spectral import GridSpec2D, SimulationConfig, _hopf_cole_eigen, _step_hat
-from eikolab.spectral import make_plan
+from eikolab.spectral import (GridSpec2D, SimulationConfig, _hopf_cole_eigen,
+                              _nonlinear_hat, _step_hat, make_plan)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -72,9 +72,12 @@ def test_quadrant_transforms_are_scipy_fft_attributes(monkeypatch):
     # one idctn/dctn pair per iteration (B on DCT-I coefficients), and one
     # idctn for the eigenvector's field
     assert (calls.count("dctn"), calls.count("idctn")) == (iterations, iterations + 1)
+    uhat = ghat = np.zeros((33, 33))
+    plan = make_plan(cfg.grid, cfg.dt)
     calls.clear()
     # per step: four nonlinear terms, one inverse DST-I and DCT-I pair each
     # (phi_x alone) and a forward DCT-I along each axis
-    _step_hat(np.zeros((33, 33)), make_plan(cfg.grid, cfg.dt), 1.0, 1.0, None)
+    n0 = _nonlinear_hat(uhat, plan, 1.0, 1.0, ghat)
+    _step_hat(uhat, plan, 1.0, 1.0, ghat, n0)
     assert {name: calls.count(name) for name in ("idst", "idct", "dct", "dctn")} == {
         "idst": 4, "idct": 4, "dct": 8, "dctn": 0}
