@@ -133,9 +133,12 @@ def _mirror(quadrant: np.ndarray) -> np.ndarray:
 
 
 def quadrant(values: np.ndarray) -> np.ndarray:
-    """The quadrant [:n/2+1, :n/2+1] of an n x n field even in x and y and
-    symmetric in x <-> y; ConfigError if it is not, beyond rounding."""
+    """The quadrant [:n/2+1, :n/2+1] of a finite n x n field even in x and y
+    and symmetric in x <-> y; ConfigError if it is not, beyond rounding."""
     values = np.asarray(values, dtype=float)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:  # NaN would pass the checks below: NaN > bound is False
+        raise ConfigError(f"field is not finite in {bad} of {values.size} cells")
     m = values.shape[0] // 2
     q = values[: m + 1, : m + 1]
     for name, part in (("odd", values - _mirror(q)), ("asymmetric", q - q.T)):
@@ -162,11 +165,19 @@ class ETDRK4Plan:
     dealias_keep: int  # the 2/3 rule keeps modes 0..dealias_keep-1 on each axis
 
 
+# Runs relax on the dt ladder dt * 2**level, level <= LADDER_TOP:
+# the locked state is a fixed point of ETDRK4 whatever the step, and the
+# diffusion is integrated exactly, so the 8 dt ceiling is no stability limit.
+# It was measured against 4 dt (figure 1 at N=256: 94 -> 74 steps, no step
+# rejected, k within 5.2e-6); 16 dt and 32 dt took more steps (91 and 93),
+# the residual oscillating at the top.
+LADDER_TOP = 3
+
 # The runs of a sweep revisit a few (grid, dt) pairs: the dt ladder
-# (LADDER_TOP + 1 steps) of their grid and of each half grid.  8 holds the
-# ladders of two grids; a bound of LADDER_TOP + 1 measured a higher peak RSS
-# for a 512-grid run, not a lower one.
-PLAN_CACHE_SIZE = 8
+# (LADDER_TOP + 1 steps) of their grid and of each half grid, so the cache
+# holds the ladders of two grids; a bound of one ladder measured a higher
+# peak RSS for a 512-grid run, not a lower one.
+PLAN_CACHE_SIZE = 2 * (LADDER_TOP + 1)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -296,14 +307,6 @@ HALF_GRID_MIN_N = 64
 HALF_GRID_MAX_DX = 0.5
 
 
-# Runs relax on the dt ladder dt * 2**level, level <= LADDER_TOP:
-# the locked state is a fixed point of ETDRK4 whatever the step.  8 dt is
-# stable as well (the figure-1 members at N=256 lock with no rejected step,
-# a = 2.25-2.85 taking 4-5 steps at 8 dt), but the ceiling sets every run's
-# step counts and outputs, and they were measured at 4 dt.
-LADDER_TOP = 2
-
-
 class Relaxation(NamedTuple):
     """What _relax returns: the last spectrum and how the run got there.
 
@@ -331,8 +334,8 @@ def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
     inverse DCT-I; the mean weighs each quadrant cell by its _multiplicity.
     The check comes after every step, and the step is
     dt * 2**level by switched evolution relaxation: tau grows by
-    min(2, r_prev / r), within [dt, dt * 2**LADDER_TOP], and the level is
-    tau snapped down to the ladder.  A step above dt that blows up is
+    min(2, r_prev / r), within [dt, 8 dt] (dt * 2**LADDER_TOP), and the
+    level is tau snapped down to the ladder.  A step above dt that blows up is
     dropped and lowers the level and the ceiling; a blow-up at dt raises
     BlowUpError.  Time ends at ceil(t_max / dt) * dt, the last step
     shortened to meet it.  residuals holds the residual of each step kept.
@@ -678,4 +681,7 @@ def read_field_snapshot(prefix: str | Path) -> tuple[GridSpec2D, np.ndarray]:
     if vals.size != grid.n * grid.n:
         raise ConfigError(f"snapshot {prefix}.bin holds {vals.size} values, "
                           f"not n^2 = {grid.n * grid.n}")
-    return grid, quadrant(vals.reshape(grid.n, grid.n))
+    try:
+        return grid, quadrant(vals.reshape(grid.n, grid.n))
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (snapshot {prefix})") from exc

@@ -432,6 +432,22 @@ def test_measure_rejects_an_asymmetric_snapshot(tmp_path, capsys, part):
         f"its {part} part reaches")
 
 
+def test_measure_rejects_a_nan_snapshot_by_name(tmp_path, capsys):
+    # NaN passes the evenness check (NaN > bound is False): the reader
+    # refuses it itself and names the snapshot
+    grid = GridSpec2D(64, 50.0)
+    c = np.cos(2.0 * np.pi * grid.axes() / 50.0)
+    field = np.add.outer(c, c)
+    field[5, 7] = np.nan
+    snap = tmp_path / "field"
+    write_field_snapshot(grid, np.zeros((33, 33)), snap)
+    field.astype("<f8").tofile(snap.with_suffix(".bin"))
+    assert main(["measure", "--field", str(snap)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field is not finite in 1 of 4096 cells")
+    assert str(snap) in err
+
+
 def test_corner_warning_printed_once_per_sweep(tmp_path):
     # four members over the wrap-around threshold on two pool threads, each
     # seeded by an eigen solve: the once-per-location warning shows once

@@ -296,6 +296,20 @@ def test_threads_that_miss_together_build_a_plan_once(monkeypatch):
     assert plans[0] is plans[1]
 
 
+def test_plan_cache_holds_both_ladders_of_a_two_level_run():
+    # N=128, L=32: the 64-cell half grid (dx 0.5) resolves the core, so a run
+    # climbs the dt ladder on two grids; a second run builds no plan
+    cfg = _locked_config(128, 32.0)
+    make_plan.cache_clear()
+    _, first = run_to_steady(cfg)
+    built = make_plan.cache_info().misses
+    _, second = run_to_steady(cfg)
+    assert first.start == "half_grid" and first.converged
+    assert len(first.dt_steps) == LADDER_TOP + 1  # the fine grid climbs to the top
+    assert make_plan.cache_info().misses == built
+    assert second.k_measured == first.k_measured
+
+
 def test_linear_mode_decays_exactly():
     # b = 0, eps = 0: a single Fourier mode (with its x <-> y mirror) must
     # decay by e^{-k^2 dt} exactly
@@ -849,7 +863,7 @@ def test_rest_start_locks_on_the_ladder():
     ladder = _relax(cfg, np.zeros((33, 33)))
     assert fixed.converged and ladder.converged
     assert ladder.steps < fixed.steps
-    assert max(dt for dt, _ in ladder.dt_steps) == 4 * cfg.dt
+    assert max(dt for dt, _ in ladder.dt_steps) == 2**LADDER_TOP * cfg.dt
     assert _k(cfg, ladder) == pytest.approx(_k(cfg, fixed), rel=1e-5)
     assert ladder.omega_drift == pytest.approx(fixed.omega_drift, rel=1e-5)
     assert ladder.start_residual > cfg.steady_tol
@@ -867,7 +881,7 @@ def test_ser_ladder_locks_to_the_fixed_step_state(l, p):
     assert ser.steps < fixed.steps
     assert _k(cfg, ser) == pytest.approx(_k(cfg, fixed), rel=1e-5)
     assert ser.omega_drift == pytest.approx(fixed.omega_drift, rel=1e-5)
-    assert max(dt for dt, _ in ser.dt_steps) == 4 * cfg.dt  # the ceiling is reached
+    assert max(dt for dt, _ in ser.dt_steps) == 2**LADDER_TOP * cfg.dt  # the ceiling is reached
     assert sum(n for _, n in ser.dt_steps) == ser.steps
     assert ser.t_final == sum(dt * n for dt, n in ser.dt_steps)
 
@@ -905,10 +919,10 @@ def test_blow_up_on_the_top_level_rolls_back(monkeypatch):
                            defect=InhomogeneitySpec(1.5, 0.8, strength=1.0))
     start = _hopf_cole_start(cfg).uhat
     clean = _relax(cfg, start)
-    _failing_steps(monkeypatch, lambda dt: dt == 4 * cfg.dt)
+    _failing_steps(monkeypatch, lambda dt: dt == 2**LADDER_TOP * cfg.dt)
     rolled = _relax(cfg, start)
     assert rolled.converged and rolled.dt_rejections == 1
-    assert max(dt for dt, _ in rolled.dt_steps) == 2 * cfg.dt
+    assert max(dt for dt, _ in rolled.dt_steps) == 2**(LADDER_TOP - 1) * cfg.dt
     assert rolled.t_final == sum(dt * n for dt, n in rolled.dt_steps)
     assert _k(cfg, rolled) == pytest.approx(_k(cfg, clean), rel=1e-5)
     assert rolled.omega_drift == pytest.approx(clean.omega_drift, rel=1e-5)
