@@ -34,11 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import eigh
 
 from .errors import BlowUpError, ConfigError
 from .profiles import InhomogeneitySpec, evaluate_g
+from .radial import cumulative_integral
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -415,86 +414,29 @@ def _zero_pad(coarse_hat: np.ndarray, n: int) -> np.ndarray:
 
 EIGEN_TOL = 1e-9  # on ||Bx - lam x|| for unit x
 EIGEN_MAXITER = 200
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """n^2 times the grid's u . v from the quadrant DCT-I spectra (Parseval),
-    by einsum's own loop: OpenBLAS would thread a dot of this size on helper
-    threads that busy-wait, taking the pool's second core."""
-    weight = _multiplicity(2 * u.shape[0] - 2)
-    return float(np.einsum("i,i,i->", u.ravel(), v.ravel(), weight.ravel()))
-
-
-def _deflate(v, basis, images, bv=None):
-    """(v, bv, ||v||): v less its parts along the orthonormal basis, taken
-    twice, and its B-image bv (if given) less the same parts of the images."""
-    for _ in range(2):
-        for s, bs in zip(basis, images):
-            c = _dot(s, v)
-            v = v - c * s
-            if bv is not None:
-                bv = bv - c * bs
-    return v, bv, math.sqrt(_dot(v, v))
-
-
-def _lobpcg(apply_b, precondition, x: np.ndarray) -> tuple:
-    """(lam, unit x, iterations): the smallest eigenpair of the symmetric B and
-    the iterations taken (one application of B each); lam and x are None when
-    the solve fails.
-
-    LOBPCG with block size 1 (Knyazev, SIAM J. Sci. Comput. 23, 2001): each
-    step takes the lowest Ritz pair of B on span{x, w, p}, with w = T(r, lam)
-    the residual r = Bx - lam x preconditioned at the Ritz value lam and p the
-    last step's update.  p and
-    then w are Gram-Schmidt'd twice against the basis and normalised, and p is
-    dropped when nothing of it is left.  B is applied to w alone: Bx and Bp
-    follow x and p as the same combinations.  Converged when
-    ||r|| <= EIGEN_TOL; failed after EIGEN_MAXITER steps or on a non-finite
-    Gram matrix, which eigh refuses.
-    """
-    x = x / math.sqrt(_dot(x, x))
-    bx = apply_b(x)
-    p = bp = None
-    for step in range(EIGEN_MAXITER + 1):
-        lam = _dot(x, bx)
-        r = bx - lam * x
-        if math.sqrt(_dot(r, r)) <= EIGEN_TOL:
-            return lam, x, step + 1
-        if step == EIGEN_MAXITER:
-            break
-        basis, images = [x], [bx]
-        if p is not None:
-            p, bp, norm = _deflate(p, basis, images, bp)
-            if norm > 0.0:  # else p lies in span{x}
-                basis.append(p / norm)
-                images.append(bp / norm)
-        w, _, norm = _deflate(precondition(r, lam), basis, images)
-        basis.append(w / norm)
-        images.append(apply_b(basis[-1]))
-        gram = np.array([[_dot(s, bs) for bs in images] for s in basis])
-        try:
-            c = eigh(0.5 * (gram + gram.T), subset_by_index=(0, 0))[1][:, 0]
-        except ValueError:  # eigh refuses a non-finite Gram matrix
-            return None, None, step + 2  # with this step's application of B
-        p = sum(cj * s for cj, s in zip(c[1:], basis[1:]))
-        bp = sum(cj * bs for cj, bs in zip(c[1:], images[1:]))
-        x, bx = c[0] * x + p, c[0] * bx + bp
-    return None, None, step + 1
+# A solve stops unconverged once its best ||r|| has not halved over the last
+# EIGEN_STALL_STEPS iterations: converging solves halve it every step or two,
+# while a hopeless one (A = 1e150) would spend all EIGEN_MAXITER.
+EIGEN_STALL_STEPS = 10
 
 
 def _hopf_cole_eigen(config: SimulationConfig) -> tuple:
     """(w, Omega, iterations): the Hopf-Cole eigenstate (quadrant w scaled to
-    max 1, Omega = lambda/b) and the iterations its solve took.
+    max 1, Omega = lambda/b) and the applications of B its solve took.
 
     w = exp(-b phi) turns the PDE into w_t = Lap w + b eps g w, whose principal
-    eigenpair (lambda, w) is the locked state.  _lobpcg (start vector g) solves
-    B = -Lap - b eps g on the quadrant's DCT-I coefficients, where -Lap is
-    |k|^2 and the preconditioner is diagonal: (|k|^2 - lam)^-1 at a negative
-    Ritz value lam, else (|k|^2 + sigma)^-1 with sigma = max(b eps g)/2.  w and
-    Omega are None for a zero-strength defect, an operator whose square
-    overflows (the solve squares it in its inner products), a failed or
-    unconverged solve, or a w that is nowhere positive; iterations is None
-    when no solve ran.
+    eigenpair (lambda, w) is the locked state, the smallest of B = -Lap - b eps g.
+    It is solved on the quadrant's DCT-I coefficients (-Lap is |k|^2, the inner
+    product the full grid's by Parseval) by LOBPCG with block size 1 (Knyazev,
+    SIAM J. Sci. Comput. 23, 2001) from the defect's spectrum: each step takes
+    the lowest Ritz pair on span{x, w, p}, w the residual r = Bx - lam x
+    preconditioned by (|k|^2 - lam)^-1 once the Ritz value lam < 0, else by
+    (|k|^2 + max(b eps g)/2)^-1, and p the last update.  p, then w, are
+    Gram-Schmidt'd twice and normalised (p dropped if nothing of it is left);
+    B images w alone.  w and Omega are None for a zero-strength defect, an
+    operator whose square overflows, a non-finite Gram matrix, a solve that
+    stalls or spends EIGEN_MAXITER steps short of EIGEN_TOL, or a w nowhere
+    positive; iterations is None when no solve ran.
     """
     g, ghat = _bare_defect(config.grid, config.defect.amplitude, config.defect.decay_exponent)
     pot = config.b * config.defect.strength * g
@@ -502,18 +444,58 @@ def _hopf_cole_eigen(config: SimulationConfig) -> tuple:
     if not 0.0 < sigma * sigma < math.inf:
         return None, None, None
     ksq = -_spectral_tools(config.grid)[1]
+    weight = _multiplicity(config.grid.n).ravel()
+
+    def dot(u, v):
+        # by einsum's own loop: OpenBLAS would thread a dot of this size on
+        # helper threads that busy-wait, taking the pool's second core
+        return float(np.einsum("i,i,i->", u.ravel(), v.ravel(), weight))
+
+    def apply_b(x):
+        return ksq * x - scipy.fft.dctn(pot * scipy.fft.idctn(x, type=1), type=1)
+
     with np.errstate(all="ignore"):
-        lam, x, iterations = _lobpcg(
-            lambda x: ksq * x - scipy.fft.dctn(pot * scipy.fft.idctn(x, type=1), type=1),
-            lambda r, lam: r / (ksq - lam if lam < 0.0 else ksq + sigma), ghat)
-    if x is None:
-        return None, None, iterations
+        x = ghat / math.sqrt(dot(ghat, ghat))
+        bx = apply_b(x)
+        p = bp = None
+        best = [math.inf] * EIGEN_STALL_STEPS  # the least ||r|| so far, per step
+        for step in range(EIGEN_MAXITER + 1):
+            lam = dot(x, bx)
+            r = bx - lam * x
+            residual = math.sqrt(dot(r, r))
+            if residual <= EIGEN_TOL:
+                break
+            best.append(min(best[-1], residual))
+            if step == EIGEN_MAXITER or best[-1] > 0.5 * best[-1 - EIGEN_STALL_STEPS]:
+                return None, None, step + 1
+            w = r / (ksq - lam if lam < 0.0 else ksq + sigma)
+            basis, images = [x], [bx]
+            for v, bv in ((p, bp), (w, None)):  # w is imaged once deflated
+                if v is None:  # the first step has no p
+                    continue
+                for _ in range(2):
+                    for s, bs in zip(basis, images):
+                        c = dot(s, v)
+                        v = v - c * s
+                        if bv is not None:
+                            bv = bv - c * bs
+                norm = math.sqrt(dot(v, v))
+                if bv is None or norm > 0.0:  # else p lies in span{x}
+                    basis.append(v / norm)
+                    images.append(apply_b(basis[-1]) if bv is None else bv / norm)
+            gram = np.array([[dot(s, bs) for bs in images] for s in basis])
+            if not np.all(np.isfinite(gram)):
+                return None, None, step + 2  # with this step's application of B
+            c = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, 0]
+            p = sum(cj * s for cj, s in zip(c[1:], basis[1:]))
+            bp = sum(cj * bs for cj, bs in zip(c[1:], images[1:]))
+            x, bx = c[0] * x + p, c[0] * bx + bp
     vec = scipy.fft.idctn(x, type=1)  # finite: a non-finite x has a NaN residual
     w = vec * np.sign(np.sum(vec))
     peak = float(np.max(w))
     if not peak > 0.0:
-        return None, None, iterations
-    return w / peak, -lam / config.b, iterations
+        return None, None, step + 1
+    return w / peak, -lam / config.b, step + 1
 
 
 def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.ndarray:
@@ -525,7 +507,8 @@ def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.nd
     cell, each of the defect's images contributes the far field of
     w ~ exp(-int q)/sqrt(r), q^2 = b (Omega - eps g), and their waves meet on
     the box edge: with F(s) = int_{r_f}^s sqrt(max(Omega - eps g, 0)/b)
-    + 1/(2 b t) dt, phi0 = phibar + F(r0) - log sum_i exp(-b (F(r_i) - F(r0)))/b
+    + 1/(2 b t) dt (a cumulative_integral on 2n panels, interpolated),
+    phi0 = phibar + F(r0) - log sum_i exp(-b (F(r_i) - F(r0)))/b
     over the four nearest images (axis offsets 0 and -L), r0 the cell's own
     radius, so the own term is 1 and each other one at most 1.  phibar is
     the mean over the trusted cells within one dx of r_f of phi0 carried to
@@ -539,12 +522,14 @@ def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.nd
         return near
     r = grid.radius_grid()
     r_f = float(np.min(r[~trusted]))
-    s = np.linspace(r_f, math.hypot(grid.l, grid.l), 2 * grid.n + 1)
-    # d phi0/dr = q/b + 1/(2 b r)
-    slope = np.sqrt(np.maximum(omega - evaluate_g(config.defect, s), 0.0) / b) + 0.5 / (b * s)
+
+    def slope(t):  # d phi0/dr = q/b + 1/(2 b r)
+        return np.sqrt(np.maximum(omega - evaluate_g(config.defect, t), 0.0) / b) + 0.5 / (b * t)
+
     weight = _multiplicity(grid.n) * (trusted & (np.abs(r - r_f) <= grid.dx))
-    phibar = float(np.sum(weight * (near + slope[0] * (r_f - r))) / np.sum(weight))
-    big_f = cumulative_trapezoid(slope, s, initial=0.0)
+    phibar = float(np.sum(weight * (near + slope(r_f) * (r_f - r))) / np.sum(weight))
+    s = np.linspace(r_f, math.hypot(grid.l, grid.l), 2 * grid.n + 1)
+    big_f = cumulative_integral(slope, s)
     d = np.abs(grid.axes()[: grid.n // 2 + 1] - grid.center()[0])  # axis offsets
     f = [np.interp(np.hypot(ex[:, None], ey[None, :]), s, big_f)
          for ex in (d, grid.l - d) for ey in (d, grid.l - d)]  # f[0] is F(r0)

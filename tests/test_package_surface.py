@@ -44,3 +44,15 @@ def test_no_public_name_is_test_only():
     assert sorted(unused - set(ALLOWED)) == []
     # an allowed name that has gained a use leaves the list
     assert sorted(set(ALLOWED) - unused) == []
+
+
+def test_spectral_takes_nothing_from_scipy_but_its_transforms():
+    # the stepper and its eigen start need scipy.fft alone: the eigen
+    # solve's 3x3 Ritz problem is numpy's, its far field a cumulative_integral
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "spectral.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert sorted(m for m in imported if m.split(".")[0] == "scipy") == ["scipy.fft"]

@@ -14,13 +14,15 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from eikolab.asymptotics import branch_mass
-from eikolab.cli import FIG1_A_VALUES
+from eikolab.cli import FIG1_A_VALUES, FIG2_P_GRID
 from eikolab.errors import BlowUpError, ConfigError
 from eikolab.profiles import InhomogeneitySpec, evaluate_g
 from eikolab.measure import SteadyStateReport, measure_wavenumber, radial_gradient
+from eikolab.specfun import EULER_GAMMA
 from eikolab import spectral
 from eikolab.spectral import (
     EIGEN_MAXITER,
+    EIGEN_STALL_STEPS,
     LADDER_TOP,
     GridSpec2D,
     Relaxation,
@@ -44,6 +46,7 @@ from eikolab.spectral import (
     write_field_snapshot,
 )
 from full_grid import to_field, to_spectrum
+from plane_oracle import plane_kappa
 
 
 def _xy(grid):
@@ -610,14 +613,41 @@ def test_eigenpair_matches_arpack(n, p):
 
 
 def test_eigen_solve_takes_few_iterations_on_the_figure1_presets():
-    # the Ritz-shifted preconditioner (|k|^2 - lam)^-1: 9-10 iterations per
-    # figure-1 member at N=256, where the fixed shift sigma took 14-28
+    # the Ritz-shifted preconditioner (|k|^2 - lam)^-1: 8-10 iterations per
+    # figure-1 member at N=256, where the fixed shift sigma took 14-28, and
+    # 8-15 per figure-2 member (A = 1.5, eps = 1), the most at p = 0.3
+    mass, _ = branch_mass(1.0, 0.8)
+    presets = [(InhomogeneitySpec(1.0, 0.8, strength=a / mass), 12) for a in FIG1_A_VALUES]
+    presets += [(InhomogeneitySpec(1.5, p, strength=1.0), 18) for p in FIG2_P_GRID]
+    for defect, bound in presets:
+        cfg = SimulationConfig(GridSpec2D(256, 100.0), dt=0.5, b=1.0, defect=defect)
+        w, _, iterations = _hopf_cole_eigen(cfg)
+        assert w is not None and iterations <= bound, defect
+
+
+@pytest.mark.parametrize("a,pin", [(0.2, -1.1255), (0.1, -1.2000)])
+def test_plane_oracle_pins_the_p15_wavenumbers(a, pin):
+    # A = 1, p = 1.5 has unit mass, so a = b eps; kappa0 is the a -> 0 limit
+    # log kappa + 1/a -> -gamma - log 2 of the matched expansion
+    kappa0 = math.exp(-EULER_GAMMA - math.log(2.0) - 1.0 / a)
+    kappa = plane_kappa(InhomogeneitySpec(1.0, 1.5, strength=a), 1.0, kappa0)
+    assert math.log(kappa) + 1.0 / a == pytest.approx(pin, abs=1e-4)
+
+
+def test_eigen_start_matches_the_plane_on_the_figure1_presets():
+    # Omega = kappa^2/b on the plane.  The N=256 box's eigenvalue is off by
+    # its grid term (+1.7e-7 to +5.4e-7 measured) where kappa L >= 22.6
+    # (a >= 0.75), and at a = 0.45 (kappa L = 12.8) also by the overlap of
+    # the defect's images, +1.98e-5 measured against 2.07e-5 from
+    # 2 pi c^2 sum_j K0(kappa R_j) / (kappa^2 ||w||^2) over the eight
+    # nearest images
     mass, _ = branch_mass(1.0, 0.8)
     for a in FIG1_A_VALUES:
-        cfg = SimulationConfig(GridSpec2D(256, 100.0), dt=0.5, b=1.0,
-                               defect=InhomogeneitySpec(1.0, 0.8, strength=a / mass))
-        w, _, iterations = _hopf_cole_eigen(cfg)
-        assert w is not None and iterations <= 12, a
+        defect = InhomogeneitySpec(1.0, 0.8, strength=a / mass)
+        cfg = SimulationConfig(GridSpec2D(256, 100.0), dt=0.5, b=1.0, defect=defect)
+        omega = _hopf_cole_eigen(cfg)[1]
+        gap = omega * cfg.b / plane_kappa(defect, cfg.b, 0.3) ** 2 - 1.0
+        assert abs(gap) <= (3e-5 if a < 0.5 else 1e-6), a
 
 
 @pytest.mark.parametrize("amplitude,p", [(1e300, 1.5)])
@@ -659,19 +689,21 @@ def test_eigen_solve_leaks_no_warning(amplitude, at_rest):
 
 
 def test_unconverged_eigen_solve_records_its_iterations(monkeypatch):
-    # A = 1e150 leaves the solve short of its tolerance after EIGEN_MAXITER
-    # steps: the run starts from rest, and its record shows the iterations
-    # spent, where a zero-strength run, which solves nothing, shows null
+    # A = 1e150 leaves the solve short of its tolerance: its best ||r|| stops
+    # halving, and the stall rule ends it well before EIGEN_MAXITER steps
+    # (36 iterations measured).  The run starts from rest, and its record
+    # shows the iterations spent, where a zero-strength run, which solves
+    # nothing, shows null
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
                            defect=InhomogeneitySpec(1e150, 0.8, strength=1.0))
     start = _warm_start(cfg)
     assert (start.start, start.start_omega) == ("rest", None) and not np.any(start.uhat)
-    assert start.eigen_iterations == EIGEN_MAXITER + 1
+    assert EIGEN_STALL_STEPS < start.eigen_iterations <= EIGEN_MAXITER
     # run_to_steady forwards the start by field name; this run blows up at
     # step 1, so a calm one carries the record to its report
     monkeypatch.setattr(spectral, "_warm_start", lambda config: start)
     _, report = run_to_steady(_locked_config(64, 50.0))
-    assert report.as_dict()["eigen_iterations"] == EIGEN_MAXITER + 1
+    assert report.as_dict()["eigen_iterations"] == start.eigen_iterations
     assert (report.start, report.start_omega, report.coarse_steps) == ("rest", None, 0)
 
 
