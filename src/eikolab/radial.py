@@ -618,9 +618,11 @@ def _amplitude_rhs(r, y):
 # the launch radius of the BVP and the node count of the reported profile
 _R0 = 1e-3
 _N_PROFILE = 2001
-# solve_bvp's tolerance is tol / 100, floored: at 1e-12 the collocation
-# already needs about 8900 nodes, and at 2.3e-14 it exceeds max_nodes
-_BVP_TOL_MIN = 1e-12
+# solve_bvp's tolerance is tol / 100, floored at 1e-10: below it only the node
+# count grows (about 1900 nodes at 1e-10, 8900 at 1e-12, beyond max_nodes at
+# 2.3e-14).  At 1e-12 a solve took 0.34 s against 23 ms on 2 vCPU, for a
+# slope 1.5e-13 instead of 2.0e-13 off its frozen value
+_BVP_TOL_MIN = 1e-10
 
 
 def validate_shooting(r_max: float, tol: float) -> None:
@@ -637,7 +639,7 @@ def validate_shooting(r_max: float, tol: float) -> None:
 def shoot_spiral_amplitude(r_max: float = 20.0, tol: float = 1e-8) -> ShootingSolution:
     """Solve rho'' + rho'/r - rho/r^2 + rho - rho^3 = 0, rho(0)=0, rho(inf)=1.
 
-    One collocation solve (scipy's solve_bvp, tolerance max(tol/100, 1e-12))
+    One collocation solve (scipy's solve_bvp, tolerance max(tol/100, 1e-10))
     on [r0, r_max + 10], r0 = 1e-3.  At r0 the regular-origin condition
     rho'(r0) (r0 - r0^3/8) = rho(r0) (1 - 3 r0^2/8) puts the solution on the
     origin series rho = s (r - r^3/8) + O(r^5) of some slope s; at

@@ -124,27 +124,50 @@ def _phi_functions(z: np.ndarray, count: int = 3):
     return tuple(phis)
 
 
+def _reflected_blocks(m: int) -> tuple:
+    """(block, source) index pairs: each block of an n x n array, n = 2m,
+    beyond its quadrant [:m+1, :m+1], and the quadrant cells it repeats when
+    the array is even in both indices (row or column n - j repeats j)."""
+    head, tail, back = np.s_[: m + 1], np.s_[m + 1:], np.s_[m - 1: 0: -1]
+    return (((head, tail), (head, back)), ((tail, head), (back, head)),
+            ((tail, tail), (back, back)))
+
+
 def _mirror(quadrant: np.ndarray) -> np.ndarray:
-    """The n x n array even in both indices from its quadrant [:n/2+1, :n/2+1]:
-    row (column) n - j repeats row (column) j."""
-    rows = np.concatenate((quadrant, quadrant[-2:0:-1]))
-    return np.concatenate((rows, rows[:, -2:0:-1]), axis=1)
+    """The n x n float64 array even in both indices from its quadrant
+    [:n/2+1, :n/2+1]: row (column) n - j repeats row (column) j."""
+    m = quadrant.shape[0] - 1
+    full = np.empty((2 * m, 2 * m), dtype="<f8")
+    full[: m + 1, : m + 1] = quadrant
+    for block, source in _reflected_blocks(m):
+        full[block] = quadrant[source]
+    return full
 
 
 def quadrant(values: np.ndarray) -> np.ndarray:
-    """The quadrant [:n/2+1, :n/2+1] of a finite n x n field even in x and y
-    and symmetric in x <-> y; ConfigError if it is not, beyond rounding."""
+    """A copy of the quadrant [:n/2+1, :n/2+1] of a finite n x n field even in
+    x and y and symmetric in x <-> y; ConfigError if it is not, beyond rounding.
+
+    The odd part is values - _mirror(q), zero on q itself, so it is measured
+    on the three reflected blocks alone."""
     values = np.asarray(values, dtype=float)
-    bad = np.count_nonzero(~np.isfinite(values))
+    bad = values.size - np.count_nonzero(np.isfinite(values))
     if bad:  # NaN would pass the checks below: NaN > bound is False
         raise ConfigError(f"field is not finite in {bad} of {values.size} cells")
     m = values.shape[0] // 2
     q = values[: m + 1, : m + 1]
-    for name, part in (("odd", values - _mirror(q)), ("asymmetric", q - q.T)):
-        if np.max(np.abs(part)) > 1e-10 * np.max(np.abs(values)):
+    bound = 1e-10 * max(np.max(values), -np.min(values))  # 1e-10 max |values|
+
+    def part(a, b):
+        d = a - b
+        return np.max(np.abs(d, out=d))
+
+    odd = max(part(values[block], q[source]) for block, source in _reflected_blocks(m))
+    for name, size in (("odd", odd), ("asymmetric", part(q, q.T))):
+        if size > bound:
             raise ConfigError(f"field is not even in x and y and x <-> y symmetric: "
-                              f"its {name} part reaches {np.max(np.abs(part)):.3e}")
-    return q
+                              f"its {name} part reaches {size:.3e}")
+    return q.copy()
 
 
 @dataclass(frozen=True)
@@ -233,7 +256,14 @@ def _phi_x(uhat: np.ndarray, kx: np.ndarray) -> np.ndarray:
     -kx uhat over modes 1..n/2-1 (the Nyquist derivative is zeroed) and an
     inverse DCT-I along y.  By x <-> y symmetry phi_y is its transpose."""
     m = uhat.shape[0] - 1
-    return scipy.fft.idct(scipy.fft.idst(-kx * uhat[1:m], type=1, axis=0), type=1, axis=1)
+    px = scipy.fft.idst(-kx * uhat[1:m], type=1, axis=0, overwrite_x=True)
+    return scipy.fft.idct(px, type=1, axis=1, overwrite_x=True)
+
+
+# The kernels below work in place on the arrays they allocate, never on an
+# argument, and keep the operand order of the plain expressions in their
+# comments: IEEE products and sums commute, so the bits are those of the
+# expressions.
 
 
 def _nonlinear_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
@@ -243,14 +273,18 @@ def _nonlinear_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
     phi_y^2 is (phi_x^2)^T by symmetry (see _phi_x).  The forward DCT-I runs
     along x, and along y on the rows the 2/3 rule keeps alone."""
     m, keep = plan.grid.n // 2, plan.dealias_keep
-    px = _phi_x(uhat, plan.kx)
-    px2 = px * px
-    sq = np.zeros_like(uhat)
-    sq[1:m] = px2
-    sq[:, 1:m] += px2.T
-    rows = scipy.fft.dct(sq, type=1, axis=0)[:keep]
+    px2 = _phi_x(uhat, plan.kx)
+    px2 *= px2
     out = np.zeros_like(uhat)
-    out[:keep, :keep] = -b * scipy.fft.dct(rows, type=1, axis=1)[:, :keep]
+    out[1:m] = px2
+    out[:, 1:m] += px2.T  # phi_x^2 + phi_y^2
+    del px2
+    out = scipy.fft.dct(out, type=1, axis=0, overwrite_x=True)
+    # rows is out[:keep] itself when scipy transforms in place, a copy if not
+    rows = scipy.fft.dct(out[:keep], type=1, axis=1, overwrite_x=True)
+    np.multiply(rows[:, :keep], -b, out=out[:keep, :keep])
+    out[:keep, keep:] = 0.0
+    out[keep:] = 0.0
     if eps != 0.0:  # eps = 0 leaves out bit for bit, signed zeros included
         out -= eps * ghat
     return out
@@ -260,15 +294,29 @@ def _step_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
               ghat: np.ndarray, n0: np.ndarray) -> np.ndarray:
     """One ETDRK4 step from uhat, whose nonlinear term n0 the caller holds."""
     eu = plan.e_half * uhat
-    a = eu + plan.q_half * n0
+    a = plan.q_half * n0
+    a += eu  # a = eu + q_half n0
     na = _nonlinear_hat(a, plan, b, eps, ghat)
-    bb = eu + plan.q_half * na
-    nb = _nonlinear_hat(bb, plan, b, eps, ghat)
-    c = plan.e_half * a + plan.q_half * (2.0 * nb - n0)
-    nc = _nonlinear_hat(c, plan, b, eps, ghat)
-    return (
-        plan.e_full * uhat + plan.f1 * n0 + 2.0 * plan.f2 * (na + nb) + plan.f3 * nc
-    )
+    a *= plan.e_half  # a is needed again only as e_half a
+    eu += plan.q_half * na  # bb = eu + q_half na
+    nb = _nonlinear_hat(eu, plan, b, eps, ghat)
+    del eu
+    na += nb  # na + nb
+    nb *= 2.0
+    nb -= n0
+    nb *= plan.q_half
+    a += nb  # c = e_half a + q_half (2 nb - n0)
+    del nb
+    nc = _nonlinear_hat(a, plan, b, eps, ghat)
+    del a
+    # e_full uhat + f1 n0 + 2 f2 (na + nb) + f3 nc, summed left to right
+    out = plan.e_full * uhat
+    out += plan.f1 * n0
+    na *= 2.0 * plan.f2
+    out += na
+    nc *= plan.f3
+    out += nc
+    return out
 
 
 def full_rhs_hat(uhat: np.ndarray, plan: ETDRK4Plan, n0: np.ndarray) -> np.ndarray:
@@ -348,12 +396,14 @@ def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
 
     def steady_residual(u, n, plan):
         """(residual, omega_drift) from phi_t = L u + n, None if not finite."""
-        phi_t = scipy.fft.idctn(full_rhs_hat(u, plan, n), type=1)
+        phi_t = scipy.fft.idctn(full_rhs_hat(u, plan, n), type=1, overwrite_x=True)
         if not np.all(np.isfinite(phi_t)):
             return None
         sel = phi_t[disk]
+        del phi_t
         mean_t = float(np.average(sel, weights=weight))
-        return float(np.max(np.abs(sel - mean_t))), -mean_t
+        sel -= mean_t
+        return float(np.max(np.abs(sel, out=sel))), -mean_t
 
     ceiling = LADDER_TOP
     counts = [0] * (ceiling + 1)
@@ -531,9 +581,11 @@ def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.nd
     s = np.linspace(r_f, math.hypot(grid.l, grid.l), 2 * grid.n + 1)
     big_f = cumulative_integral(slope, s)
     d = np.abs(grid.axes()[: grid.n // 2 + 1] - grid.center()[0])  # axis offsets
-    f = [np.interp(np.hypot(ex[:, None], ey[None, :]), s, big_f)
-         for ex in (d, grid.l - d) for ey in (d, grid.l - d)]  # f[0] is F(r0)
-    far = phibar + f[0] - np.log(sum(np.exp(-b * (fi - f[0])) for fi in f)) / b
+    f0, f1, f3 = (np.interp(np.hypot(ex[:, None], ey[None, :]), s, big_f)
+                  for ex, ey in ((d, d), (d, grid.l - d), (grid.l - d, grid.l - d)))
+    # hypot is symmetric, so the (L - d, d) image's term is the (d, L - d) one's transpose
+    side, corner = (np.exp(-b * (fi - f0)) for fi in (f1, f3))
+    far = phibar + f0 - np.log(1.0 + side + side.T + corner) / b
     return np.where(trusted, near, far)
 
 
@@ -633,7 +685,7 @@ def write_field_snapshot(grid: GridSpec2D, phi: np.ndarray,
     prefix = Path(prefix)
     bin_path = prefix.with_suffix(".bin")
     json_path = prefix.with_suffix(".json")
-    _mirror(phi).astype("<f8").tofile(bin_path)
+    _mirror(phi).tofile(bin_path)
     header = {
         "n": grid.n,
         "l": grid.l,

@@ -537,6 +537,22 @@ def test_shooting_raises_no_warning():
         assert abs(sol.slope_origin - 0.5831894958602174) <= max(tol, 1e-12), (r_max, tol)
 
 
+def test_tight_tolerances_stop_at_the_bvp_floor(monkeypatch):
+    # below a BVP tolerance of 1e-10 only the collocation's node count grows:
+    # tol = 1e-12 solves at the floor and keeps the frozen slope to 1e-12
+    tols = []
+    real = radial.solve_bvp
+
+    def spy(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "solve_bvp", spy)
+    sol = shoot_spiral_amplitude(20.0, 1e-12)
+    assert tols and min(tols) >= 1e-10
+    assert abs(sol.slope_origin - 0.5831894958602174) <= 1e-12
+
+
 def test_shooting_retains_no_memory_per_call():
     # a solve must free what it allocates: a long-lived process that solves
     # again and again must not grow

@@ -1,6 +1,7 @@
 """Periodic spectral stepper: exactness identities, convergence, round-trips."""
 import dataclasses
 import math
+import re
 import threading
 import warnings
 from dataclasses import replace
@@ -45,6 +46,7 @@ from eikolab.spectral import (
     run_to_steady,
     write_field_snapshot,
 )
+from alloc import peak_in_units
 from full_grid import to_field, to_spectrum
 from plane_oracle import plane_kappa
 
@@ -146,6 +148,95 @@ def test_quadrant_kernel_matches_the_full_grid_kernel():
         full = _full_grid_step_hat(full, full_plan, 1.0, 1.0, np.fft.rfft2(g))
     expect = np.fft.irfft2(full, s=(128, 128))
     assert np.max(np.abs(to_field(quadrant) - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+# ------------------------------------------------- the kernels' arrays
+# The stepper's kernels work in place on the arrays they allocate.  These are
+# the same kernels as plain expressions, each stage a new array: the in-place
+# ones must give the same bits and hold fewer quadrant-sized arrays at once.
+
+
+def _expression_nonlinear_hat(uhat, plan, b, eps, ghat):
+    m, keep = plan.grid.n // 2, plan.dealias_keep
+    px = scipy.fft.idct(scipy.fft.idst(-plan.kx * uhat[1:m], type=1, axis=0), type=1, axis=1)
+    px2 = px * px
+    sq = np.zeros_like(uhat)
+    sq[1:m] = px2
+    sq[:, 1:m] += px2.T
+    rows = scipy.fft.dct(sq, type=1, axis=0)[:keep]
+    out = np.zeros_like(uhat)
+    out[:keep, :keep] = -b * scipy.fft.dct(rows, type=1, axis=1)[:, :keep]
+    if eps != 0.0:
+        out -= eps * ghat
+    return out
+
+
+def _expression_step_hat(uhat, plan, b, eps, ghat, n0):
+    eu = plan.e_half * uhat
+    a = eu + plan.q_half * n0
+    na = _expression_nonlinear_hat(a, plan, b, eps, ghat)
+    bb = eu + plan.q_half * na
+    nb = _expression_nonlinear_hat(bb, plan, b, eps, ghat)
+    c = plan.e_half * a + plan.q_half * (2.0 * nb - n0)
+    nc = _expression_nonlinear_hat(c, plan, b, eps, ghat)
+    return (
+        plan.e_full * uhat + plan.f1 * n0 + 2.0 * plan.f2 * (na + nb) + plan.f3 * nc
+    )
+
+
+def _kernel_state(n):
+    """(uhat, ghat, grid): a cone-shaped phi over the p = 0.8 defect on an n-grid, L = 100."""
+    grid = GridSpec2D(n, 100.0)
+    r = grid.radius_grid()
+    g = evaluate_g(InhomogeneitySpec(1.0, 0.8), r)
+    return (scipy.fft.dctn(np.sqrt(1.0 + r * r) - 2.0 * g, type=1),
+            scipy.fft.dctn(g, type=1), grid)
+
+
+def _same_bits(a, b):
+    # bytes, not values: a signed zero must come out signed as before
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_in_place_kernels_give_the_expressions_bits(n):
+    uhat, ghat, grid = _kernel_state(n)
+    for eps in (1.0, 0.0):
+        u = uhat
+        for level in range(LADDER_TOP + 1):  # a step at each dt of the ladder
+            plan = make_plan(grid, 0.5 * 2**level)
+            n0 = _nonlinear_hat(u, plan, 1.0, eps, ghat)
+            assert _same_bits(n0, _expression_nonlinear_hat(u, plan, 1.0, eps, ghat))
+            kept = (u.copy(), n0.copy())
+            new = _step_hat(u, plan, 1.0, eps, ghat, n0)
+            assert _same_bits(new, _expression_step_hat(u, plan, 1.0, eps, ghat, n0))
+            # the caller's arrays are read, never written
+            assert _same_bits(u, kept[0]) and _same_bits(n0, kept[1])
+            u = new
+
+
+def test_kernels_hold_few_quadrants_at_once():
+    # at N = 512 the plain expressions above hold 6.2 (nonlinear term) and
+    # 12.2 (step) quadrant-sized arrays at their peak, results included
+    uhat, ghat, grid = _kernel_state(512)
+    plan = make_plan(grid, 0.5)
+    n0 = _nonlinear_hat(uhat, plan, 1.0, 1.0, ghat)
+    _step_hat(uhat, plan, 1.0, 1.0, ghat, n0)  # warms the transforms' plans
+    _, nonlinear = peak_in_units(uhat.nbytes, _nonlinear_hat, uhat, plan, 1.0, 1.0, ghat)
+    _, step = peak_in_units(uhat.nbytes, _step_hat, uhat, plan, 1.0, 1.0, ghat, n0)
+    assert nonlinear <= 2.5
+    assert step <= 5.5
+
+
+def test_image_radii_are_symmetric_bit_for_bit():
+    # _matched_phi takes the (L - d, d) image's term as the transpose of the
+    # (d, L - d) one: hypot must not depend on its arguments' order
+    for n in (64, 128, 256, 512):
+        grid = GridSpec2D(n, 100.0)
+        d = np.abs(grid.axes()[: n // 2 + 1] - grid.center()[0])
+        e = grid.l - d
+        assert _same_bits(np.hypot(d[:, None], e[None, :]), np.hypot(e[:, None], d[None, :]).T)
+        assert _same_bits(grid.radius_grid(), grid.radius_grid().T)
 
 
 def test_to_spectrum_takes_even_fields_alone():
@@ -428,6 +519,45 @@ def test_snapshot_round_trip(tmp_path):
     back_grid, back = read_field_snapshot(tmp_path / "snap")
     assert back_grid == grid
     assert np.array_equal(back, phi)
+
+
+def test_snapshot_io_holds_about_one_grid(tmp_path):
+    # the writer fills one n x n grid and writes it; the reader holds the
+    # file's values, one reflected block's difference at a time and the
+    # quadrant it returns (a copy, so the file's values can be freed)
+    grid = GridSpec2D(512, 100.0)
+    phi = grid.radius_grid() ** 2
+    prefix = tmp_path / "snap"
+    size = 8 * 512 * 512
+    _, write = peak_in_units(size, write_field_snapshot, grid, phi, prefix)
+    (_, back), read = peak_in_units(size, read_field_snapshot, prefix)
+    assert np.array_equal(back, phi) and back.flags.owndata
+    assert write <= 1.1
+    assert read <= 1.4
+
+
+@pytest.mark.parametrize("part", ["odd", "asymmetric", (0, 40), (33, 63), (63, 33), (40, 50)])
+def test_quadrant_reports_the_full_mirror_magnitude(part):
+    # the odd part is measured block by block, the asymmetric one on the
+    # quadrant: the refusal names the magnitudes of the full-grid formulas.
+    # A cell off the quadrant alone is odd: each edge of each reflected block
+    grid = GridSpec2D(64, 30.0)
+    x, y = _xy(grid)
+    kx = 2.0 * np.pi / 30.0
+    values = np.cos(kx * x) + np.cos(kx * y)
+    if part == "odd":
+        values += 1e-6 * np.sin(kx * x) * np.cos(kx * y)
+    elif part == "asymmetric":
+        values += 1e-6 * np.cos(kx * x) * np.cos(2.0 * kx * y)
+    else:
+        values[part] += 3e-7
+    q = values[:33, :33]
+    rows = np.concatenate((q, q[-2:0:-1]))
+    mirrored = np.concatenate((rows, rows[:, -2:0:-1]), axis=1)
+    name, size = (("asymmetric", np.max(np.abs(q - q.T))) if part == "asymmetric"
+                  else ("odd", np.max(np.abs(values - mirrored))))
+    with pytest.raises(ConfigError, match=re.escape(f"its {name} part reaches {size:.3e}") + "$"):
+        spectral.quadrant(values)
 
 
 def test_config_validation():
