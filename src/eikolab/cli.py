@@ -33,7 +33,7 @@ from . import __version__
 from .asymptotics import branch_mass, compare_prediction_to_runs, predict_k_for_family
 from .asymptotics import predict_lambda
 from .errors import BlowUpError, ConfigError, NumericalError, StatisticsError
-from .measure import ANNULUS_FRACTIONS, fit_k_law, fit_log_k_vs_inv_a
+from .measure import ANNULUS_FRACTIONS, default_annulus, fit_k_law, fit_log_k_vs_inv_a
 from .measure import measure_wavenumber, radial_gradient, radial_gradient_profile
 from .profiles import CutoffSpec, InhomogeneitySpec, core_mass, evaluate_g
 from .profiles import R_CUT, SUBCRITICAL_P, smooth_cutoff, split_defect
@@ -82,16 +82,18 @@ def write_csv(path: Path, header: Sequence[str], rows) -> Path:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(cell) for cell in row))
+    _out_dir(path.parent)
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def write_json(path: Path | None, payload) -> Path | None:
-    """Sorted, indented JSON to `path`, or to stdout when `path` is None."""
+    """Sorted, indented JSON to `path` (its directory made), or to stdout when `path` is None."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
+        _out_dir(path.parent)
         path.write_text(text)
     return path
 
@@ -455,7 +457,7 @@ def _write_sweep_table(cfg, out: Path, members, results):
 
 def cmd_measure(args) -> int:
     grid, phi = read_field_snapshot(args.field)
-    annulus = None
+    annulus = default_annulus(grid)
     if args.annulus:
         vals = _floats(args.annulus)
         if len(vals) != 2:
@@ -466,7 +468,7 @@ def cmd_measure(args) -> int:
     prof = radial_gradient_profile(grid, radial, n_bins=args.n_bins)
     payload = {
         "k_measured": k,
-        "annulus": list(annulus) if annulus else CONVENTIONS["annulus_fractions"],
+        "annulus": list(annulus),
         "y_transform": _transform_y(k),
         "radial_profile": {
             "r": prof.grid.nodes.tolist(),
@@ -495,7 +497,8 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _load_runs(path: str) -> list:
+def _load_runs(path: str) -> tuple:
+    """(the runs.json file at or in path, its runs)."""
     p = Path(path)
     if p.is_dir():
         p = p / "runs.json"
@@ -522,13 +525,13 @@ def _load_runs(path: str) -> list:
         if not isinstance(e["report"].get("converged", True), bool):
             raise ConfigError(f"{p}: run value 'converged' must be true or false, "
                               f"got {e['report']['converged']!r}")
-    return [(e["params"], SimpleNamespace(**e["report"])) for e in entries]
+    return p, [(e["params"], SimpleNamespace(**e["report"])) for e in entries]
 
 
 def cmd_compare(args) -> int:
-    sweep = _load_runs(args.runs)
+    runs, sweep = _load_runs(args.runs)
     table = compare_prediction_to_runs(sweep)
-    out = _out_dir(args.out or args.runs)
+    out = Path(args.out or runs.parent)
     write_csv(
         out / "compare.csv",
         ["p", "a_sim", "k_measured", "k_shape", "log_residual", "steady", "branch"],

@@ -21,9 +21,9 @@ import scipy.fft
 
 from .errors import ConfigError, DomainError, StatisticsError
 from .radial import RadialGrid, RadialProfile
-from .spectral import _multiplicity, _phi_x, _spectral_tools
+from .spectral import STEADY_DISK, _phi_x, geometry
 
-ANNULUS_FRACTIONS = (0.35, 0.45)
+ANNULUS_FRACTIONS = (0.35, STEADY_DISK)
 MIN_ANNULUS_CELLS = 100
 
 
@@ -31,45 +31,14 @@ def default_annulus(grid) -> tuple[float, float]:
     return (ANNULUS_FRACTIONS[0] * grid.l, ANNULUS_FRACTIONS[1] * grid.l)
 
 
-def _bin_average(grid, values: np.ndarray, n_bins: int,
-                 center_value: float) -> RadialProfile:
-    """Bin means of quadrant values, each cell counted as its _multiplicity
-    full-grid cells."""
-    if n_bins < 16:
-        raise ConfigError(f"n_bins must be >= 16, got {n_bins}")
-    r = grid.radius_grid()
-    r_max = 0.5 * grid.l
-    width = r_max / n_bins
-    keep = r <= r_max
-    idx = np.minimum((r[keep] / width).astype(int), n_bins - 1)
-    weight = _multiplicity(grid.n)[keep]
-    counts = np.bincount(idx, weights=weight, minlength=n_bins).astype(int)
-    sums = np.bincount(idx, weights=weight * np.asarray(values, dtype=float)[keep],
-                       minlength=n_bins)
-    empty = counts == 0
-    means = np.where(empty, 0.0, sums / np.maximum(counts, 1))
-    centers = (np.arange(n_bins) + 0.5) * width
-    if np.any(empty):
-        filled = ~empty
-        means[empty] = np.interp(centers[empty], centers[filled], means[filled])
-    nodes = np.concatenate(([0.0], centers))
-    profile_vals = np.concatenate(([center_value], means))
-    return RadialProfile(
-        RadialGrid(nodes),
-        profile_vals,
-        bin_counts=np.concatenate(([1], counts)),
-        interpolated=np.concatenate(([False], empty)),
-    )
-
-
 def radial_gradient(grid, phi: np.ndarray) -> np.ndarray:
     """The radial component of the spectral gradient of the quadrant field
     phi [:n/2+1, :n/2+1], on that quadrant, 0 at the center."""
+    geo = geometry(grid)
     m = grid.n // 2
     px = np.zeros((m + 1, m + 1))
-    px[1:m] = _phi_x(scipy.fft.dctn(phi, type=1), _spectral_tools(grid)[0])
-    offset = grid.axes()[: m + 1] - grid.center()[0]
-    r = grid.radius_grid()
+    px[1:m] = _phi_x(scipy.fft.dctn(phi, type=1), geo.kx)
+    offset, r = geo.offset, geo.radius
     # phi_y is phi_x transposed
     radial = px * offset[:, None] + px.T * offset[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -77,24 +46,45 @@ def radial_gradient(grid, phi: np.ndarray) -> np.ndarray:
 
 
 def radial_gradient_profile(grid, radial: np.ndarray, n_bins: int = 64) -> RadialProfile:
-    """Azimuthal average of the quadrant's radial gradient (see radial_gradient)."""
-    # the radial derivative vanishes at the center by symmetry
-    return _bin_average(grid, radial, n_bins, 0.0)
+    """Azimuthal average of the quadrant's radial gradient (see radial_gradient):
+    bin means over r <= L/2, each cell counted as the full-grid cells it
+    stands for, an empty bin interpolated from its neighbours, and 0 at the
+    center, where the radial derivative vanishes by symmetry."""
+    if n_bins < 16:
+        raise ConfigError(f"n_bins must be >= 16, got {n_bins}")
+    geo = geometry(grid)
+    r_max = 0.5 * grid.l
+    width = r_max / n_bins
+    keep = geo.radius <= r_max
+    idx = np.minimum((geo.radius[keep] / width).astype(int), n_bins - 1)
+    weight = geo.weight[keep]
+    counts = np.bincount(idx, weights=weight, minlength=n_bins).astype(int)
+    sums = np.bincount(idx, weights=weight * np.asarray(radial, dtype=float)[keep],
+                       minlength=n_bins)
+    empty = counts == 0
+    means = np.where(empty, 0.0, sums / np.maximum(counts, 1))
+    centers = (np.arange(n_bins) + 0.5) * width
+    if np.any(empty):
+        filled = ~empty
+        means[empty] = np.interp(centers[empty], centers[filled], means[filled])
+    return RadialProfile(
+        RadialGrid(np.concatenate(([0.0], centers))),
+        np.concatenate(([0.0], means)),
+        bin_counts=np.concatenate(([1], counts)),
+        interpolated=np.concatenate(([False], empty)),
+    )
 
 
-def measure_wavenumber(grid, radial: np.ndarray,
-                       annulus: tuple[float, float] | None = None) -> float:
+def measure_wavenumber(grid, radial: np.ndarray, annulus: tuple[float, float]) -> float:
     """Mean of the quadrant's radial gradient (see radial_gradient) over an annulus."""
-    if annulus is None:
-        annulus = default_annulus(grid)
     r_in, r_out = annulus
-    if not (0.0 < r_in < r_out <= 0.45 * grid.l * (1.0 + 1e-12)):
+    if not (0.0 < r_in < r_out <= STEADY_DISK * grid.l * (1.0 + 1e-12)):
         raise ConfigError(
-            f"annulus must satisfy 0 < r_in < r_out <= 0.45 L, got {annulus}"
+            f"annulus must satisfy 0 < r_in < r_out <= {STEADY_DISK} L, got {annulus}"
         )
-    r = grid.radius_grid()
-    sel = (r >= r_in) & (r <= r_out)
-    weight = _multiplicity(grid.n)[sel]  # full-grid cells per quadrant cell
+    geo = geometry(grid)
+    sel = (geo.radius >= r_in) & (geo.radius <= r_out)
+    weight = geo.weight[sel]  # full-grid cells per quadrant cell
     n_cells = int(np.sum(weight))
     if n_cells < MIN_ANNULUS_CELLS:
         raise StatisticsError(

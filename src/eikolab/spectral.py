@@ -14,7 +14,7 @@ below |z| = 1, where the formulas cancel, and expm1(z) / z with the recurrence
 phi_{j+1} = (phi_j - 1/j!) / z above.  The quadratic term takes phi_x alone
 (phi_y^2 is the transpose of phi_x^2), dealiased by the 2/3 rule whose
 dropped rows its forward transform skips; the forcing is an exact spectral
-constant.  Plans, radius grids and the bare defect are cached read-only.
+constant.  Plans, grid geometries and the bare defect are cached read-only.
 run_to_steady warm-starts from the half grid's locked state where that grid
 resolves the defect core, else from the Hopf-Cole eigenstate (solved on
 DCT-I coefficients) continued along the periodic box's far field, summed
@@ -47,6 +47,14 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
+# The coarsest grid, and so the coarsest level of a half-grid start.
+GRID_MIN_N = 64
+
+# Radius, in units of L, of the centered disk on which a run is judged
+# steady; the measurement annulus lies inside it.
+STEADY_DISK = 0.45
+
+
 @dataclass(frozen=True)
 class GridSpec2D:
     """Square periodic grid: n x n cells on side length l."""
@@ -55,8 +63,8 @@ class GridSpec2D:
     l: float
 
     def __post_init__(self):
-        if self.n < 64 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError(f"n must be a power of two >= 64, got {self.n}")
+        if self.n < GRID_MIN_N or (self.n & (self.n - 1)) != 0:
+            raise ConfigError(f"n must be a power of two >= {GRID_MIN_N}, got {self.n}")
         if not self.l > 0:
             raise ConfigError(f"l must be > 0, got {self.l}")
         if math.isinf(self.l):
@@ -73,33 +81,30 @@ class GridSpec2D:
     def center(self) -> tuple[float, float]:
         return (0.5 * self.l, 0.5 * self.l)
 
-    @functools.lru_cache(maxsize=2)  # the two grids of a half-grid ladder
-    def radius_grid(self) -> np.ndarray:
-        """Distance of each quadrant cell [:n/2+1, :n/2+1] to the domain center,
-        read-only; no cell is farther than L/2 along an axis, so it is also the
-        periodic (min-image) distance."""
-        d = np.abs(self.axes()[: self.n // 2 + 1] - self.center()[0])
-        return _read_only(np.hypot(d[:, None], d[None, :]))[0]
+
+class Geometry(NamedTuple):
+    """One grid's quadrant [:n/2+1, :n/2+1] and its spectrum, read-only (see geometry)."""
+
+    offset: np.ndarray  # x - L/2 of rows (and columns) 0..n/2, all <= 0
+    radius: np.ndarray  # each cell's distance to the center
+    weight: np.ndarray  # n-grid cells per cell: rows and columns 0, n/2 mirror onto themselves
+    kx: np.ndarray  # wavenumbers 1..n/2-1, a column: 0 and n/2 have no signed derivative
+    minus_ksq: np.ndarray  # -|k|^2 on the quadrant kx, ky = 0..n/2
+    keep: int  # the 2/3 rule keeps modes 0..keep-1 on each axis
 
 
-@functools.lru_cache(maxsize=2)
-def _spectral_tools(grid: GridSpec2D):
-    """(kx, minus_ksq) on the quadrant kx, ky = 0..n/2, read-only.
-
-    kx, a column, skips 0 and the Nyquist mode, which has no signed
-    derivative.  Cached for the last two grids (a half-grid ladder visits
-    two), so every plan of a relaxation shares one set of arrays.
-    """
+@functools.lru_cache(maxsize=2)  # the two grids of a half-grid ladder
+def geometry(grid: GridSpec2D) -> Geometry:
+    """The quadrant geometry of grid, shared by the plans, the start and the
+    measurement of its runs.  No cell is farther than L/2 along an axis, so
+    radius is also the periodic (min-image) distance."""
     n, m = grid.n, grid.n // 2
+    offset = grid.axes()[: m + 1] - grid.center()[0]
+    w = np.r_[1.0, np.full(m - 1, 2.0), 1.0]
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.l / n)
-    return _read_only(k[1:m, None], -(k[:, None] ** 2 + k[None, :] ** 2))
-
-
-@functools.lru_cache(maxsize=2)
-def _multiplicity(n: int) -> np.ndarray:
-    """n-grid cells per quadrant cell: rows and columns 0, n/2 mirror onto themselves."""
-    w = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]
-    return _read_only(np.outer(w, w))[0]
+    arrays = _read_only(offset, np.hypot(offset[:, None], offset[None, :]), np.outer(w, w),
+                        k[1:m, None], -(k[:, None] ** 2 + k[None, :] ** 2))
+    return Geometry(*arrays, -(-n // 3))  # modes < n/3
 
 
 _N_TAYLOR = 20  # series terms below |z| = 1: the remainder is below 1e-19
@@ -176,15 +181,12 @@ class ETDRK4Plan:
 
     grid: GridSpec2D
     dt: float
-    linear_symbol: np.ndarray  # -|k|^2
     e_full: np.ndarray
     e_half: np.ndarray
     q_half: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
     f3: np.ndarray
-    kx: np.ndarray  # interior wavenumbers, see _spectral_tools
-    dealias_keep: int  # the 2/3 rule keeps modes 0..dealias_keep-1 on each axis
 
 
 # Runs relax on the dt ladder dt * 2**level, level <= LADDER_TOP:
@@ -204,8 +206,7 @@ PLAN_CACHE_SIZE = 2 * (LADDER_TOP + 1)
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _cached_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
-    kx, minus_ksq = _spectral_tools(grid)
-    z = minus_ksq * dt
+    z = geometry(grid).minus_ksq * dt
     phi1, phi2, phi3 = _phi_functions(z)
     half1 = _phi_functions(0.5 * z, count=1)[0]
     e_full = np.exp(z)
@@ -217,7 +218,7 @@ def _cached_plan(grid: GridSpec2D, dt: float) -> ETDRK4Plan:
     f2 = dt * (phi2 - 2.0 * phi3)
     f3 = dt * (4.0 * phi3 - phi2)
     tables = _read_only(e_full, e_half, q_half, f1, f2, f3)
-    return ETDRK4Plan(grid, dt, minus_ksq, *tables, kx, -(-grid.n // 3))  # modes < n/3
+    return ETDRK4Plan(grid, dt, *tables)
 
 
 _plan_lock = threading.Lock()
@@ -238,7 +239,7 @@ make_plan.cache_info, make_plan.cache_clear = _cached_plan.cache_info, _cached_p
 def _bare_defect(grid: GridSpec2D, amplitude: float, decay_exponent: float):
     """(g, ghat), read-only: the bare defect on the quadrant and its spectrum,
     shared by the eigen start and _relax of every run with this grid and shape."""
-    g = evaluate_g(InhomogeneitySpec(amplitude, decay_exponent), grid.radius_grid())
+    g = evaluate_g(InhomogeneitySpec(amplitude, decay_exponent), geometry(grid).radius)
     return _read_only(g, scipy.fft.dctn(g, type=1))
 
 
@@ -272,8 +273,9 @@ def _nonlinear_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
 
     phi_y^2 is (phi_x^2)^T by symmetry (see _phi_x).  The forward DCT-I runs
     along x, and along y on the rows the 2/3 rule keeps alone."""
-    m, keep = plan.grid.n // 2, plan.dealias_keep
-    px2 = _phi_x(uhat, plan.kx)
+    geo = geometry(plan.grid)
+    m, keep = plan.grid.n // 2, geo.keep
+    px2 = _phi_x(uhat, geo.kx)
     px2 *= px2
     out = np.zeros_like(uhat)
     out[1:m] = px2
@@ -321,7 +323,7 @@ def _step_hat(uhat: np.ndarray, plan: ETDRK4Plan, b: float, eps: float,
 
 def full_rhs_hat(uhat: np.ndarray, plan: ETDRK4Plan, n0: np.ndarray) -> np.ndarray:
     """Spectral phi_t = -|k|^2 phi_hat + n0, n0 the nonlinear term at uhat."""
-    return plan.linear_symbol * uhat + n0
+    return geometry(plan.grid).minus_ksq * uhat + n0
 
 
 @dataclass(frozen=True)
@@ -350,7 +352,6 @@ class SimulationConfig:
 # Nested iteration (the full-multigrid start): a grid that resolves the unit
 # defect core sits within discretisation error of the continuum's locked state,
 # so the half grid locks first and warm-starts the fine one.
-HALF_GRID_MIN_N = 64
 HALF_GRID_MAX_DX = 0.5
 
 
@@ -376,9 +377,9 @@ def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
     """Step the quadrant spectrum uhat on config.grid until phi_t is steady or t_max.
 
     Steadiness: max |phi_t - mean(phi_t)| over the centered disk of radius
-    0.45 L below steady_tol, with the exact instantaneous right-hand side
-    L u + N(u); N(u) is the next step's first stage, so a check costs one
-    inverse DCT-I; the mean weighs each quadrant cell by its _multiplicity.
+    STEADY_DISK L below steady_tol, with the exact instantaneous right-hand
+    side L u + N(u); N(u) is the next step's first stage, so a check costs
+    one inverse DCT-I; the mean weighs each quadrant cell by its mirror weight.
     The check comes after every step, and the step is
     dt * 2**level by switched evolution relaxation: tau grows by
     min(2, r_prev / r), within [dt, 8 dt] (dt * 2**LADDER_TOP), and the
@@ -390,8 +391,9 @@ def _relax(config: SimulationConfig, uhat: np.ndarray) -> Relaxation:
     grid, b, dt = config.grid, config.b, config.dt
     eps = config.defect.strength
     _, ghat = _bare_defect(grid, config.defect.amplitude, config.defect.decay_exponent)
-    disk = grid.radius_grid() <= 0.45 * grid.l
-    weight = _multiplicity(grid.n)[disk]
+    geo = geometry(grid)
+    disk = geo.radius <= STEADY_DISK * grid.l
+    weight = geo.weight[disk]
     n_ticks = int(math.ceil(config.t_max / dt))  # time budget in units of dt
 
     def steady_residual(u, n, plan):
@@ -493,8 +495,9 @@ def _hopf_cole_eigen(config: SimulationConfig) -> tuple:
     sigma = 0.5 * float(np.max(pot))
     if not 0.0 < sigma * sigma < math.inf:
         return None, None, None
-    ksq = -_spectral_tools(config.grid)[1]
-    weight = _multiplicity(config.grid.n).ravel()
+    geo = geometry(config.grid)
+    ksq = -geo.minus_ksq
+    weight = geo.weight.ravel()
 
     def dot(u, v):
         # by einsum's own loop: OpenBLAS would thread a dot of this size on
@@ -562,7 +565,7 @@ def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.nd
     over the four nearest images (axis offsets 0 and -L), r0 the cell's own
     radius, so the own term is 1 and each other one at most 1.  phibar is
     the mean over the trusted cells within one dx of r_f of phi0 carried to
-    r_f along the slope F'(r_f) (quadrant cells weighed by _multiplicity).
+    r_f along the slope F'(r_f) (quadrant cells weighed by their mirror weight).
     """
     grid, b = config.grid, config.b
     floor = max(1e-7, 100.0 * max(0.0, -float(np.min(w))))
@@ -570,20 +573,22 @@ def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.nd
     near = -np.log(np.maximum(w, 10.0 * floor)) / b
     if np.all(trusted):
         return near
-    r = grid.radius_grid()
+    geo = geometry(grid)
+    r = geo.radius
     r_f = float(np.min(r[~trusted]))
 
     def slope(t):  # d phi0/dr = q/b + 1/(2 b r)
         return np.sqrt(np.maximum(omega - evaluate_g(config.defect, t), 0.0) / b) + 0.5 / (b * t)
 
-    weight = _multiplicity(grid.n) * (trusted & (np.abs(r - r_f) <= grid.dx))
+    weight = geo.weight * (trusted & (np.abs(r - r_f) <= grid.dx))
     phibar = float(np.sum(weight * (near + slope(r_f) * (r_f - r))) / np.sum(weight))
     s = np.linspace(r_f, math.hypot(grid.l, grid.l), 2 * grid.n + 1)
     big_f = cumulative_integral(slope, s)
-    d = np.abs(grid.axes()[: grid.n // 2 + 1] - grid.center()[0])  # axis offsets
-    f0, f1, f3 = (np.interp(np.hypot(ex[:, None], ey[None, :]), s, big_f)
-                  for ex, ey in ((d, d), (d, grid.l - d), (grid.l - d, grid.l - d)))
-    # hypot is symmetric, so the (L - d, d) image's term is the (d, L - d) one's transpose
+    d, e = geo.offset, grid.l + geo.offset  # axis offsets from the defect and its image at -L
+    f0 = np.interp(r, s, big_f)
+    f1, f3 = (np.interp(np.hypot(ex[:, None], ey[None, :]), s, big_f)
+              for ex, ey in ((d, e), (e, e)))
+    # hypot is symmetric, so the (e, d) image's term is the (d, e) one's transpose
     side, corner = (np.exp(-b * (fi - f0)) for fi in (f1, f3))
     far = phibar + f0 - np.log(1.0 + side + side.T + corner) / b
     return np.where(trusted, near, far)
@@ -631,7 +636,7 @@ def _warm_start(config: SimulationConfig) -> Start:
     grid = config.grid
     half = grid.n // 2
     coarse_steps = 0
-    if half >= HALF_GRID_MIN_N and grid.l / half <= HALF_GRID_MAX_DX:
+    if half >= GRID_MIN_N and grid.l / half <= HALF_GRID_MAX_DX:
         coarse = replace(config, grid=GridSpec2D(half, grid.l))
         seed = _warm_start(coarse)
         run = _relax(coarse, seed.uhat)

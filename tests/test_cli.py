@@ -634,8 +634,8 @@ def test_figure1_does_not_depend_on_the_thread_count(tmp_path):
         assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
 
 
-def test_compare_on_synthetic_runs(tmp_path):
-    c = 0.9
+def _synthetic_runs(runs_dir, c):
+    """runs.json in runs_dir: four steady runs with k = c k_shape."""
     entries = []
     for p in (1.2, 1.5, 2.0, 2.5):
         fam = predict_k_for_family(1.5, p)
@@ -644,9 +644,15 @@ def test_compare_on_synthetic_runs(tmp_path):
             "report": {"k_measured": c * fam.k_shape, "converged": True},
             "dir": f"run_p{p}",
         })
-    runs_dir = tmp_path / "runs"
     runs_dir.mkdir()
     (runs_dir / "runs.json").write_text(json.dumps(entries))
+    return runs_dir / "runs.json"
+
+
+def test_compare_on_synthetic_runs(tmp_path):
+    c = 0.9
+    runs_dir = tmp_path / "runs"
+    _synthetic_runs(runs_dir, c)
     assert main(["compare", "--runs", str(runs_dir)]) == EXIT_OK
     summary = json.loads((runs_dir / "compare_summary.json").read_text())
     assert summary["c_fitted"] == pytest.approx(c, rel=1e-12)
@@ -654,6 +660,39 @@ def test_compare_on_synthetic_runs(tmp_path):
     assert summary["log_k_vs_inv_a"]["pearson_r"] == pytest.approx(1.0, abs=1e-12)
     rows = read_csv(runs_dir / "compare.csv")
     assert len(rows) == 4
+
+
+def test_compare_on_a_runs_file_writes_next_to_it(tmp_path):
+    # --runs may name runs.json itself: without --out the tables go beside
+    # it, the same bytes as from its directory
+    runs = _synthetic_runs(tmp_path / "runs", 0.9)
+    assert main(["compare", "--runs", str(tmp_path / "runs"), "--out",
+                 str(tmp_path / "by_dir")]) == EXIT_OK
+    assert main(["compare", "--runs", str(runs)]) == EXIT_OK
+    for name in ("compare.csv", "compare_summary.json"):
+        assert (runs.parent / name).read_bytes() == (tmp_path / "by_dir" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--A", "1.5", "--p", "0.8", "--eps", "0.05"],
+    ["special", "--z", "0.5,5"],
+], ids=["write_json", "write_csv"])
+def test_a_file_out_makes_its_directory(tmp_path, argv):
+    # as the commands that write a directory make theirs
+    out = tmp_path / "nodir" / "deeper" / "x"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert out.is_file()
+
+
+def test_measure_json_records_the_annulus_in_radii(tmp_path):
+    # as report.json does: [0.35 L, 0.45 L] by default, else --annulus
+    grid = GridSpec2D(64, 50.0)
+    snap = tmp_path / "field"
+    write_field_snapshot(grid, np.sqrt(1.0 + spectral.geometry(grid).radius ** 2), snap)
+    for extra, annulus in (([], [17.5, 22.5]), (["--annulus", "10,20"], [10.0, 20.0])):
+        out = tmp_path / f"m{len(extra)}.json"
+        assert main(["measure", "--field", str(snap), "--out", str(out), *extra]) == EXIT_OK
+        assert json.loads(out.read_text())["annulus"] == pytest.approx(annulus, rel=1e-15)
 
 
 def test_compare_missing_runs_exit_code(tmp_path, capsys):

@@ -18,7 +18,8 @@ from eikolab.asymptotics import branch_mass
 from eikolab.cli import FIG1_A_VALUES, FIG2_P_GRID
 from eikolab.errors import BlowUpError, ConfigError
 from eikolab.profiles import InhomogeneitySpec, evaluate_g
-from eikolab.measure import SteadyStateReport, measure_wavenumber, radial_gradient
+from eikolab.measure import SteadyStateReport, default_annulus, measure_wavenumber
+from eikolab.measure import radial_gradient
 from eikolab.specfun import EULER_GAMMA
 from eikolab import spectral
 from eikolab.spectral import (
@@ -32,15 +33,14 @@ from eikolab.spectral import (
     _hopf_cole_start,
     _matched_phi,
     _mirror,
-    _multiplicity,
     _nonlinear_hat,
     _phi_functions,
     _relax,
-    _spectral_tools,
     _step_hat,
     _warm_start,
     defect_corner_ratio,
     full_rhs_hat,
+    geometry,
     make_plan,
     read_field_snapshot,
     run_to_steady,
@@ -60,7 +60,7 @@ def _defect_field(grid, defect):
     """The bare defect A/(1+r^2)^p, strength not applied, on the full grid at
     periodic distance from the center."""
     bare = InhomogeneitySpec(defect.amplitude, defect.decay_exponent)
-    return evaluate_g(bare, _mirror(grid.radius_grid()))
+    return evaluate_g(bare, _mirror(geometry(grid).radius))
 
 
 def _step(uhat, plan, b, eps, ghat):
@@ -157,8 +157,9 @@ def test_quadrant_kernel_matches_the_full_grid_kernel():
 
 
 def _expression_nonlinear_hat(uhat, plan, b, eps, ghat):
-    m, keep = plan.grid.n // 2, plan.dealias_keep
-    px = scipy.fft.idct(scipy.fft.idst(-plan.kx * uhat[1:m], type=1, axis=0), type=1, axis=1)
+    geo = geometry(plan.grid)
+    m, keep = plan.grid.n // 2, geo.keep
+    px = scipy.fft.idct(scipy.fft.idst(-geo.kx * uhat[1:m], type=1, axis=0), type=1, axis=1)
     px2 = px * px
     sq = np.zeros_like(uhat)
     sq[1:m] = px2
@@ -187,7 +188,7 @@ def _expression_step_hat(uhat, plan, b, eps, ghat, n0):
 def _kernel_state(n):
     """(uhat, ghat, grid): a cone-shaped phi over the p = 0.8 defect on an n-grid, L = 100."""
     grid = GridSpec2D(n, 100.0)
-    r = grid.radius_grid()
+    r = geometry(grid).radius
     g = evaluate_g(InhomogeneitySpec(1.0, 0.8), r)
     return (scipy.fft.dctn(np.sqrt(1.0 + r * r) - 2.0 * g, type=1),
             scipy.fft.dctn(g, type=1), grid)
@@ -229,14 +230,19 @@ def test_kernels_hold_few_quadrants_at_once():
 
 
 def test_image_radii_are_symmetric_bit_for_bit():
-    # _matched_phi takes the (L - d, d) image's term as the transpose of the
-    # (d, L - d) one: hypot must not depend on its arguments' order
+    # _matched_phi takes the (e, d) image's term as the transpose of the
+    # (d, e) one, e = L + d: hypot must not depend on its arguments' order
     for n in (64, 128, 256, 512):
-        grid = GridSpec2D(n, 100.0)
-        d = np.abs(grid.axes()[: n // 2 + 1] - grid.center()[0])
-        e = grid.l - d
+        geo = geometry(GridSpec2D(n, 100.0))
+        d = geo.offset
+        e = 100.0 + d
         assert _same_bits(np.hypot(d[:, None], e[None, :]), np.hypot(e[:, None], d[None, :]).T)
-        assert _same_bits(grid.radius_grid(), grid.radius_grid().T)
+        assert _same_bits(geo.radius, geo.radius.T)
+        # the radii of the offsets' magnitudes, as the image sum takes them
+        a = np.abs(d)
+        assert _same_bits(geo.radius, np.hypot(a[:, None], a[None, :]))
+        assert _same_bits(np.hypot(d[:, None], e[None, :]),
+                          np.hypot(a[:, None], (100.0 - a)[None, :]))
 
 
 def test_to_spectrum_takes_even_fields_alone():
@@ -280,9 +286,8 @@ def test_grid_validation():
     assert g.center() == (8.0, 8.0)
 
 
-def test_radius_grid_min_image():
-    g = GridSpec2D(64, 10.0)
-    r = g.radius_grid()
+def test_geometry_radius_is_the_min_image_distance():
+    r = geometry(GridSpec2D(64, 10.0)).radius
     # the quadrant [:33, :33]: the corner cell is half a diagonal away, the
     # min-image distance, and the last cell is the center
     assert r.shape == (33, 33) and not r.flags.writeable
@@ -310,7 +315,7 @@ def test_plan_tables_match_full_grid_evaluation(n, l, dt):
     # make_plan's tables are the phi-function weights of ETDRK4 over the
     # quadrant's z = -|k|^2 dt, bit for bit, on every step of the dt ladder
     grid = GridSpec2D(n, l)
-    _, minus_ksq = _spectral_tools(grid)
+    minus_ksq = geometry(grid).minus_ksq
     for step in (dt * 2**j for j in range(LADDER_TOP + 1)):
         plan = make_plan(grid, step)
         z = minus_ksq * step
@@ -343,16 +348,19 @@ def test_phi_functions_match_mpmath():
             assert np.max(np.abs(phi / oracle - 1.0)) <= 1e-15, j
 
 
-def test_plans_share_the_cached_spectral_tools():
-    # one read-only set of arrays per grid serves every plan on the dt ladder
+def test_plans_share_the_cached_geometry():
+    # one read-only record per grid serves every plan on the dt ladder, the
+    # eigen start and the measurement
     grid = GridSpec2D(64, 10.0)
+    geo = geometry(grid)
+    assert geometry(GridSpec2D(64, 10.0)) is geo
+    for name in ("offset", "radius", "weight", "kx", "minus_ksq"):
+        assert not getattr(geo, name).flags.writeable, name
+    assert geo.keep == 22  # modes 0..21 < 64/3
+    assert geo.kx.shape == (31, 1) and geo.weight.sum() == 64 * 64
     coarse, fine = make_plan(grid, 0.5), make_plan(grid, 2.0)
-    for name in ("linear_symbol", "kx"):
-        table = getattr(fine, name)
-        assert table is getattr(coarse, name)
-        assert not table.flags.writeable
-    assert fine.dealias_keep == coarse.dealias_keep == 22  # modes 0..21 < 64/3
-    assert _spectral_tools(GridSpec2D(64, 10.0)) is _spectral_tools(grid)
+    assert np.array_equal(fine.e_full, np.exp(geo.minus_ksq * 2.0))
+    assert np.array_equal(coarse.e_full, np.exp(geo.minus_ksq * 0.5))
     # the plans are cached too, and pool threads share them: no caller may
     # write to a table
     assert make_plan(GridSpec2D(64, 10.0), 2.0) is fine
@@ -366,7 +374,7 @@ def test_threads_that_miss_together_build_a_plan_once(monkeypatch):
     # build, not start its own (which would release the first at once)
     builds = []
     second = threading.Event()
-    tools = spectral._spectral_tools
+    tools = spectral.geometry
 
     def counted(grid):
         builds.append(grid)
@@ -376,7 +384,7 @@ def test_threads_that_miss_together_build_a_plan_once(monkeypatch):
             second.set()
         return tools(grid)
 
-    monkeypatch.setattr(spectral, "_spectral_tools", counted)
+    monkeypatch.setattr(spectral, "geometry", counted)
     make_plan.cache_clear()
     grid, plans = GridSpec2D(64, 10.0), []
     threads = [threading.Thread(target=lambda: plans.append(make_plan(grid, 0.5)))
@@ -455,17 +463,18 @@ def _top_shell_energy_fraction(grid, uhat):
     return float(np.sum(e[top]) / np.sum(e))
 
 
-def test_dealias_masks_quadratic_product():
-    # mode 12 squares onto mode 24, above the 64/3 cut: the plan's 2/3 mask
+def test_dealias_masks_quadratic_product(monkeypatch):
+    # mode 12 squares onto mode 24, above the 64/3 cut: the grid's 2/3 mask
     # keeps the top shell empty, the same plan without it populates it
     grid = GridSpec2D(64, 2.0 * math.pi)
     x, y = _xy(grid)
     start = 0.1 * (np.cos(12.0 * x) + np.cos(12.0 * y))
     plan = make_plan(grid, 0.05)
-    unmasked = replace(plan, dealias_keep=grid.n // 2 + 1)
-    masked, bare = (_top_shell_energy_fraction(grid, _advance_hat(start, p, b=1.0, eps=0.0,
-                                                                  steps=5))
-                    for p in (plan, unmasked))
+    masked = _top_shell_energy_fraction(grid, _advance_hat(start, plan, b=1.0, eps=0.0,
+                                                            steps=5))
+    unmasked = geometry(grid)._replace(keep=grid.n // 2 + 1)
+    monkeypatch.setattr(spectral, "geometry", lambda g: unmasked)
+    bare = _top_shell_energy_fraction(grid, _advance_hat(start, plan, b=1.0, eps=0.0, steps=5))
     assert masked < 1e-20
     assert bare > 1e3 * max(masked, 1e-300)
 
@@ -478,9 +487,9 @@ def test_pruned_nonlinear_hat_matches_the_masked_transform():
     plan = make_plan(grid, 0.5)
     quadrant = np.random.default_rng(5).standard_normal((33, 33))
     uhat = to_spectrum(_mirror(quadrant + quadrant.T))
-    px = scipy.fft.idct(scipy.fft.idst(plan.kx * uhat[1:32], type=1, axis=0), type=1, axis=1)
-    py = scipy.fft.idct(scipy.fft.idst(plan.kx.T * uhat[:, 1:32], type=1, axis=1), type=1,
-                        axis=0)
+    kx = geometry(grid).kx
+    px = scipy.fft.idct(scipy.fft.idst(kx * uhat[1:32], type=1, axis=0), type=1, axis=1)
+    py = scipy.fft.idct(scipy.fft.idst(kx.T * uhat[:, 1:32], type=1, axis=1), type=1, axis=0)
     sq = np.zeros_like(uhat)
     sq[1:32] = px * px
     sq[:, 1:32] += py * py
@@ -526,7 +535,7 @@ def test_snapshot_io_holds_about_one_grid(tmp_path):
     # file's values, one reflected block's difference at a time and the
     # quadrant it returns (a copy, so the file's values can be freed)
     grid = GridSpec2D(512, 100.0)
-    phi = grid.radius_grid() ** 2
+    phi = geometry(grid).radius ** 2
     prefix = tmp_path / "snap"
     size = 8 * 512 * 512
     _, write = peak_in_units(size, write_field_snapshot, grid, phi, prefix)
@@ -611,7 +620,7 @@ def _zero_start(cfg):
 
 def _k(cfg, run):
     phi = scipy.fft.idctn(run.uhat, type=1)
-    return measure_wavenumber(cfg.grid, radial_gradient(cfg.grid, phi))
+    return measure_wavenumber(cfg.grid, radial_gradient(cfg.grid, phi), default_annulus(cfg.grid))
 
 
 @pytest.mark.slow
@@ -881,7 +890,7 @@ def test_far_field_match_keeps_log_w_where_w_is_trusted(amplitude, p, eps):
     assert np.array_equal(phi0[trusted], -np.log(w[trusted]) / cfg.b)
     # beyond the cut phi0 keeps rising with r, at about the far-field slope
     # sqrt(Omega/b) along the x axis (g is below 1e-2 of Omega out there)
-    r = _mirror(cfg.grid.radius_grid())
+    r = _mirror(geometry(cfg.grid).radius)
     row = r[:, 64]
     far = ~trusted[:, 64] & (np.arange(128) >= 64)
     slope = np.diff(phi0[far, 64]) / np.diff(row[far])
@@ -906,9 +915,10 @@ def _radial_only_phi(cfg, w, omega):
     floor = _noise_floor(w)
     trusted = w >= 10.0 * floor
     near = -np.log(np.maximum(w, 10.0 * floor)) / b
-    r = grid.radius_grid()
+    geo = geometry(grid)
+    r = geo.radius
     r_f = float(np.min(r[~trusted]))
-    weight = _multiplicity(grid.n) * (trusted & (np.abs(r - r_f) <= grid.dx))
+    weight = geo.weight * (trusted & (np.abs(r - r_f) <= grid.dx))
     phibar = float(np.sum(weight * near) / np.sum(weight))
     s = np.linspace(r_f, np.max(r), grid.n + 1)
     slope = np.sqrt(np.maximum(omega - evaluate_g(cfg.defect, s), 0.0) / b) + 0.5 / (b * s)
@@ -949,7 +959,7 @@ def test_matched_start_has_no_jump_at_r_f(amplitude, p, eps):
     cfg = _far_config(amplitude, p, eps)
     w, omega, _ = _hopf_cole_eigen(cfg)
     trusted = w >= 10.0 * _noise_floor(w)
-    r, dx = cfg.grid.radius_grid(), cfg.grid.dx
+    r, dx = geometry(cfg.grid).radius, cfg.grid.dx
     r_f = float(np.min(r[~trusted]))
     q_f = math.sqrt(omega - evaluate_g(cfg.defect, r_f)) + 0.5 / r_f  # b = 1
     inner = trusted & (r_f - r <= dx)
@@ -984,7 +994,7 @@ def _constant_dt_loop(cfg, uhat, check_interval=20):
     grid, b, eps = cfg.grid, cfg.b, cfg.defect.strength
     plan = make_plan(grid, cfg.dt)
     ghat = to_spectrum(_defect_field(grid, cfg.defect))
-    disk = _mirror(grid.radius_grid()) <= 0.45 * grid.l
+    disk = _mirror(geometry(grid).radius) <= 0.45 * grid.l
     n_max = math.ceil(cfg.t_max / cfg.dt)
     converged, omega = False, math.nan
     n0 = _nonlinear_hat(uhat, plan, b, eps, ghat)
