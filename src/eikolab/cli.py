@@ -244,8 +244,13 @@ def _floats(text) -> list[float]:
 
 
 def _out_dir(path) -> Path:
+    """path as a directory, made with its parents; ConfigError where it or a
+    parent is a file, or cannot be made."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -480,10 +485,11 @@ def cmd_measure(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    b = float(args.b)
-    fam = predict_k_for_family(float(args.A) * float(args.eps) * b, float(args.p))
-    if not b > 0.0:  # a negative A*eps hides a negative b from the amplitude check
-        raise ConfigError(f"b must be > 0, got {b}")
+    b, eps = float(args.b), float(args.eps)
+    for name, value in (("b", b), ("eps", eps)):  # before their product hides them
+        if not value > 0.0:
+            raise ConfigError(f"{name} must be > 0, got {value}")
+    fam = predict_k_for_family(float(args.A) * eps * b, float(args.p))
     lam = predict_lambda(-fam.a_sim)
     payload = {
         "a_signed": -fam.a_sim,
@@ -659,7 +665,11 @@ FIG1_A_VALUES = [0.15 * m for m in range(3, 20, 2)]
 def cmd_figure1(args) -> int:
     cfg = _merge_config(args, _DEFAULTS["figure1"])
     cfg["a_values"] = _floats(cfg["a_values"] or FIG1_A_VALUES)
-    return _sweep("figure1", cfg, _sweep_members(cfg, "a", cfg["a_values"]), _write_figure1)
+    members = _sweep_members(cfg, "a", cfg["a_values"])  # refuses b <= 0 and a < 0
+    for a in cfg["a_values"]:  # a zero-strength member makes no pattern to fit
+        if not a > 0.0:
+            raise ConfigError(f"a must be > 0, got {a}")
+    return _sweep("figure1", cfg, members, _write_figure1)
 
 
 def _write_figure1(cfg, out: Path, members, results):

@@ -8,18 +8,17 @@ Hopf-Cole residual check and the amplitude-equation BVP.
 All cumulative integrals run panel-by-panel with Gauss-Legendre nodes so the
 exponential weights of L_lam^{-1} stay bounded by one.  Finite differences for
 residual checks use Fornberg weights on sliding stencils (4th order and up on
-the interior).
+the interior).  scipy's splines and BVP solver load on first use (a spline
+built, a shot fired), so a 2D run that only integrates never imports them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_bvp
-from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import (
     ConfigError,
@@ -29,6 +28,10 @@ from .errors import (
     RangeError,
 )
 from .specfun import bessel_k0_scaled, bessel_k1_scaled
+
+if TYPE_CHECKING:  # annotations only: scipy's splines load where one is built
+    from scipy.interpolate import CubicSpline, PPoly
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -94,6 +97,8 @@ class RadialProfile:
                 raise ConfigError(f"{name} must match profile length")
 
     def interpolator(self) -> CubicSpline:
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.grid.nodes, self.values)
 
 
@@ -470,6 +475,8 @@ def solve_far_field_correction(
     # restrict smoothly to the far region with the same cut-off shape the
     # ansatz uses; a hard mask would put a kink into psi and pollute the
     # residual diagnostic near lam r = 1
+    from scipy.interpolate import CubicSpline
+
     from .profiles import CutoffSpec, smooth_cutoff
 
     src = smooth_cutoff(CutoffSpec(), ansatz.decay_rate * nodes) * src
@@ -613,6 +620,14 @@ _FAR_SERIES = (0.5, 9.0 / 8.0, 161.0 / 16.0)
 def _amplitude_rhs(r, y):
     rho, drho = y
     return (drho, rho / (r * r) - drho / r - rho + rho**3)
+
+
+def solve_bvp(*args, **kwargs):
+    """scipy.integrate.solve_bvp, imported on the first shot: scipy.integrate
+    pulls in scipy.optimize, linalg, sparse and spatial, which no run needs."""
+    from scipy.integrate import solve_bvp
+
+    return solve_bvp(*args, **kwargs)
 
 
 # the launch radius of the BVP and the node count of the reported profile

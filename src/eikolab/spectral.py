@@ -504,9 +504,23 @@ def _hopf_cole_eigen(config: SimulationConfig) -> tuple:
         # helper threads that busy-wait, taking the pool's second core
         return float(np.einsum("i,i,i->", u.ravel(), v.ravel(), weight))
 
-    def apply_b(x):
-        return ksq * x - scipy.fft.dctn(pot * scipy.fft.idctn(x, type=1), type=1)
+    def apply_b(x):  # ksq x - dctn(pot idctn(x)), in a new array
+        y = scipy.fft.idctn(x, type=1)
+        y *= pot
+        y = scipy.fft.dctn(y, type=1, overwrite_x=True)
+        return np.subtract(ksq * x, y, out=y)
 
+    def combine(c, arrays):  # sum(cj * a for cj, a in zip(c, arrays)), in arrays[0]
+        out = arrays[0]
+        out *= c[0]
+        out += 0.0  # sum() starts from the integer 0, and 0 + (-0.0) is +0.0
+        for cj, a in zip(c[1:], arrays[1:]):
+            a *= cj
+            out += a
+        return out
+
+    # in place on the arrays the solve allocates, in the operand order of the
+    # expressions in the comments (see the step kernels)
     with np.errstate(all="ignore"):
         x = ghat / math.sqrt(dot(ghat, ghat))
         bx = apply_b(x)
@@ -514,14 +528,16 @@ def _hopf_cole_eigen(config: SimulationConfig) -> tuple:
         best = [math.inf] * EIGEN_STALL_STEPS  # the least ||r|| so far, per step
         for step in range(EIGEN_MAXITER + 1):
             lam = dot(x, bx)
-            r = bx - lam * x
+            r = lam * x
+            np.subtract(bx, r, out=r)  # r = bx - lam x
             residual = math.sqrt(dot(r, r))
             if residual <= EIGEN_TOL:
                 break
             best.append(min(best[-1], residual))
             if step == EIGEN_MAXITER or best[-1] > 0.5 * best[-1 - EIGEN_STALL_STEPS]:
                 return None, None, step + 1
-            w = r / (ksq - lam if lam < 0.0 else ksq + sigma)
+            w = r
+            w /= ksq - lam if lam < 0.0 else ksq + sigma
             basis, images = [x], [bx]
             for v, bv in ((p, bp), (w, None)):  # w is imaged once deflated
                 if v is None:  # the first step has no p
@@ -529,26 +545,35 @@ def _hopf_cole_eigen(config: SimulationConfig) -> tuple:
                 for _ in range(2):
                     for s, bs in zip(basis, images):
                         c = dot(s, v)
-                        v = v - c * s
+                        v -= c * s  # v = v - c s
                         if bv is not None:
-                            bv = bv - c * bs
+                            bv -= c * bs
                 norm = math.sqrt(dot(v, v))
                 if bv is None or norm > 0.0:  # else p lies in span{x}
-                    basis.append(v / norm)
-                    images.append(apply_b(basis[-1]) if bv is None else bv / norm)
+                    v /= norm
+                    basis.append(v)
+                    if bv is None:
+                        images.append(apply_b(v))
+                    else:
+                        bv /= norm
+                        images.append(bv)
             gram = np.array([[dot(s, bs) for bs in images] for s in basis])
             if not np.all(np.isfinite(gram)):
                 return None, None, step + 2  # with this step's application of B
             c = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, 0]
-            p = sum(cj * s for cj, s in zip(c[1:], basis[1:]))
-            bp = sum(cj * bs for cj, bs in zip(c[1:], images[1:]))
-            x, bx = c[0] * x + p, c[0] * bx + bp
-    vec = scipy.fft.idctn(x, type=1)  # finite: a non-finite x has a NaN residual
-    w = vec * np.sign(np.sum(vec))
+            p, bp = combine(c[1:], basis[1:]), combine(c[1:], images[1:])
+            del basis, images  # frees the scaled w and its image
+            x *= c[0]  # x = c0 x + p
+            x += p
+            bx *= c[0]  # bx = c0 bx + bp
+            bx += bp
+    w = scipy.fft.idctn(x, type=1)  # finite: a non-finite x has a NaN residual
+    w *= np.sign(np.sum(w))
     peak = float(np.max(w))
     if not peak > 0.0:
         return None, None, step + 1
-    return w / peak, -lam / config.b, step + 1
+    w /= peak
+    return w, -lam / config.b, step + 1
 
 
 def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.ndarray:
@@ -570,7 +595,12 @@ def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.nd
     grid, b = config.grid, config.b
     floor = max(1e-7, 100.0 * max(0.0, -float(np.min(w))))
     trusted = w >= 10.0 * floor
-    near = -np.log(np.maximum(w, 10.0 * floor)) / b
+    # in place on the arrays it allocates, in the operand order of the
+    # expressions in the comments (see the step kernels)
+    near = np.maximum(w, 10.0 * floor)
+    np.log(near, out=near)
+    np.negative(near, out=near)
+    near /= b  # near = -log(max(w, 10 floor)) / b
     if np.all(trusted):
         return near
     geo = geometry(grid)
@@ -580,18 +610,37 @@ def _matched_phi(config: SimulationConfig, w: np.ndarray, omega: float) -> np.nd
     def slope(t):  # d phi0/dr = q/b + 1/(2 b r)
         return np.sqrt(np.maximum(omega - evaluate_g(config.defect, t), 0.0) / b) + 0.5 / (b * t)
 
-    weight = geo.weight * (trusted & (np.abs(r - r_f) <= grid.dx))
-    phibar = float(np.sum(weight * (near + slope(r_f) * (r_f - r))) / np.sum(weight))
+    ring = r - r_f
+    ring = np.abs(ring, out=ring) <= grid.dx
+    ring &= trusted
+    weight = geo.weight * ring  # weight (trusted & (|r - r_f| <= dx))
+    carried = np.subtract(r_f, r)
+    carried *= slope(r_f)
+    np.add(near, carried, out=carried)
+    carried *= weight  # weight (near + slope(r_f) (r_f - r))
+    phibar = float(np.sum(carried) / np.sum(weight))
+    del ring, weight, carried
     s = np.linspace(r_f, math.hypot(grid.l, grid.l), 2 * grid.n + 1)
     big_f = cumulative_integral(slope, s)
     d, e = geo.offset, grid.l + geo.offset  # axis offsets from the defect and its image at -L
     f0 = np.interp(r, s, big_f)
-    f1, f3 = (np.interp(np.hypot(ex[:, None], ey[None, :]), s, big_f)
-              for ex, ey in ((d, e), (e, e)))
+    side, corner = (np.interp(np.hypot(ex[:, None], ey[None, :]), s, big_f)
+                    for ex, ey in ((d, e), (e, e)))
+    for term in (side, corner):  # exp(-b (F(r_i) - f0))
+        term -= f0
+        term *= -b
+        np.exp(term, out=term)
     # hypot is symmetric, so the (e, d) image's term is the (d, e) one's transpose
-    side, corner = (np.exp(-b * (fi - f0)) for fi in (f1, f3))
-    far = phibar + f0 - np.log(1.0 + side + side.T + corner) / b
-    return np.where(trusted, near, far)
+    total = 1.0 + side
+    total += side.T
+    total += corner  # 1 + side + side^T + corner
+    del side, corner, term
+    np.log(total, out=total)
+    total /= b
+    f0 += phibar
+    f0 -= total  # far = phibar + f0 - log(total) / b
+    np.copyto(f0, near, where=trusted)  # np.where(trusted, near, far)
+    return f0
 
 
 class Start(NamedTuple):

@@ -320,13 +320,16 @@ def test_r_cut_config_key_is_gone(tmp_path, capsys, command):
     ["simulate", "--b", "inf"],
     ["figure1", "--a-values", "inf"],
     ["sweep", "--p-values", "inf"],
+    ["figure1", "--N", "64", "--L", "50", "--a-values", "0,0.75,0.9,1.05,1.2"],
 ], ids=["simulate-p", "simulate-N", "figure1-dt", "figure1-N", "sweep-p",
         "simulate-t_max-inf", "simulate-t_max-over-dt-inf", "simulate-L-inf",
-        "simulate-eps-inf", "simulate-b-inf", "figure1-a-inf", "sweep-p-inf"])
+        "simulate-eps-inf", "simulate-b-inf", "figure1-a-inf", "sweep-p-inf",
+        "figure1-a-zero"])
 def test_a_bad_member_is_refused_before_any_run(tmp_path, capsys, argv, dry_run):
     # every member's SimulationConfig is built before any directory or run,
     # so a dry run refuses what the run would and no member directory is left;
-    # a non-finite input is refused like a negative one
+    # a non-finite input is refused like a negative one, and so is figure1's
+    # zero a, whose member makes no pattern to fit
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)] + ["--dry-run"] * dry_run) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
@@ -351,6 +354,16 @@ def test_nonpositive_b_is_refused_before_any_run(tmp_path, capsys, argv, b, dry_
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: b must be > 0, got {float(b)}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--b", "0"), ("--b", "-1"), ("--b", "nan"),
+                                        ("--eps", "0"), ("--eps", "-1")])
+def test_predict_names_the_input_it_refuses(capsys, flag, value):
+    # b and eps are checked by name before their product with A is formed
+    assert main(["predict", "--A", "1", "--p", "0.8", flag, value]) == EXIT_CONFIG
+    name = flag.removeprefix("--")
+    assert capsys.readouterr().err.startswith(
+        f"config error: {name} must be > 0, got {float(value)}")
 
 
 @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
@@ -682,6 +695,22 @@ def test_a_file_out_makes_its_directory(tmp_path, argv):
     out = tmp_path / "nodir" / "deeper" / "x"
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     assert out.is_file()
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["simulate", "--N", "64", "--L", "50"], "afile"),
+    (["special", "--z", "1"], "afile/x"),
+    (["predict", "--A", "1", "--p", "0.8"], "afile/x.json"),
+], ids=["simulate", "special", "predict"])
+def test_an_out_on_a_file_is_a_config_error(tmp_path, capsys, argv, out):
+    # an --out that is a plain file, or lies under one, cannot be made a
+    # directory: a config error, not a traceback
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert main([*argv, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot make the output directory {afile}")
+    assert afile.read_text() == "kept\n"
 
 
 def test_measure_json_records_the_annulus_in_radii(tmp_path):

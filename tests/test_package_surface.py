@@ -4,9 +4,13 @@ and no module reaches into another's private names.
 A public name that only tests reach is test-only code in src/: the test
 should reach the production path instead.  A private name imported by another
 module is an interface nobody declared.  The checks parse the sources and
-import nothing from scripts/ or perfbench/.
+import nothing from scripts/ or perfbench/; the start-up check imports the
+CLI in a fresh interpreter.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,6 +69,21 @@ def test_spectral_takes_nothing_from_scipy_but_its_transforms():
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported |= {f"{node.module}.{alias.name}" for alias in node.names}
     assert sorted(m for m in imported if m.split(".")[0] == "scipy") == ["scipy.fft"]
+
+
+def test_cli_start_up_loads_no_bvp_solver_or_splines():
+    # scipy.integrate (which pulls in optimize, linalg, sparse and spatial)
+    # and scipy.interpolate load where radial first shoots or builds a
+    # spline, so a CLI call that only steps the 2D field never loads them
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import sys, eikolab.cli; print(' '.join(m for m in "
+             "('scipy.integrate', 'scipy.interpolate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def _private_uses(path) -> set[str]:

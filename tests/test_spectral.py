@@ -764,6 +764,129 @@ def test_eigen_solve_takes_few_iterations_on_the_figure1_presets():
         assert w is not None and iterations <= bound, defect
 
 
+# ------------------------------------------------- the eigen start's arrays
+# _hopf_cole_eigen and _matched_phi work in place on the arrays they allocate.
+# These are the same functions as plain expressions, each a new array: the
+# in-place ones must give the same bits and hold fewer quadrants at once.
+
+
+def _expression_hopf_cole_eigen(config):
+    g, ghat = spectral._bare_defect(config.grid, config.defect.amplitude,
+                                    config.defect.decay_exponent)
+    pot = config.b * config.defect.strength * g
+    sigma = 0.5 * float(np.max(pot))
+    if not 0.0 < sigma * sigma < math.inf:
+        return None, None, None
+    geo = geometry(config.grid)
+    ksq = -geo.minus_ksq
+    weight = geo.weight.ravel()
+
+    def dot(u, v):
+        return float(np.einsum("i,i,i->", u.ravel(), v.ravel(), weight))
+
+    def apply_b(x):
+        return ksq * x - scipy.fft.dctn(pot * scipy.fft.idctn(x, type=1), type=1)
+
+    with np.errstate(all="ignore"):
+        x = ghat / math.sqrt(dot(ghat, ghat))
+        bx = apply_b(x)
+        p = bp = None
+        best = [math.inf] * EIGEN_STALL_STEPS
+        for step in range(EIGEN_MAXITER + 1):
+            lam = dot(x, bx)
+            r = bx - lam * x
+            residual = math.sqrt(dot(r, r))
+            if residual <= spectral.EIGEN_TOL:
+                break
+            best.append(min(best[-1], residual))
+            if step == EIGEN_MAXITER or best[-1] > 0.5 * best[-1 - EIGEN_STALL_STEPS]:
+                return None, None, step + 1
+            w = r / (ksq - lam if lam < 0.0 else ksq + sigma)
+            basis, images = [x], [bx]
+            for v, bv in ((p, bp), (w, None)):
+                if v is None:
+                    continue
+                for _ in range(2):
+                    for s, bs in zip(basis, images):
+                        c = dot(s, v)
+                        v = v - c * s
+                        if bv is not None:
+                            bv = bv - c * bs
+                norm = math.sqrt(dot(v, v))
+                if bv is None or norm > 0.0:
+                    basis.append(v / norm)
+                    images.append(apply_b(basis[-1]) if bv is None else bv / norm)
+            gram = np.array([[dot(s, bs) for bs in images] for s in basis])
+            if not np.all(np.isfinite(gram)):
+                return None, None, step + 2
+            c = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, 0]
+            p = sum(cj * s for cj, s in zip(c[1:], basis[1:]))
+            bp = sum(cj * bs for cj, bs in zip(c[1:], images[1:]))
+            x, bx = c[0] * x + p, c[0] * bx + bp
+    vec = scipy.fft.idctn(x, type=1)
+    w = vec * np.sign(np.sum(vec))
+    peak = float(np.max(w))
+    if not peak > 0.0:
+        return None, None, step + 1
+    return w / peak, -lam / config.b, step + 1
+
+
+def _expression_matched_phi(config, w, omega):
+    grid, b = config.grid, config.b
+    floor = max(1e-7, 100.0 * max(0.0, -float(np.min(w))))
+    trusted = w >= 10.0 * floor
+    near = -np.log(np.maximum(w, 10.0 * floor)) / b
+    if np.all(trusted):
+        return near
+    geo = geometry(grid)
+    r = geo.radius
+    r_f = float(np.min(r[~trusted]))
+
+    def slope(t):
+        return np.sqrt(np.maximum(omega - evaluate_g(config.defect, t), 0.0) / b) + 0.5 / (b * t)
+
+    weight = geo.weight * (trusted & (np.abs(r - r_f) <= grid.dx))
+    phibar = float(np.sum(weight * (near + slope(r_f) * (r_f - r))) / np.sum(weight))
+    s = np.linspace(r_f, math.hypot(grid.l, grid.l), 2 * grid.n + 1)
+    big_f = spectral.cumulative_integral(slope, s)
+    d, e = geo.offset, grid.l + geo.offset
+    f0 = np.interp(r, s, big_f)
+    f1, f3 = (np.interp(np.hypot(ex[:, None], ey[None, :]), s, big_f)
+              for ex, ey in ((d, e), (e, e)))
+    side, corner = (np.exp(-b * (fi - f0)) for fi in (f1, f3))
+    far = phibar + f0 - np.log(1.0 + side + side.T + corner) / b
+    return np.where(trusted, near, far)
+
+
+@pytest.mark.parametrize("amplitude,p,eps", [(1.0, 0.8, 2.0), (3.0, 1.5, 1.0)])
+def test_in_place_eigen_start_gives_the_expressions_bits(amplitude, p, eps):
+    cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(amplitude, p, strength=eps))
+    w, omega, iterations = _hopf_cole_eigen(cfg)
+    expect_w, expect_omega, expect_iterations = _expression_hopf_cole_eigen(cfg)
+    assert _same_bits(w, expect_w)
+    assert (omega, iterations) == (expect_omega, expect_iterations)
+    assert iterations > 2  # Ritz updates on span{x, w, p}
+    assert np.min(w) < 10.0 * _noise_floor(w)  # the far branch runs
+    kept = w.copy()
+    assert _same_bits(_matched_phi(cfg, w, omega), _expression_matched_phi(cfg, w, omega))
+    assert _same_bits(w, kept)  # the caller's w is read, never written
+
+
+def test_eigen_start_holds_few_quadrants_at_once():
+    # on figure 1's a = 1.05 member at N = 256, whose w reaches its noise
+    # floor inside the box, the plain expressions above hold 17.04
+    # quadrant-sized arrays at once (in the eigen solve), results included;
+    # the in-place eigen start holds 9.04
+    mass, _ = branch_mass(1.0, 0.8)
+    cfg = SimulationConfig(GridSpec2D(256, 100.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(1.0, 0.8, strength=1.05 / mass))
+    start = _hopf_cole_start(cfg)  # fills the geometry, bare defect and transform caches
+    assert start.start == "hopf_cole"
+    _, peak = peak_in_units(start.uhat.nbytes, _hopf_cole_start, cfg)
+    assert peak <= 10.0
+
+
 @pytest.mark.parametrize("a,pin", [(0.2, -1.1255), (0.1, -1.2000)])
 def test_plane_oracle_pins_the_p15_wavenumbers(a, pin):
     # A = 1, p = 1.5 has unit mass, so a = b eps; kappa0 is the a -> 0 limit
