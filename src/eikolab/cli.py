@@ -155,17 +155,6 @@ class RunManifest:
         return write_json(out_dir / "manifest.json", payload)
 
 
-def verify_manifest(out_dir: Path) -> list[str]:
-    """Names whose current hash disagrees with the manifest (empty = intact)."""
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    bad = []
-    for rel, digest in manifest["files"].items():
-        p = out_dir / rel
-        if not p.is_file() or _sha256(p) != digest:
-            bad.append(rel)
-    return bad
-
-
 # -------------------------------------------------------------- config merge
 
 
@@ -234,13 +223,16 @@ def _check_file_value(key: str, val, kind):
 
 
 def _floats(text) -> list[float]:
-    """A list of numbers, or their comma-separated text; ConfigError if not."""
+    """A non-empty list of numbers, or their comma-separated text; ConfigError if not."""
     tokens = text if isinstance(text, (list, tuple)) else [
         tok for tok in str(text).split(",") if tok.strip()]
     try:
-        return [float(v) for v in tokens]
+        values = [float(v) for v in tokens]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"not a list of numbers: {text!r}") from exc
+    if not values:
+        raise ConfigError(f"no numbers in {text!r}")
+    return values
 
 
 def _out_dir(path) -> Path:
@@ -485,11 +477,16 @@ def cmd_measure(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    b, eps = float(args.b), float(args.eps)
+    amp, b, eps = float(args.A), float(args.b), float(args.eps)
     for name, value in (("b", b), ("eps", eps)):  # before their product hides them
         if not value > 0.0:
             raise ConfigError(f"{name} must be > 0, got {value}")
-    fam = predict_k_for_family(float(args.A) * eps * b, float(args.p))
+        if math.isinf(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    strength = amp * eps * b
+    if math.isinf(strength) and math.isfinite(amp):
+        raise ConfigError(f"A eps b overflows: {amp} * {eps} * {b}")
+    fam = predict_k_for_family(strength, float(args.p))
     lam = predict_lambda(-fam.a_sim)
     payload = {
         "a_signed": -fam.a_sim,
@@ -664,7 +661,7 @@ FIG1_A_VALUES = [0.15 * m for m in range(3, 20, 2)]
 
 def cmd_figure1(args) -> int:
     cfg = _merge_config(args, _DEFAULTS["figure1"])
-    cfg["a_values"] = _floats(cfg["a_values"] or FIG1_A_VALUES)
+    cfg["a_values"] = _floats(FIG1_A_VALUES if cfg["a_values"] is None else cfg["a_values"])
     members = _sweep_members(cfg, "a", cfg["a_values"])  # refuses b <= 0 and a < 0
     for a in cfg["a_values"]:  # a zero-strength member makes no pattern to fit
         if not a > 0.0:
@@ -701,7 +698,7 @@ FIG2_PROFILE_PS = (0.3, 0.8, 1.5)
 
 def cmd_figure2(args) -> int:
     cfg = _merge_config(args, _DEFAULTS["figure2"])
-    cfg["p_grid"] = _floats(cfg["p_grid"] or FIG2_P_GRID)
+    cfg["p_grid"] = _floats(FIG2_P_GRID if cfg["p_grid"] is None else cfg["p_grid"])
     return _sweep("figure2", cfg, _sweep_members(cfg, "p", cfg["p_grid"]), _write_figure2)
 
 

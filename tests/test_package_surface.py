@@ -17,10 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "eikolab"
 
 # module.name -> why it stays although only tests call it
-ALLOWED = {
-    "cli.verify_manifest": "the manifest oracle of the CLI tests: it re-hashes "
-                           "a run directory against its manifest.json",
-}
+ALLOWED = {}
 
 
 # "importer <- module._name" -> why the importer shares that private name
@@ -59,16 +56,30 @@ def test_no_public_name_is_test_only():
     assert sorted(set(ALLOWED) - unused) == []
 
 
-def test_spectral_takes_nothing_from_scipy_but_its_transforms():
-    # the stepper and its eigen start need scipy.fft alone: the eigen
-    # solve's 3x3 Ritz problem is numpy's, its far field a cumulative_integral
+def _imported_modules(path) -> set[str]:
+    """Every absolute module and `module.name` that `path` imports."""
     imported = set()
-    for node in ast.walk(ast.parse((PACKAGE / "spectral.py").read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    return imported
+
+
+def test_spectral_takes_nothing_from_scipy_but_its_transforms():
+    # the stepper and its eigen start need scipy.fft alone: the eigen
+    # solve's 3x3 Ritz problem is numpy's, its far field a cumulative_integral
+    imported = _imported_modules(PACKAGE / "spectral.py")
     assert sorted(m for m in imported if m.split(".")[0] == "scipy") == ["scipy.fft"]
+
+
+def test_no_module_imports_warnings():
+    # numerical trouble is a typed error and the box's wrap-around a report
+    # field (corner_ratio): nothing in the package emits a warning
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if any(m.split(".")[0] == "warnings" for m in _imported_modules(path))]
+    assert importers == []
 
 
 def test_cli_start_up_loads_no_bvp_solver_or_splines():
