@@ -40,6 +40,7 @@ from .profiles import R_CUT, SUBCRITICAL_P, smooth_cutoff, split_defect
 from .radial import RadialGrid, shoot_spiral_amplitude, solve_corrector_K, validate_shooting
 from .specfun import bessel_eval
 from .spectral import (
+    STEADY_TOL,
     GridSpec2D,
     SimulationConfig,
     read_field_snapshot,
@@ -248,7 +249,7 @@ def _out_dir(path) -> Path:
 
 _SIM_DEFAULTS = {
     "N": 256, "L": 100.0, "dt": 0.5, "b": 1.0, "A": 1.0, "p": 0.8, "eps": 0.5,
-    "t_max": 5000.0, "steady_tol": 1e-5, "save_field": False, "dry_run": False,
+    "t_max": 5000.0, "steady_tol": STEADY_TOL, "save_field": False, "dry_run": False,
 }
 _SWEEP_DEFAULTS = {**_SIM_DEFAULTS, "jobs": 1}
 

@@ -105,6 +105,7 @@ class SteadyStateReport:
     steady_residual: float
     annulus: tuple[float, float]
     radial_profile: RadialProfile
+    omega_rq: float = math.nan  # the locked field's Rayleigh-quotient frequency
     converged: bool = True
     steady_tol: float = math.nan
     t_final: float = math.nan

@@ -325,6 +325,14 @@ def full_rhs_hat(uhat: np.ndarray, plan: ETDRK4Plan, n0: np.ndarray) -> np.ndarr
     return geometry(plan.grid).minus_ksq * uhat + n0
 
 
+# The default steady test serves the annulus k alone: the frequency is read
+# from the Rayleigh quotient (see _rayleigh_omega), whose error is second
+# order in the state's.  On the nine figure-1 presets (N=256) 1e-4 took 23
+# steps against 74 at 1e-5, moving k by <= 1.2e-4 and Omega_RQ by <= 1.9e-11
+# (relative); 1e-3 took 10 steps but moved k by 6.0e-4.
+STEADY_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Run recipe: grid, step, eikonal coefficient b, defect, stopping rules."""
@@ -334,7 +342,7 @@ class SimulationConfig:
     b: float
     defect: InhomogeneitySpec
     t_max: float = 5000.0
-    steady_tol: float = 1e-5
+    steady_tol: float = STEADY_TOL
 
     def __post_init__(self):
         for name in ("dt", "b", "t_max", "steady_tol"):
@@ -695,15 +703,41 @@ def _warm_start(config: SimulationConfig) -> Start:
     return _hopf_cole_start(config)._replace(coarse_steps=coarse_steps)
 
 
+def _rayleigh_omega(config: SimulationConfig, phi: np.ndarray) -> float:
+    """Omega_RQ = -<w, Bw> / (b <w, w>) of the quadrant field phi, with
+    w = exp(-b (phi - min phi)) and B = -Lap - b eps g the Hopf-Cole operator
+    (see _hopf_cole_eigen).
+
+    At a locked state w is B's principal eigenvector, so the quotient's error
+    is second order in the state's, where omega_drift's is first order.  The
+    inner products are the full grid's (mirror weights); <w, Lap w> is taken
+    on w's DCT-I coefficients w_hat by Parseval: the weighted sum of
+    -|k|^2 w_hat^2, over n^2.
+    """
+    b, eps = config.b, config.defect.strength
+    g, _ = _bare_defect(config.grid, config.defect.amplitude, config.defect.decay_exponent)
+    geo = geometry(config.grid)
+    w = phi - np.min(phi)
+    w *= -b
+    np.exp(w, out=w)  # w = exp(-b (phi - min phi)), max 1
+    w_w = float(np.einsum("ij,ij,ij->", w, w, geo.weight))
+    w_gw = float(np.einsum("ij,ij,ij,ij->", w, w, g, geo.weight))
+    w = scipy.fft.dctn(w, type=1, overwrite_x=True)
+    w_lap_w = float(np.einsum("ij,ij,ij,ij->", w, w, geo.minus_ksq, geo.weight))
+    w_lap_w /= config.grid.n ** 2
+    return (w_lap_w + b * eps * w_gw) / (b * w_w)  # -<w, Bw> / (b <w, w>)
+
+
 def run_to_steady(config: SimulationConfig):
     """Advance phi from rest until phi_t is spatially uniform on the measurement disk.
 
     The run starts from the half grid's locked state where that grid resolves
     the defect core, else from the Hopf-Cole eigenstate, else from phi = 0
     (see _warm_start); every start relaxes on the dt ladder, and steadiness
-    is judged on config.grid alone (see _relax).  Returns (phi,
-    SteadyStateReport), phi the locked field's quadrant [:n/2+1, :n/2+1];
-    a timeout is reported, not raised.
+    is judged on config.grid alone (see _relax).  The report's frequency
+    omega_rq is the final field's Rayleigh quotient (see _rayleigh_omega).
+    Returns (phi, SteadyStateReport), phi the locked field's quadrant
+    [:n/2+1, :n/2+1]; a timeout is reported, not raised.
     """
     from .measure import build_report  # late import; measure depends on this module
 
@@ -714,7 +748,8 @@ def run_to_steady(config: SimulationConfig):
     phi = scipy.fft.idctn(run.uhat, type=1)
     record = {**start._asdict(), **run._asdict()}
     del record["uhat"]
-    report = build_report(grid, phi, **record, steady_tol=config.steady_tol,
+    report = build_report(grid, phi, **record, omega_rq=_rayleigh_omega(config, phi),
+                          steady_tol=config.steady_tol,
                           corner_ratio=defect_corner_ratio(grid, config.defect))
     return phi, report
 

@@ -2,7 +2,6 @@
 import math
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 

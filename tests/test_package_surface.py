@@ -123,3 +123,31 @@ def test_no_module_imports_another_modules_private_names():
     assert sorted(uses - set(ALLOWED_PRIVATE)) == []
     # an allowed name that is no longer imported leaves the list
     assert sorted(set(ALLOWED_PRIVATE) - uses) == []
+
+
+def _unused_imports(path) -> list[str]:
+    """Each name that `path` imports and never reads: not as a name (an
+    annotation's included, quoted or not) and not in its __all__."""
+    tree = ast.parse(path.read_text())
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(((a.asname or a.name.split(".")[0]), node.lineno)
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:  # a quoted annotation, or a name listed in __all__
+                read |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+            except (SyntaxError, ValueError):  # prose, or a NUL byte
+                pass
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+def test_no_unused_imports():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [u for path in paths for u in _unused_imports(path)] == []

@@ -35,7 +35,7 @@ from eikolab.radial import (
     solve_corrector_K,
     solve_far_field_correction,
 )
-from eikolab.specfun import bessel_k0, bessel_k0_scaled, log_k0_ratio
+from eikolab.specfun import bessel_k0, log_k0_ratio
 
 
 # ------------------------------------------------------------------ grids

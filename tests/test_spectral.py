@@ -612,8 +612,16 @@ def test_wraparound_is_reported_not_warned():
 # ------------------------------------------------- half-grid warm start
 
 
+# Tests that compare two stepping paths (the ladder against the fixed step,
+# a warm start against a cold one, the eigen Omega against the locked one)
+# bound their difference by the residual the runs stop at: they pin the steady
+# test they were written for, not the looser default.
+COMPARED_TOL = 1e-5
+
+
 def _locked_config(n, l, **kw):
     kw.setdefault("t_max", 2000.0)
+    kw.setdefault("steady_tol", COMPARED_TOL)
     return SimulationConfig(GridSpec2D(n, l), dt=0.5, b=1.0,
                             defect=InhomogeneitySpec(1.5, 1.5, strength=1.0), **kw)
 
@@ -722,6 +730,7 @@ def test_eigenvalue_matches_locked_omega(n, l, p):
     # w = exp(-b phi): the principal eigenvalue of Lap + b eps g over b is the
     # frequency the stepper locks to from rest at the fixed step
     cfg = SimulationConfig(GridSpec2D(n, l), dt=0.5, b=1.0, t_max=2000.0,
+                           steady_tol=COMPARED_TOL,
                            defect=InhomogeneitySpec(1.5, p, strength=1.0))
     start = _hopf_cole_start(cfg)
     omega = start.start_omega
@@ -918,6 +927,73 @@ def test_eigen_start_matches_the_plane_on_the_figure1_presets():
         assert abs(gap) <= (3e-5 if a < 0.5 else 1e-6), a
 
 
+# ------------------------------------------- the Rayleigh-quotient frequency
+
+
+def _figure1_config(a, **kw):
+    mass, _ = branch_mass(1.0, 0.8)
+    return SimulationConfig(GridSpec2D(256, 100.0), dt=0.5, b=1.0,
+                            defect=InhomogeneitySpec(1.0, 0.8, strength=a / mass), **kw)
+
+
+@pytest.mark.parametrize("n,p", [(64, 0.8), (128, 1.5)])
+def test_rayleigh_omega_is_the_full_grid_quotient(n, p):
+    # the same quotient on every cell of the periodic grid, -Lap by rfft2 and
+    # g evaluated afresh, with no DCT, mirror weight or Parseval sum
+    cfg = SimulationConfig(GridSpec2D(n, 50.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(1.5, p, strength=1.0))
+    phi, report = run_to_steady(cfg)
+    field = _mirror(phi)
+    w = np.exp(-cfg.b * (field - np.min(field)))
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=cfg.grid.dx)
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    x = cfg.grid.axes() - 0.5 * cfg.grid.l
+    g = evaluate_g(cfg.defect, np.hypot(x[:, None], x[None, :]))
+    bw = np.fft.irfft2(ksq[:, : n // 2 + 1] * np.fft.rfft2(w), s=(n, n))
+    bw -= cfg.b * cfg.defect.strength * g * w
+    oracle = -np.sum(w * bw) / (cfg.b * np.sum(w * w))
+    assert report.omega_rq == pytest.approx(oracle, rel=1e-12)
+    assert report.as_dict()["omega_rq"] == report.omega_rq
+
+
+def test_rayleigh_omega_holds_one_quadrant():
+    # w and its spectrum share one array; the quotient as plain expressions
+    # held 4.0 quadrants at its peak (N = 512)
+    cfg = SimulationConfig(GridSpec2D(512, 100.0), dt=0.5, b=1.0,
+                           defect=InhomogeneitySpec(1.0, 0.8, strength=1.0))
+    phi = scipy.fft.idctn(_hopf_cole_start(cfg).uhat, type=1)
+    spectral._rayleigh_omega(cfg, phi)  # fills the bare defect and the transform's plan
+    _, peak = peak_in_units(phi.nbytes, spectral._rayleigh_omega, cfg, phi)
+    assert peak <= 1.5
+
+
+def test_rayleigh_omega_does_not_move_with_the_steady_test():
+    # its error is second order in the state's: the default steady test,
+    # 10x looser, moves it by 1.9e-11 at most (measured) and k by 1.2e-4,
+    # in 23 steps against 74
+    steps = []
+    for a in FIG1_A_VALUES:
+        _, loose = run_to_steady(_figure1_config(a))
+        _, tight = run_to_steady(_figure1_config(a, steady_tol=COMPARED_TOL))
+        assert loose.converged and tight.converged
+        assert abs(loose.omega_rq / tight.omega_rq - 1.0) <= 1e-9, a
+        assert loose.k_measured == pytest.approx(tight.k_measured, rel=2e-4), a
+        steps.append((loose.steps, tight.steps))
+    assert sum(s for s, _ in steps) < sum(s for _, s in steps)
+
+
+@pytest.mark.parametrize("a", [0.75, 1.05, 2.85])
+def test_rayleigh_omega_matches_the_plane(a):
+    # kappa L >= 22.6: the box's images do not reach the disk, and Omega_RQ
+    # is off kappa^2 by the N=256 grid term alone (+1.7e-7 to +5.3e-7
+    # measured), where omega_drift of the same run is off by up to 1.06e-4
+    cfg = _figure1_config(a)
+    _, report = run_to_steady(cfg)
+    kappa = plane_kappa(cfg.defect, cfg.b, 0.3)
+    assert report.converged
+    assert abs(report.omega_rq * cfg.b / kappa**2 - 1.0) <= 1e-6
+
+
 @pytest.mark.parametrize("amplitude,p", [(1e300, 1.5)])
 def test_eigen_start_stays_at_rest(amplitude, p):
     # A = 1e300 overflows the operator
@@ -991,6 +1067,7 @@ def test_far_field_match_locks_in_fewer_steps(amplitude, p, eps):
     # w reaches its noise floor inside the box; the floor-only start is flat
     # beyond it, and the ladder must walk the front out to the disk edge
     cfg = SimulationConfig(GridSpec2D(128, 50.0), dt=0.5, b=1.0, t_max=2000.0,
+                           steady_tol=COMPARED_TOL,
                            defect=InhomogeneitySpec(amplitude, p, strength=eps))
     w, omega, _ = _hopf_cole_eigen(cfg)
     assert np.min(w) < 10.0 * _noise_floor(w)
@@ -1174,6 +1251,7 @@ def test_rest_start_locks_on_the_ladder():
 def test_ser_ladder_locks_to_the_fixed_step_state(l, p):
     # from the start without its far field, which the ladder must walk out
     cfg = SimulationConfig(GridSpec2D(128, l), dt=0.5, b=1.0, t_max=2000.0,
+                           steady_tol=COMPARED_TOL,
                            defect=InhomogeneitySpec(1.5, p, strength=1.0))
     start = _floor_start(cfg)
     fixed = _constant_dt_loop(cfg, start)
@@ -1217,6 +1295,7 @@ def test_blow_up_on_the_top_level_rolls_back(monkeypatch):
     # a blow-up above dt is dropped: the last accepted state is kept and the
     # level and ceiling come down, so the run still locks to the same state
     cfg = SimulationConfig(GridSpec2D(64, 50.0), dt=0.5, b=1.0, t_max=2000.0,
+                           steady_tol=COMPARED_TOL,
                            defect=InhomogeneitySpec(1.5, 0.8, strength=1.0))
     start = _hopf_cole_start(cfg).uhat
     clean = _relax(cfg, start)
